@@ -11,9 +11,8 @@ from .forms import (
     ConsistencyReport, make_form, moments_equal,
 )
 from .catalog import (
-    DistributionEntry, Support, ParamSpec, build, list_entries,
-    entry_names, schema, density_closed_form, catalog_to_json,
-    pref_attach_candidate_form,
+    DistributionEntry, Support, ParamSpec, build, entry_names, schema,
+    density_closed_form, catalog_to_json, pref_attach_candidate_form,
 )
 from . import recipes
 from .stochastics import (

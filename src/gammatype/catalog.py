@@ -11,11 +11,9 @@ form algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
-
-from scipy.integrate import quad
 
 from . import recipes as rc
 from .errors import GammaTypeError, ParameterError, UnrepresentableError
@@ -24,7 +22,7 @@ from .specfun import gamma_real
 
 __all__ = [
     "Support", "ParamSpec", "DistributionEntry",
-    "build", "list_entries", "entry_names", "schema",
+    "build", "entry_names", "schema",
     "density_closed_form", "catalog_to_json", "pref_attach_candidate_form",
 ]
 
@@ -263,17 +261,7 @@ def _beta_product(name, label, a, b, c, d):
                 density=None,
                 tabulated=dict(rho_minus=-_INF, rho_plus=_INF, gamma=0.0,
                                gamma_prime=0.0, delta=0.0, kappa=0.0, c1=1.0))
-        cab = gamma_real(alpha + beta) / gamma_real(alpha)
-        form = make_form(cab, 0, [(1, alpha)], [(1, alpha + beta)])
-        inv_b = (gamma_real(alpha + beta)
-                 / (gamma_real(alpha) * gamma_real(beta)))
-        dens = (lambda x: inv_b * x ** (alpha - 1) * (1 - x) ** (beta - 1)
-                if 0 < x < 1 else 0.0)
-        return DistributionEntry(
-            name, label, params, form, "mellin", Support(0, 1),
-            recipe=rc.beta(alpha, beta), density=dens,
-            tabulated=dict(rho_minus=-alpha, rho_plus=_INF, gamma=0.0,
-                           gamma_prime=0.0, delta=-beta, kappa=0.0, c1=cab))
+        return replace(_beta(name, label, alpha, beta), params=params)
     failures = []
     if not (a > 0 and c > 0):
         failures.append("a > 0 and c > 0")
@@ -370,13 +358,16 @@ def _ball_distance(name, label, n, a):
                                   rc.Power(rc.beta((n + 1) / 2, (n + 1) / 2),
                                            0.5))), 2 * a)
     hammersley_c = 2 * n * gamma_real(n + 1) / gamma_real((n + 1) / 2) ** 2
+    half_beta = (0.5 * gamma_real(0.5) * gamma_real((n + 1) / 2)
+                 / gamma_real(n / 2 + 1))
 
     def dens(x, _c=hammersley_c, _n=n, _a=a):
+        from scipy.special import betainc
         lam = x / (2 * _a)
         if not 0 < lam < 1:
             return 0.0
-        tail, _ = quad(lambda z: (1 - z * z) ** ((_n - 1) / 2), lam, 1,
-                       epsabs=1e-12, epsrel=1e-12)
+        # int_lam^1 (1 - z^2)^((n-1)/2) dz, substituting w = 1 - z^2
+        tail = half_beta * betainc((_n + 1) / 2, 0.5, (1 - lam) * (1 + lam))
         return _c * lam ** (_n - 1) * tail / (2 * _a)
 
     return DistributionEntry(
@@ -613,7 +604,7 @@ def _cauchy_product_density_2(x):
     # 2 log|x| / (pi^2 (x^2 - 1)), removable singularity at |x| = 1
     ax = abs(x)
     if ax == 0.0:
-        return 0.0
+        return math.inf
     if abs(ax - 1.0) < 1e-7:
         u = ax - 1.0
         # log(1+u)/((1+u)^2-1) = 1/2 - 3u/4 + ...
@@ -818,11 +809,6 @@ def schema(name: str) -> tuple:
     return _REGISTRY[name].params
 
 
-def list_entries() -> list[tuple[str, tuple, str]]:
-    """(name, parameter schema, description) for every entry, fixed order."""
-    return [(name, d.params, d.label) for name, d in _REGISTRY.items()]
-
-
 def build(name: str, params: dict | None = None) -> DistributionEntry:
     """Construct a catalog entry, validating the parameter constraints."""
     if name not in _REGISTRY:
@@ -849,7 +835,7 @@ def density_closed_form(entry: DistributionEntry, x: float) -> float:
 
 
 def catalog_to_json() -> list[dict]:
-    """Serializable snapshot of the registry (built at default-ish params)."""
+    """Name, label and parameter schema of every entry, in registry order."""
     out = []
     for name, d in _REGISTRY.items():
         out.append({

@@ -152,20 +152,13 @@ def _cmd_list(args):
 
 
 def _cmd_info(args):
-    try:
-        spec = catalog.schema(args.name)
-    except KeyError:
-        _emit({"error": _schema_hint(args.name)})
-        return EXIT_UNKNOWN
-    label = dict((n, lbl) for n, _, lbl in catalog.list_entries())[args.name]
-    payload = {
-        "name": args.name,
-        "label": label,
-        "params": [{"name": p.name, "kind": p.kind, "constraint": p.constraint}
-                   for p in spec],
-    }
-    _emit(payload, f"{args.name}: {label}" if args.human else None)
-    return EXIT_OK
+    for payload in catalog.catalog_to_json():
+        if payload["name"] == args.name:
+            _emit(payload, f"{args.name}: {payload['label']}"
+                  if args.human else None)
+            return EXIT_OK
+    _emit({"error": _schema_hint(args.name)})
+    return EXIT_UNKNOWN
 
 
 def _cmd_moment(args):

@@ -215,11 +215,6 @@ class GammaTypeForm:
             tuple(GammaFactor(-f.slope, f.offset) for f in self.den),
         )
 
-    def perturb_constant(self, factor: float) -> "GammaTypeForm":
-        """Multiply the constant; used to exercise identity failures."""
-        return GammaTypeForm(self.constant * factor, self.log_scale,
-                             self.num, self.den)
-
     def expand_multiplication(self, index: int, m: int,
                               side: str = "num") -> "GammaTypeForm":
         """Rewrite one factor via the Gauss multiplication formula.

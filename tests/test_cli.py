@@ -1,9 +1,13 @@
 """CLI behavior: payload schemas, exit codes, seeding, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gammatype
 from gammatype.cli import main, parse_identity_spec
 from gammatype.forms import moments_equal
 
@@ -143,3 +147,13 @@ def test_human_summary_goes_to_stderr(capsys):
     assert code == 0
     json.loads(out)  # stdout stays pure JSON
     assert "rayleigh" in err
+
+
+def test_import_path_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, gammatype, gammatype.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -149,7 +149,8 @@ def test_identity_k_half_vs_rayleigh():
 
 def test_perturbed_constant_fails():
     k_half = build("pref_attach", {"alpha": 0.5}).form
-    scaled = rayleigh_form().scale(2 ** -0.5).perturb_constant(1.001)
+    f = rayleigh_form().scale(2 ** -0.5)
+    scaled = GammaTypeForm(f.constant * 1.001, f.log_scale, f.num, f.den)
     assert not moments_equal(k_half, scaled)
 
 

@@ -68,6 +68,23 @@ def test_symmetric_entry_splits_density():
     assert table[0, 1] == table[1, 1]
 
 
+@pytest.mark.parametrize("name, params", [
+    ("symmetric_stable", {"alpha": 1.0}),
+    ("symmetric_stable", {"alpha": 2.0}),
+    ("linnik", {"alpha": 2.0}),
+    ("cauchy_product", {"k": 1}),
+])
+def test_symmetric_entry_at_zero(name, params):
+    entry = catalog.build(name, params)
+    table = density_table(entry, [-0.5, 0.0, 0.5])
+    assert table[1, 1] == pytest.approx(entry.density(0.0), abs=1e-6)
+
+
+def test_symmetric_entry_unbounded_at_zero():
+    entry = catalog.build("cauchy_product", {"k": 2})
+    assert density_table(entry, [0.0])[0, 1] == entry.density(0.0) == math.inf
+
+
 def test_no_decay_is_rejected():
     form = catalog.build("beta", {"a": 2.0, "b": 3.0}).form  # gamma = 0
     with pytest.raises(InversionError):
