@@ -592,7 +592,7 @@ def _symmetric_stable(name, label, alpha):
     return DistributionEntry(
         name, label, {"alpha": alpha}, form, "mellin",
         Support(-_INF, _INF, symmetric=True),
-        recipe=rc.abs_of(rc.symmetric_stable(alpha)), density=dens,
+        recipe=rc.Abs(rc.symmetric_stable(alpha)), density=dens,
         tabulated=dict(rho_minus=-1.0,
                        rho_plus=_INF if alpha == 2.0 else alpha,
                        gamma=1 / alpha, gamma_prime=1 - 1 / alpha, delta=0.0,
@@ -785,7 +785,7 @@ def _linnik(name, label, alpha):
     dens = None
     if alpha == 2.0:
         dens = lambda x: 0.5 * math.exp(-abs(x))
-    recipe = rc.Product((rc.abs_of(rc.symmetric_stable(alpha)),
+    recipe = rc.Product((rc.Abs(rc.symmetric_stable(alpha)),
                          rc.Power(rc.exponential(), 1.0 / alpha)))
     return DistributionEntry(
         name, label, {"alpha": alpha}, form, "mellin",

@@ -49,7 +49,15 @@ def _emit(payload, human=None):
         print(human, file=sys.stderr)
 
 
-def _parse_params(tokens):
+def _number(flag, text, kind=float):
+    """kind(text), or a ValidationError naming the flag and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{flag}: not a number: {text!r}") from None
+
+
+def _parse_params(tokens, flag="--params"):
     params = {}
     for token in tokens or []:
         for piece in token.split(","):
@@ -58,7 +66,7 @@ def _parse_params(tokens):
             if "=" not in piece:
                 raise ParameterError("<cli>", f"expected k=v, got {piece!r}")
             key, _, raw = piece.partition("=")
-            params[key.strip()] = float(raw)
+            params[key.strip()] = _number(flag, raw)
     return params
 
 
@@ -78,12 +86,11 @@ def _schema_hint(name):
 
 
 def _parse_s(text):
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValidationError(f"moment order must be 're' or 're,im', got {text!r}")
+    parts = [_number("--s", part) for part in text.split(",")]
+    if len(parts) > 2:
+        raise ValidationError(
+            f"moment order must be 're' or 're,im', got {text!r}")
+    return complex(*parts)
 
 
 # --------------------------------------------------- identity-spec expressions
@@ -136,10 +143,10 @@ def parse_identity_spec(text):
             if len(args) != 2:
                 raise ValidationError(f"{head}() takes (expression, number)")
             base = parse_identity_spec(args[0])
-            value = float(args[1])
+            value = _number(f"{head}()", args[1])
             return base.power(value) if head == "power" else base.scale(value)
     name, _, rest = text.partition(":")
-    params = _parse_params([rest]) if rest else {}
+    params = _parse_params([rest], name.strip()) if rest else {}
     return catalog.build(name.strip(), params).form
 
 
@@ -210,7 +217,8 @@ def _cmd_check_identity(args):
 
 def _cmd_verify_mc(args):
     entry = _build(args.name, args.params)
-    grid = [float(v) for v in args.s_grid.split(",")] if args.s_grid else None
+    grid = ([_number("--s-grid", v) for v in args.s_grid.split(",")]
+            if args.s_grid else None)
     report = stochastics.verify_entry(entry, grid, n=args.n, seed=args.seed)
     _emit(report.to_json_dict(),
           (f"{args.name}: {'pass' if report.passed else 'FAIL'}"
@@ -220,10 +228,8 @@ def _cmd_verify_mc(args):
 
 def _cmd_sample(args):
     entry = _build(args.name, args.params)
-    if entry.recipe is None:
-        _emit({"error": f"{args.name} has no sampling recipe"})
-        return EXIT_DOMAIN
-    values = stochastics.sample(entry.recipe, args.n, args.seed)
+    values = stochastics.sample(stochastics.recipe_of(entry), args.n,
+                                args.seed)
     if args.output:
         stochastics.save_samples(values, args.output, args.format)
         _emit({"name": args.name, "n": args.n, "seed": args.seed,
@@ -238,11 +244,15 @@ def _cmd_sample(args):
 
 
 def _parse_grid(text):
-    lo, _, rest = text.partition(":")
-    hi, _, steps = rest.partition(":")
-    if not steps:
+    parts = text.split(":")
+    if len(parts) != 3:
         raise ValidationError(f"grid must be a:b:steps, got {text!r}")
-    return np.linspace(float(lo), float(hi), int(steps))
+    lo, hi = _number("--x", parts[0]), _number("--x", parts[1])
+    count = _number("--x", parts[2], int)
+    if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1):
+        raise ValidationError(f"--x: a grid needs finite ends and at least "
+                              f"1 step, got {text!r}")
+    return np.linspace(lo, hi, count)
 
 
 def _cmd_density(args):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -283,6 +284,11 @@ class GammaTypeForm:
 
     # ------------------------------------------------------ poles and profile
 
+    def _net_factors(self):
+        """num and den with the factors common to both cancelled."""
+        num, den = Counter(self.num), Counter(self.den)
+        return tuple((num - den).elements()), tuple((den - num).elements())
+
     def _net_locations(self, lo: float, hi: float,
                        sign: int) -> list[tuple[float, int]]:
         """Net pole (+1) or zero (-1) locations in [lo, hi].
@@ -290,17 +296,18 @@ class GammaTypeForm:
         ``sign=+1`` counts numerator poles net of denominator cancellation,
         ``sign=-1`` the reverse (i.e. zeros of F).
         """
+        num, den = self._net_factors()
         raw: list[tuple[float, int]] = []
-        for f in self.num:
+        for f in num:
             raw.extend((loc, sign) for loc in f.poles(lo, hi))
-        for f in self.den:
+        for f in den:
             raw.extend((loc, -sign) for loc in f.poles(lo, hi))
         return [(loc, m) for loc, m in _merge_locations(raw) if m > 0]
 
     def _side_bound(self, direction: int) -> float:
         """Upper bound on |pole location| in one direction, inf if unbounded."""
         bound = 0.0
-        for f in self.num:
+        for f in self._net_factors()[0]:
             a = float(f.slope)
             first = -f.offset / a
             if direction > 0:

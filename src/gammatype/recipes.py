@@ -18,24 +18,11 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "Leaf", "Product", "Power", "Scale", "NegLog", "Sum", "Discriminant",
-    "Recipe", "uniform", "exponential", "gamma", "beta", "normal",
-    "positive_stable", "symmetric_stable", "gumbel", "cauchy",
-    "abs_of", "leaf_count", "evaluate_recipe",
+    "Leaf", "Product", "Power", "Scale", "NegLog", "Abs", "Sum",
+    "Discriminant", "Recipe", "uniform", "exponential", "gamma", "beta",
+    "normal", "positive_stable", "symmetric_stable", "gumbel", "cauchy",
+    "leaf_count", "evaluate_recipe",
 ]
-
-_LEAF_KINDS = {
-    "uniform": 0,
-    "exponential": 0,
-    "gamma": 1,
-    "beta": 2,
-    "normal": 0,
-    "positive_stable": 1,
-    "symmetric_stable": 1,
-    "gumbel": 0,
-    "cauchy": 0,
-}
-
 
 @dataclass(frozen=True)
 class Leaf:
@@ -43,11 +30,12 @@ class Leaf:
     args: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _LEAF_KINDS:
+        if self.kind not in _LEAF_LAWS:
             raise ValidationError(f"unknown leaf law {self.kind!r}")
-        if len(self.args) != _LEAF_KINDS[self.kind]:
+        arity = _LEAF_LAWS[self.kind][0]
+        if len(self.args) != arity:
             raise ValidationError(f"leaf {self.kind!r} takes "
-                                  f"{_LEAF_KINDS[self.kind]} parameter(s)")
+                                  f"{arity} parameter(s)")
         object.__setattr__(self, "args", tuple(float(a) for a in self.args))
 
 
@@ -78,6 +66,11 @@ class NegLog:
 
 
 @dataclass(frozen=True)
+class Abs:
+    base: "Recipe"
+
+
+@dataclass(frozen=True)
 class Sum:
     parts: tuple
 
@@ -90,7 +83,7 @@ class Discriminant:
     leaf: Leaf
 
 
-Recipe = Union[Leaf, Product, Power, Scale, NegLog, Sum, Discriminant]
+Recipe = Union[Leaf, Product, Power, Scale, NegLog, Abs, Sum, Discriminant]
 
 
 # convenience constructors -------------------------------------------------
@@ -129,11 +122,6 @@ def gumbel() -> Leaf:
 
 def cauchy() -> Leaf:
     return Leaf("cauchy")
-
-
-def abs_of(recipe: Recipe) -> Recipe:
-    # |x| within the node vocabulary: square then square-root
-    return Power(Power(recipe, 2.0), 0.5)
 
 
 def leaf_count(recipe: Recipe) -> int:
@@ -181,27 +169,22 @@ def _draw_symmetric_stable(rng: np.random.Generator, alpha: float,
             * (np.cos((1 - alpha) * v) / w) ** ((1 - alpha) / alpha))
 
 
+# law -> (parameter count, draw(rng, *args, size))
+_LEAF_LAWS = {
+    "uniform": (0, lambda rng, size: rng.uniform(0.0, 1.0, size)),
+    "exponential": (0, lambda rng, size: rng.standard_exponential(size)),
+    "gamma": (1, lambda rng, a, size: rng.gamma(a, 1.0, size)),
+    "beta": (2, lambda rng, a, b, size: rng.beta(a, b, size)),
+    "normal": (0, lambda rng, size: rng.standard_normal(size)),
+    "positive_stable": (1, _draw_positive_stable),
+    "symmetric_stable": (1, _draw_symmetric_stable),
+    "gumbel": (0, lambda rng, size: -np.log(rng.standard_exponential(size))),
+    "cauchy": (0, lambda rng, size: rng.standard_cauchy(size)),
+}
+
+
 def _draw_leaf(leaf: Leaf, rng: np.random.Generator, size) -> np.ndarray:
-    kind = leaf.kind
-    if kind == "uniform":
-        return rng.uniform(0.0, 1.0, size)
-    if kind == "exponential":
-        return rng.standard_exponential(size)
-    if kind == "gamma":
-        return rng.gamma(leaf.args[0], 1.0, size)
-    if kind == "beta":
-        return rng.beta(leaf.args[0], leaf.args[1], size)
-    if kind == "normal":
-        return rng.standard_normal(size)
-    if kind == "positive_stable":
-        return _draw_positive_stable(rng, leaf.args[0], size)
-    if kind == "symmetric_stable":
-        return _draw_symmetric_stable(rng, leaf.args[0], size)
-    if kind == "gumbel":
-        return -np.log(rng.standard_exponential(size))
-    if kind == "cauchy":
-        return rng.standard_cauchy(size)
-    raise ValidationError(f"unknown leaf law {kind!r}")
+    return _LEAF_LAWS[leaf.kind][1](rng, *leaf.args, size)
 
 
 def evaluate_recipe(recipe: Recipe, rng_for_leaf, n: int,
@@ -240,4 +223,6 @@ def evaluate_recipe(recipe: Recipe, rng_for_leaf, n: int,
                                                n, _counter)
     if isinstance(recipe, NegLog):
         return -np.log(evaluate_recipe(recipe.base, rng_for_leaf, n, _counter))
+    if isinstance(recipe, Abs):
+        return np.abs(evaluate_recipe(recipe.base, rng_for_leaf, n, _counter))
     raise ValidationError(f"unknown recipe node {recipe!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError
+from .errors import PoleError, ValidationError
 
 __all__ = ["log_gamma", "gamma_real", "log_gamma_real", "OVERFLOW_EXPONENT"]
 
@@ -85,11 +85,14 @@ def _stirling(z: complex) -> complex:
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z).
 
-    Raises :class:`PoleError` at the nonpositive integers.  For negative
-    real ``z`` the branch is the limit from the upper half plane (the same
-    convention as the principal complex logarithm on the negative axis).
+    Raises :class:`PoleError` at the nonpositive integers and
+    :class:`ValidationError` at non-finite z.  For negative real ``z`` the
+    branch is the limit from the upper half plane (the same convention as
+    the principal complex logarithm on the negative axis).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"log_gamma needs a finite argument, got {z!r}")
     if _is_nonpositive_integer(z):
         raise PoleError(z)
     if z.real >= 0.5:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,41 +20,40 @@ from .errors import MomentRangeError, ValidationError
 from .recipes import Recipe, evaluate_recipe
 
 __all__ = [
-    "CHUNK_SIZE", "sample", "save_samples", "MCEstimate", "mc_moment",
-    "VerificationPoint", "VerificationReport", "verify_entry",
+    "CHUNK_SIZE", "recipe_of", "sample", "save_samples", "MCEstimate",
+    "mc_moment", "VerificationPoint", "VerificationReport", "verify_entry",
     "harmonic_drift",
 ]
 
 CHUNK_SIZE = 1 << 16
 
 
-def _chunk_values(recipe, seed, chunk_index, count):
-    cache = {}
-
-    def rng_for_leaf(i):
-        if i not in cache:
-            ss = np.random.SeedSequence((seed, chunk_index, i))
-            cache[i] = np.random.Generator(np.random.PCG64(ss))
-        return cache[i]
-
-    return evaluate_recipe(recipe, rng_for_leaf, count)
+def recipe_of(entry: DistributionEntry) -> Recipe:
+    """The entry's sampling recipe; ValidationError if it has none."""
+    if entry.recipe is None:
+        raise ValidationError(f"{entry.name}: no sampling recipe available")
+    return entry.recipe
 
 
 def sample(recipe: Recipe, n: int, seed: int = 0,
-           workers: int | None = None,
-           chunk_size: int = CHUNK_SIZE) -> np.ndarray:
+           workers: int | None = None) -> np.ndarray:
     """Draw n values; identical output for any worker count."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    spans = [(c, min(chunk_size, n - c * chunk_size))
-             for c in range((n + chunk_size - 1) // chunk_size)]
-    if workers and workers > 1 and len(spans) > 1:
+
+    def chunk(c):
+        # leaf i gets SeedSequence((seed, c, i)); evaluate_recipe asks for
+        # each leaf index once per chunk
+        return evaluate_recipe(recipe,
+                               lambda i: np.random.default_rng((seed, c, i)),
+                               min(CHUNK_SIZE, n - c * CHUNK_SIZE))
+
+    chunks = range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)
+    if workers and workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda span: _chunk_values(recipe, seed, span[0], span[1]),
-                spans))
+            parts = list(pool.map(chunk, chunks))
     else:
-        parts = [_chunk_values(recipe, seed, c, m) for c, m in spans]
+        parts = [chunk(c) for c in chunks]
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
@@ -81,36 +80,40 @@ class MCEstimate:
     ci_valid: bool
 
 
-def _moment_values(entry, x, s):
+def _moment_mean(entry, x, s):
+    """Sample mean of X^s (e^{sX} for an MGF) and its standard error."""
     if entry.kind == "mgf":
-        return np.exp(s * x)
-    if s == 0.0:
-        return np.ones_like(x)
-    return np.abs(x) ** s
+        vals = np.exp(s * x)
+    else:
+        vals = np.abs(x) ** s if s else np.ones_like(x)
+    return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(len(x))
 
 
-def mc_moment(entry: DistributionEntry, s: float, n: int = 10 ** 6,
-              seed: int = 0, workers: int | None = None) -> MCEstimate:
-    """Monte Carlo estimate of the entry's moment function at real s.
+def _estimates(entry, s_grid, n, seed, workers):
+    """MCEstimates at every s of s_grid (default if None) from one sample.
 
     The confidence interval is only meaningful when the second moment of
     the estimator exists, i.e. when 2s also lies in the strip; otherwise
     the estimate is still returned but flagged ``ci_valid=False``.
     """
-    if entry.recipe is None:
-        raise ValidationError(f"{entry.name}: no sampling recipe available")
-    s = float(s)
+    recipe = recipe_of(entry)
     strip = entry.form.strip()
-    if not strip.rho_minus < s < strip.rho_plus:
-        raise MomentRangeError(
-            f"{entry.name}: s={s} outside the open strip "
-            f"({strip.rho_minus}, {strip.rho_plus})")
-    x = sample(entry.recipe, n, seed, workers=workers)
-    vals = _moment_values(entry, x, s)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1)) / math.sqrt(n)
-    ci_valid = strip.rho_minus < 2 * s < strip.rho_plus
-    return MCEstimate(mean, stderr, n, s, ci_valid)
+    grid = _default_grid(strip) if s_grid is None else [float(s) for s in s_grid]
+    for s in grid:
+        if not strip.rho_minus < s < strip.rho_plus:
+            raise MomentRangeError(
+                f"{entry.name}: s={s} outside the open strip "
+                f"({strip.rho_minus}, {strip.rho_plus})")
+    x = sample(recipe, n, seed, workers=workers)
+    return [MCEstimate(*_moment_mean(entry, x, s), n, s,
+                       strip.rho_minus < 2 * s < strip.rho_plus)
+            for s in grid]
+
+
+def mc_moment(entry: DistributionEntry, s: float, n: int = 10 ** 6,
+              seed: int = 0, workers: int | None = None) -> MCEstimate:
+    """Monte Carlo estimate of the entry's moment function at real s."""
+    return _estimates(entry, [s], n, seed, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,7 @@ class VerificationReport:
         return {
             "entry": self.entry,
             "passed": self.passed,
-            "points": [{
-                "s": p.s, "estimate": p.estimate, "stderr": p.stderr,
-                "exact": p.exact, "z": p.z, "ci_valid": p.ci_valid,
-                "passed": p.passed,
-            } for p in self.points],
+            "points": [asdict(p) for p in self.points],
         }
 
 
@@ -157,18 +156,13 @@ def verify_entry(entry: DistributionEntry, s_grid=None, n: int = 10 ** 6,
     are reported for inspection but excluded from the overall verdict,
     since a z-score against an invalid stderr means nothing.
     """
-    strip = entry.form.strip()
-    if s_grid is None:
-        s_grid = _default_grid(strip)
     points = []
-    for s in s_grid:
-        est = mc_moment(entry, s, n=n, seed=seed, workers=workers)
-        exact = entry.form.evaluate(float(s))
-        exact = float(exact.real)
+    for est in _estimates(entry, s_grid, n, seed, workers):
+        exact = float(entry.form.evaluate(est.s).real)
         zscore = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
-        ok = abs(zscore) <= z
         points.append(VerificationPoint(est.s, est.mean, est.stderr, exact,
-                                        zscore, est.ci_valid, ok))
+                                        zscore, est.ci_valid,
+                                        abs(zscore) <= z))
     verdict = all(p.passed for p in points if p.ci_valid)
     return VerificationReport(entry.name, tuple(points), verdict)
 

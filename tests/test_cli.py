@@ -94,6 +94,32 @@ def test_bad_params_exit_2_with_schema_hint(capsys):
     assert "a (float" in json.loads(out)["hint"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("profile", "gamma", "--params", "a=abc"),
+    ("moment", "gamma", "--params", "a=2", "--s", "abc"),
+    ("moment", "gamma", "--params", "a=2", "--s", "nan"),
+    ("density", "logistic", "--x", "a:b:c"),
+    ("density", "logistic", "--x", "1:2:0"),
+    ("density", "logistic", "--x", "nan:1:3"),
+    ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"),
+    ("check-identity", "gamma:a=x", "rayleigh"),
+])
+def test_bad_numbers_exit_2_with_json(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert "error" in json.loads(out)
+
+
+def test_missing_recipe_same_error_from_sample_and_verify(capsys):
+    params = ("--params", "alpha=0.5,theta=1")
+    results = [run(capsys, cmd, "tilted_stable", *params)[:2]
+               for cmd in ("sample", "verify-mc")]
+    assert results[0] == results[1]
+    assert results[0][0] == 2
+    assert "no sampling recipe" in json.loads(results[0][1])["error"]
+
+
 def test_pole_exits_3_with_location(capsys):
     code, out, _ = run(capsys, "moment", "gumbel", "--s", "1")
     assert code == 3

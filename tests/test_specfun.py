@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gammatype.errors import PoleError
+from gammatype.errors import PoleError, ValidationError
 from gammatype.specfun import gamma_real, log_gamma, log_gamma_real
 
 from oracles import mp_log_gamma
@@ -96,3 +96,11 @@ def test_poles_raise():
             log_gamma(bad)
         with pytest.raises(PoleError):
             gamma_real(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1, math.inf),
+                                 complex(math.nan, 1)])
+def test_non_finite_arguments_raise(bad):
+    with pytest.raises(ValidationError):
+        log_gamma(bad)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gammatype import catalog, recipes as rc
+from gammatype import catalog, recipes as rc, stochastics
 from gammatype.errors import MomentRangeError, ValidationError
 from gammatype.stochastics import (
-    harmonic_drift, mc_moment, sample, save_samples, verify_entry,
+    MCEstimate, harmonic_drift, mc_moment, sample, save_samples,
+    verify_entry,
 )
 
 
@@ -70,6 +71,14 @@ def test_symmetric_stable_char_function():
         vals = np.cos(t * x)
         target = math.exp(-abs(t) ** 1.5)
         assert abs(vals.mean() - target) < 5 * vals.std() / math.sqrt(len(x))
+
+
+def test_abs_node_does_not_overflow():
+    # squaring a heavy-tailed draw overflows where |x| does not
+    entry = catalog.build("symmetric_stable", {"alpha": 0.02})
+    x = sample(entry.recipe, 10 ** 6, seed=0)
+    raw = sample(rc.symmetric_stable(0.02), 10 ** 6, seed=0)
+    assert np.array_equal(x, np.abs(raw))
 
 
 # ------------------------------------------------------ distributional checks
@@ -136,14 +145,29 @@ def test_mc_moment_requires_recipe():
         mc_moment(entry, 0.5, n=100)
 
 
-def test_verify_entry_report():
+def test_verify_entry_report(monkeypatch):
+    calls = []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(stochastics, "sample", counting_sample)
     entry = catalog.build("gamma", {"a": 2.0})
     report = verify_entry(entry, [0.5, 1.0, 2.0], n=200_000, seed=8)
+    assert len(calls) == 1
     assert report.passed
     data = report.to_json_dict()
     assert data["entry"] == "gamma"
     assert [p["s"] for p in data["points"]] == [0.5, 1.0, 2.0]
     assert all(p["ci_valid"] for p in data["points"])
+    for p in report.points:
+        assert mc_moment(entry, p.s, n=200_000, seed=8) == MCEstimate(
+            p.estimate, p.stderr, 200_000, p.s, p.ci_valid)
+    calls.clear()
+    with pytest.raises(MomentRangeError):
+        verify_entry(entry, [0.5, -3.0, 1.0], n=200_000, seed=8)
+    assert calls == []
 
 
 def test_verify_entry_excludes_invalid_ci_from_verdict():
