@@ -11,7 +11,7 @@ from .forms import (
     ConsistencyReport, make_form, moments_equal,
 )
 from .catalog import (
-    DistributionEntry, Support, ParamSpec, build, entry_names, schema,
+    DistributionEntry, Support, ParamSpec, build, entry_names,
     density_closed_form, catalog_to_json, pref_attach_candidate_form,
 )
 from . import recipes

@@ -22,7 +22,7 @@ from .specfun import gamma_real
 
 __all__ = [
     "Support", "ParamSpec", "DistributionEntry",
-    "build", "entry_names", "schema",
+    "build", "entry_names",
     "density_closed_form", "catalog_to_json", "pref_attach_candidate_form",
 ]
 
@@ -801,12 +801,6 @@ def _linnik(name, label, alpha):
 
 def entry_names() -> list[str]:
     return list(_REGISTRY)
-
-
-def schema(name: str) -> tuple:
-    if name not in _REGISTRY:
-        raise KeyError(name)
-    return _REGISTRY[name].params
 
 
 def build(name: str, params: dict | None = None) -> DistributionEntry:

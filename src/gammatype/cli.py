@@ -74,15 +74,21 @@ def _build(name, param_tokens):
     return catalog.build(name, _parse_params(param_tokens))
 
 
+def _entry_json(name):
+    """The entry's element of catalog_to_json(), or None for an unknown name."""
+    return next((payload for payload in catalog.catalog_to_json()
+                 if payload["name"] == name), None)
+
+
 def _schema_hint(name):
-    try:
-        spec = catalog.schema(name)
-    except KeyError:
+    payload = _entry_json(name)
+    if payload is None:
         return f"unknown entry {name!r}; try `gammatype list`"
-    if not spec:
+    if not payload["params"]:
         return f"{name} takes no parameters"
     return (name + " parameters: "
-            + ", ".join(f"{p.name} ({p.kind}, {p.constraint})" for p in spec))
+            + ", ".join(f"{p['name']} ({p['kind']}, {p['constraint']})"
+                        for p in payload["params"]))
 
 
 def _parse_s(text):
@@ -159,13 +165,12 @@ def _cmd_list(args):
 
 
 def _cmd_info(args):
-    for payload in catalog.catalog_to_json():
-        if payload["name"] == args.name:
-            _emit(payload, f"{args.name}: {payload['label']}"
-                  if args.human else None)
-            return EXIT_OK
-    _emit({"error": _schema_hint(args.name)})
-    return EXIT_UNKNOWN
+    payload = _entry_json(args.name)
+    if payload is None:
+        _emit({"error": _schema_hint(args.name)})
+        return EXIT_UNKNOWN
+    _emit(payload, f"{args.name}: {payload['label']}" if args.human else None)
+    return EXIT_OK
 
 
 def _cmd_moment(args):
@@ -290,8 +295,15 @@ def _add_entry_args(p, with_params=True):
                        help="parameters as k=v[,k=v...]")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 2 with JSON too."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammatype",
         description="Gamma-type moment forms: catalog, checks, sampling.")
     parser.add_argument("--human", action="store_true",
@@ -353,11 +365,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = int(os.environ.get("GML_SEED", "0"))
+    args = None
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _number("GML_SEED", os.environ.get("GML_SEED", "0"),
+                                int)
         return _COMMANDS[args.command](args)
     except KeyError as exc:
         # unknown catalog name raised by catalog.build

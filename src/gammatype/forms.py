@@ -13,11 +13,12 @@ arithmetic progressions of poles are resolved without float drift.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     EmptyStripError,
@@ -82,22 +83,6 @@ class GammaFactor:
     def argument(self, s: complex) -> complex:
         return float(self.slope) * s + self.offset
 
-    def poles(self, lo: float, hi: float) -> Iterable[float]:
-        """Pole locations s = (-n - offset) / slope inside [lo, hi]."""
-        a = float(self.slope)
-        n = 0
-        while True:
-            s = (-n - self.offset) / a
-            if s < lo - OFFSET_TOL or s > hi + OFFSET_TOL:
-                # progression is monotone in n; once out on the far side, stop
-                if (a > 0 and s < lo) or (a < 0 and s > hi):
-                    return
-            else:
-                yield s
-            n += 1
-            if n > int(POLE_SCAN_LIMIT * abs(a) + abs(self.offset)) + 4:
-                return
-
     def sort_key(self):
         return (self.slope, self.offset)
 
@@ -144,16 +129,59 @@ class ConsistencyReport:
     zero_location: float | None = None
 
 
-def _merge_locations(raw: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    """Sum multiplicities of locations that coincide within OFFSET_TOL."""
-    raw.sort()
-    merged: list[tuple[float, int]] = []
-    for loc, mult in raw:
-        if merged and abs(loc - merged[-1][0]) <= OFFSET_TOL * max(1.0, abs(loc)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
-        else:
-            merged.append((loc, mult))
-    return [(loc, m) for loc, m in merged if m != 0]
+def pole_index(a: float, b: float, s: float) -> int | None:
+    """The n >= 0 with a s + b = -n, or None if Gamma(a s + b) has no pole at s.
+
+    s must match the pole (-n - b) / a within OFFSET_TOL, relative once
+    |s| > 1.
+    """
+    n = round(-(a * s + b))
+    if n >= 0 and abs((-n - b) / a - s) <= OFFSET_TOL * max(1.0, abs(s)):
+        return n
+    return None
+
+
+def _poles_at(pairs, s: float) -> list[float]:
+    """Locations (-n - b) / a of the poles at s of the (slope, offset) pairs."""
+    return [(-n - b) / a for a, b in pairs
+            if (n := pole_index(a, b, s)) is not None]
+
+
+def _first_excess(top, bottom, direction: int,
+                  bound: float = math.inf) -> float:
+    """Nearest s != 0 on one side of 0 where ``top`` has more poles than
+    ``bottom``.
+
+    The poles of the ``top`` pairs are visited in order of |s| (a heap over
+    their arithmetic progressions), up to |s| = min(bound, POLE_SCAN_LIMIT);
+    direction * inf if none qualifies by then.  Of coinciding locations,
+    which may differ in the last bit, the lowest is returned.
+    """
+    limit = min(bound, POLE_SCAN_LIMIT)
+    heap = []
+    for a, b in top:
+        a *= direction  # in t = direction * s the poles are t_n = (-n - b) / a
+        if a > 0:  # t_n falls with n: walk n down from the last t_n > 0
+            n, step = math.ceil(-b) - 1, -1
+        else:      # t_n grows with n: walk n up from the first t_n > 0
+            n, step = max(0, math.floor(-b) + 1), 1
+        if n >= 0:
+            heap.append(((-n - b) / a, n, step, a, b))
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= limit:
+        t = heap[0][0]
+        here = []  # the progressions with a pole at t
+        while heap and heap[0][0] - t <= OFFSET_TOL * max(1.0, t):
+            here.append(heapq.heappop(heap))
+        if t > OFFSET_TOL:
+            down = _poles_at(bottom, direction * t)
+            if len(here) > len(down):
+                return min([direction * u for u, *_ in here] + down)
+        for _, n, step, a, b in here:
+            if n + step >= 0:
+                heapq.heappush(heap, ((-n - step - b) / a, n + step, step,
+                                      a, b))
+    return direction * math.inf
 
 
 @dataclass(frozen=True)
@@ -284,88 +312,41 @@ class GammaTypeForm:
 
     # ------------------------------------------------------ poles and profile
 
-    def _net_factors(self):
-        """num and den with the factors common to both cancelled."""
+    def _net_poles(self):
+        """(slope, offset) pairs of num and den, common factors cancelled."""
         num, den = Counter(self.num), Counter(self.den)
-        return tuple((num - den).elements()), tuple((den - num).elements())
-
-    def _net_locations(self, lo: float, hi: float,
-                       sign: int) -> list[tuple[float, int]]:
-        """Net pole (+1) or zero (-1) locations in [lo, hi].
-
-        ``sign=+1`` counts numerator poles net of denominator cancellation,
-        ``sign=-1`` the reverse (i.e. zeros of F).
-        """
-        num, den = self._net_factors()
-        raw: list[tuple[float, int]] = []
-        for f in num:
-            raw.extend((loc, sign) for loc in f.poles(lo, hi))
-        for f in den:
-            raw.extend((loc, -sign) for loc in f.poles(lo, hi))
-        return [(loc, m) for loc, m in _merge_locations(raw) if m > 0]
-
-    def _side_bound(self, direction: int) -> float:
-        """Upper bound on |pole location| in one direction, inf if unbounded."""
-        bound = 0.0
-        for f in self._net_factors()[0]:
-            a = float(f.slope)
-            first = -f.offset / a
-            if direction > 0:
-                if a < 0:
-                    return math.inf
-                bound = max(bound, first)
-            else:
-                if a > 0:
-                    return math.inf
-                bound = max(bound, -first)
-        return bound
+        return ([(float(f.slope), f.offset) for f in (num - den).elements()],
+                [(float(f.slope), f.offset) for f in (den - num).elements()])
 
     def strip(self) -> AnalyticityStrip:
         """Maximal open strip around 0 free of net numerator poles.
 
-        Raises InvalidFormError if a net pole sits at s = 0 (such a form
-        cannot be the moment function of a positive variable).
+        A side with no net pole within |s| <= POLE_SCAN_LIMIT is reported
+        as unbounded.  Raises InvalidFormError if a net pole sits at s = 0
+        (such a form cannot be the moment function of a positive variable).
         """
-        window = 16.0
-        rho_minus = -math.inf
-        rho_plus = math.inf
-        found_minus = found_plus = False
-        while True:
-            poles = self._net_locations(-window, window, +1)
-            for loc, _ in poles:
-                if abs(loc) <= OFFSET_TOL:
-                    raise InvalidFormError(f"net Gamma pole at s = 0 (location {loc})")
-            below = [loc for loc, _ in poles if loc < 0]
-            above = [loc for loc, _ in poles if loc > 0]
-            if below:
-                rho_minus, found_minus = max(below), True
-            elif self._side_bound(-1) < window:
-                found_minus = True  # provably no pole below 0
-            if above:
-                rho_plus, found_plus = min(above), True
-            elif self._side_bound(+1) < window:
-                found_plus = True
-            if (found_minus and found_plus) or window >= POLE_SCAN_LIMIT:
-                return AnalyticityStrip(rho_minus, rho_plus)
-            window *= 4.0
+        num, den = self._net_poles()
+        if len(_poles_at(num, 0.0)) > len(_poles_at(den, 0.0)):
+            raise InvalidFormError("net Gamma pole at s = 0")
+        return AnalyticityStrip(_first_excess(num, den, -1),
+                                _first_excess(num, den, +1))
 
     def check_positive_consistency(self) -> ConsistencyReport:
         """Locate zeros of F inside the open strip of analyticity.
 
         A moment function of a positive variable cannot vanish inside its
-        strip, so any such zero marks an inconsistent form.
+        strip, so any such zero marks an inconsistent form.  The zero
+        nearest 0 is reported, the negative one on a tie.
         """
         strip = self.strip()
-        lo = max(strip.rho_minus, -POLE_SCAN_LIMIT)
-        hi = min(strip.rho_plus, POLE_SCAN_LIMIT)
-        zeros = [
-            (loc, m) for loc, m in self._net_locations(lo, hi, -1)
-            if strip.rho_minus + OFFSET_TOL < loc < strip.rho_plus - OFFSET_TOL
-        ]
-        if not zeros:
+        num, den = self._net_poles()
+        if len(_poles_at(den, 0.0)) > len(_poles_at(num, 0.0)):
+            return ConsistencyReport(False, strip, 0.0)
+        nearest = min(_first_excess(den, num, -1, -strip.rho_minus),
+                      _first_excess(den, num, +1, strip.rho_plus), key=abs)
+        if math.isinf(nearest):
             return ConsistencyReport(True, strip)
-        first = min(zeros, key=lambda lm: abs(lm[0]))
-        return ConsistencyReport(False, strip, first[0])
+        return ConsistencyReport(False, strip, nearest)
 
     def asymptotic_profile(self) -> AsymptoticProfile:
         """Closed-form growth parameters derived from Stirling's expansion."""

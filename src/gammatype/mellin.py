@@ -16,7 +16,7 @@ import numpy as np
 
 from .catalog import DistributionEntry
 from .errors import InversionError, ValidationError
-from .forms import OFFSET_TOL, AnalyticityStrip, GammaTypeForm
+from .forms import OFFSET_TOL, AnalyticityStrip, GammaTypeForm, pole_index
 from .specfun import gamma_real
 
 __all__ = [
@@ -126,8 +126,8 @@ def _half_density_at_zero(form: GammaTypeForm) -> float:
     for factors, side in ((form.num, 1), (form.den, -1)):
         for f in factors:
             a = float(f.slope)
-            n = round(a - f.offset)
-            if n >= 0 and abs(a - f.offset - n) <= OFFSET_TOL:
+            n = pole_index(a, f.offset, -1.0)
+            if n is not None:
                 order += side
                 res *= ((-1) ** n / (math.factorial(n) * a)) ** side
             else:

@@ -40,6 +40,8 @@ def sample(recipe: Recipe, n: int, seed: int = 0,
     """Draw n values; identical output for any worker count."""
     if n < 1:
         raise ValidationError("n must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
     def chunk(c):
         # leaf i gets SeedSequence((seed, c, i)); evaluate_recipe asks for

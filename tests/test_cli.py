@@ -111,6 +111,27 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("env, argv, name", [
+    ({}, ("sample", "rayleigh", "--n", "abc"), "--n"),
+    ({}, ("check-identity", "rayleigh", "rayleigh", "--tol", "x"), "--tol"),
+    ({}, ("density", "logistic", "--x=-1:1:3", "--abscissa", "x"),
+     "--abscissa"),
+    ({}, ("moment", "rayleigh"), "--s"),
+    ({}, ("moment", "rayleigh", "--s", "-0.2,0.7"), "--s"),
+    ({}, ("sample", "rayleigh", "--seed", "-1"), "seed"),
+    ({}, ("verify-mc", "rayleigh", "--n", "1000", "--seed", "-3"), "seed"),
+    ({"GML_SEED": "abc"}, ("sample", "rayleigh"), "GML_SEED"),
+    ({"GML_SEED": "-2"}, ("sample", "rayleigh"), "seed"),
+])
+def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert name in json.loads(out)["error"]
+
+
 def test_missing_recipe_same_error_from_sample_and_verify(capsys):
     params = ("--params", "alpha=0.5,theta=1")
     results = [run(capsys, cmd, "tilted_stable", *params)[:2]

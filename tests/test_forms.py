@@ -12,7 +12,8 @@ from gammatype.errors import (
     EmptyStripError, InvalidFormError, PoleError, ValidationError,
 )
 from gammatype.forms import (
-    AnalyticityStrip, GammaTypeForm, make_form, moments_equal,
+    AnalyticityStrip, ConsistencyReport, GammaTypeForm, make_form,
+    moments_equal,
 )
 
 from oracles import mp_form_log
@@ -70,6 +71,27 @@ def test_strip_net_pole_at_zero_invalid():
         form.strip()
 
 
+def test_strip_of_entire_form_is_unbounded():
+    # Gamma(s+1)/Gamma(2s+1): every pole of the numerator is one of the
+    # denominator's, out to any distance
+    form = make_form(1, 0, [(1, 1)], [(2, 1)])
+    assert form.strip() == AnalyticityStrip(-math.inf, math.inf)
+
+
+def test_entire_form_equals_its_expansion_near_zero(monkeypatch):
+    form = make_form(1, 0, [(1, 1)], [(2, 1)])
+    reals = []
+    evaluate_log = GammaTypeForm.evaluate_log
+
+    def spy(self, s):
+        reals.append(complex(s).real)
+        return evaluate_log(self, s)
+
+    monkeypatch.setattr(GammaTypeForm, "evaluate_log", spy)
+    assert moments_equal(form, form.expand_multiplication(0, 2, "den"))
+    assert reals and all(-3.0 <= re <= 3.0 for re in reals)
+
+
 def test_empty_strip_intersection():
     with pytest.raises(EmptyStripError):
         AnalyticityStrip(-2.0, -1.0).intersect(AnalyticityStrip(1.0, 3.0))
@@ -87,6 +109,12 @@ def test_consistency_fails_below_half(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 2.0])
 def test_consistency_passes_at_and_above_half(alpha):
     assert pref_attach_candidate_form(alpha).check_positive_consistency().passed
+
+
+def test_net_zero_at_origin_fails():
+    form = make_form(1, 0, [(1, 1)], [(1, 0.0)])  # Gamma(s+1)/Gamma(s) = s
+    assert form.check_positive_consistency() == ConsistencyReport(
+        False, AnalyticityStrip(-math.inf, math.inf), 0.0)
 
 
 # ---------------------------------------------------------------- operations
@@ -212,3 +240,47 @@ def test_serialization_round_trip_property(f):
 @given(simple_forms())
 def test_form_equals_itself_on_grid(f):
     assert moments_equal(f, f)
+
+
+# small slopes keep the walks short: a side free of net poles is walked
+# out to |s| = 1e4, about 1e4 * |slope| poles per factor
+pole_slopes = st.sampled_from([Fraction(k, q) for k in (-1, 1)
+                               for q in (1, 2, 3)])
+pole_offsets = st.builds(Fraction, st.integers(-4, 8),
+                         st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def cancelling_forms(draw):
+    """Forms whose denominator often holds every pole of a numerator factor."""
+    num = draw(st.lists(st.tuples(pole_slopes, pole_offsets),
+                        min_size=1, max_size=2))
+    den = draw(st.lists(st.tuples(pole_slopes, pole_offsets), max_size=1))
+    for a, b in num:
+        if draw(st.booleans()):  # Gamma(2as+2b) has every pole of Gamma(as+b)
+            den.append((2 * a, 2 * b))
+    return make_form(1, 0, [(a, float(b)) for a, b in num],
+                     [(a, float(b)) for a, b in den])
+
+
+def _pole_answers(form):
+    try:
+        strip = form.strip()
+    except InvalidFormError:
+        return ("InvalidFormError",)
+    report = form.check_positive_consistency()
+    zero = report.zero_location
+    # zeros at -z and z tie, and the last bit of each location decides
+    # which one is reported: keep its distance from 0
+    return (strip.rho_minus, strip.rho_plus, report.passed,
+            None if zero is None else abs(zero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cancelling_forms(), st.data())
+def test_strip_and_zeros_survive_gauss_expansion(f, data):
+    side = data.draw(st.sampled_from(["num", "den"] if f.den else ["num"]))
+    index = data.draw(st.integers(0, len(getattr(f, side)) - 1))
+    g = f.expand_multiplication(index, data.draw(st.integers(2, 3)), side)
+    assert _pole_answers(g) == pytest.approx(_pole_answers(f), rel=1e-12,
+                                             abs=1e-12)
