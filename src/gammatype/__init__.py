@@ -20,8 +20,7 @@ from .stochastics import (
     VerificationReport, verify_entry, harmonic_drift,
 )
 from .mellin import (
-    InversionSpec, density, density_table, check_normalization,
-    save_density_table,
+    density, density_table, check_normalization, save_density_table,
 )
 
 __version__ = "0.1.0"

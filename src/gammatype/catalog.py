@@ -16,7 +16,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import recipes as rc
-from .errors import GammaTypeError, ParameterError, UnrepresentableError
+from .errors import (
+    GammaTypeError, ParameterError, UnrepresentableError, ValidationError,
+)
 from .forms import GammaTypeForm, make_form
 from .specfun import gamma_real
 
@@ -45,10 +47,9 @@ class ParamSpec:
 
     def coerce(self, value):
         if self.kind == "int":
-            iv = int(value)
-            if iv != float(value):
+            if not float(value).is_integer():
                 raise ParameterError("<param>", f"{self.name} must be an integer")
-            return iv
+            return int(value)
         return float(value)
 
 
@@ -818,7 +819,13 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
     if missing:
         raise ParameterError(name, f"missing parameter(s) {sorted(missing)}")
     kwargs = {p.name: p.coerce(params[p.name]) for p in d.params}
-    return d.factory(name, d.label, **kwargs)
+    try:
+        return d.factory(name, d.label, **kwargs)
+    except ValidationError as exc:
+        # the parameters passed their conditions, so the form's constant or
+        # offsets left float64: an out-of-range parameter, not a bad form
+        raise ParameterError(name, "parameters outside the representable "
+                                   f"range ({exc})") from None
 
 
 def density_closed_form(entry: DistributionEntry, x: float) -> float:

@@ -262,8 +262,7 @@ def _parse_grid(text):
 
 def _cmd_density(args):
     entry = _build(args.name, args.params)
-    spec = mellin.InversionSpec(abscissa=args.abscissa)
-    table = mellin.density_table(entry, _parse_grid(args.x), spec)
+    table = mellin.density_table(entry, _parse_grid(args.x), args.abscissa)
     rows = [{"x": float(x), "density": float(f)} for x, f in table]
     if args.output:
         mellin.save_density_table(table, args.output, args.format)

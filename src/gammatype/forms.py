@@ -94,9 +94,6 @@ class AnalyticityStrip:
     rho_minus: float
     rho_plus: float
 
-    def contains(self, x: float, margin: float = 0.0) -> bool:
-        return self.rho_minus + margin < x < self.rho_plus - margin
-
     def intersect(self, other: "AnalyticityStrip") -> "AnalyticityStrip":
         lo = max(self.rho_minus, other.rho_minus)
         hi = min(self.rho_plus, other.rho_plus)
@@ -336,14 +333,18 @@ class GammaTypeForm:
 
         A moment function of a positive variable cannot vanish inside its
         strip, so any such zero marks an inconsistent form.  The zero
-        nearest 0 is reported, the negative one on a tie.
+        nearest 0 is reported, the negative one on a tie (distances from 0
+        equal within OFFSET_TOL, relative past 1).
         """
         strip = self.strip()
         num, den = self._net_poles()
         if len(_poles_at(den, 0.0)) > len(_poles_at(num, 0.0)):
             return ConsistencyReport(False, strip, 0.0)
-        nearest = min(_first_excess(den, num, -1, -strip.rho_minus),
-                      _first_excess(den, num, +1, strip.rho_plus), key=abs)
+        neg = _first_excess(den, num, -1, -strip.rho_minus)
+        pos = _first_excess(den, num, +1, strip.rho_plus)
+        # zeros at -z and z can differ in the last bit: the positive one
+        # wins only if nearer by more than the location tolerance
+        nearest = pos if pos < -neg - OFFSET_TOL * max(1.0, pos) else neg
         if math.isinf(nearest):
             return ConsistencyReport(True, strip)
         return ConsistencyReport(False, strip, nearest)

@@ -20,33 +20,28 @@ from .forms import OFFSET_TOL, AnalyticityStrip, GammaTypeForm, pole_index
 from .specfun import gamma_real
 
 __all__ = [
-    "InversionSpec", "density", "density_table", "check_normalization",
-    "save_density_table",
+    "density", "density_table", "check_normalization", "save_density_table",
 ]
 
 # absolute accuracy; a tenth each goes to the truncated tail and the step
 TARGET = 1e-8
 
 
-class InversionSpec:
-    """Contour choice; the default abscissa sits mid-strip."""
-
-    def __init__(self, abscissa=None):
-        self.abscissa = abscissa
-
-    def resolve_abscissa(self, strip: AnalyticityStrip, kind: str) -> float:
-        if self.abscissa is not None:
-            c = float(self.abscissa)
-            if not strip.rho_minus < c < strip.rho_plus:
-                raise InversionError(
-                    f"abscissa {c} outside strip "
-                    f"({strip.rho_minus}, {strip.rho_plus})")
-            return c
-        if kind == "mgf":
-            return 0.0
-        # midway between the finite edges, an infinite edge counting as 0
-        return sum(e for e in (strip.rho_minus, strip.rho_plus)
-                   if not math.isinf(e)) / 2
+def _resolve_abscissa(strip: AnalyticityStrip, kind: str,
+                      abscissa: float | None) -> float:
+    """The contour Re s = c: ``abscissa`` if given, else mid-strip."""
+    if abscissa is not None:
+        c = float(abscissa)
+        if not strip.rho_minus < c < strip.rho_plus:
+            raise InversionError(
+                f"abscissa {c} outside strip "
+                f"({strip.rho_minus}, {strip.rho_plus})")
+        return c
+    if kind == "mgf":
+        return 0.0
+    # midway between the finite edges, an infinite edge counting as 0
+    return sum(e for e in (strip.rho_minus, strip.rho_plus)
+               if not math.isinf(e)) / 2
 
 
 def _truncation(form: GammaTypeForm, c: float) -> float:
@@ -71,7 +66,7 @@ def _truncation(form: GammaTypeForm, c: float) -> float:
 
 
 def _invert(form: GammaTypeForm, kind: str, xs,
-            spec: InversionSpec) -> np.ndarray:
+            abscissa: float | None) -> np.ndarray:
     """Density at every x (x > 0 for the Mellin kind) from one trapezoid sum.
 
     F(c+it) is evaluated once per node t_k = (k + 1/2) h, k < ceil(T/h),
@@ -84,7 +79,7 @@ def _invert(form: GammaTypeForm, kind: str, xs,
     if not xs.size:
         return np.zeros(0)
     strip = form.strip()
-    c = spec.resolve_abscissa(strip, kind)
+    c = _resolve_abscissa(strip, kind, abscissa)
     big_t = _truncation(form, c)
     u = np.log(xs) if kind == "mellin" else xs
     d = 0.5 * min(c - strip.rho_minus, strip.rho_plus - c, 2.0)
@@ -99,14 +94,17 @@ def _invert(form: GammaTypeForm, kind: str, xs,
 
 
 def density(form: GammaTypeForm, kind: str, x: float,
-            spec: InversionSpec | None = None) -> float:
-    """Density at x of the law whose moment function (or MGF) is ``form``."""
+            abscissa: float | None = None) -> float:
+    """Density at x of the law whose moment function (or MGF) is ``form``.
+
+    The contour runs along Re s = ``abscissa``, by default mid-strip.
+    """
     if kind not in ("mellin", "mgf"):
         raise ValidationError(f"unknown kind {kind!r}")
     x = float(x)
     if kind == "mellin" and x <= 0.0:
         return 0.0
-    return float(_invert(form, kind, [x], spec or InversionSpec())[0])
+    return float(_invert(form, kind, [x], abscissa)[0])
 
 
 def _half_density_at_zero(form: GammaTypeForm) -> float:
@@ -136,13 +134,12 @@ def _half_density_at_zero(form: GammaTypeForm) -> float:
 
 
 def density_table(entry: DistributionEntry, xs,
-                  spec: InversionSpec | None = None) -> np.ndarray:
+                  abscissa: float | None = None) -> np.ndarray:
     """Rows (x, f(x)) over the grid, honoring support and symmetry.
 
     Symmetric entries model |X|, so the inverted density of |X| is split
     evenly between the two half-lines.
     """
-    spec = spec or InversionSpec()
     xs = np.array([float(x) for x in xs])
     sup = entry.support
     fs = np.zeros(xs.size)
@@ -151,34 +148,33 @@ def density_table(entry: DistributionEntry, xs,
         if not inside.all():
             fs[~inside] = _half_density_at_zero(entry.form)
         fs[inside] = 0.5 * _invert(entry.form, entry.kind,
-                                   np.abs(xs[inside]), spec)
+                                   np.abs(xs[inside]), abscissa)
     else:
         inside = (sup.lo < xs) & (xs < sup.hi)
-        fs[inside] = _invert(entry.form, entry.kind, xs[inside], spec)
+        fs[inside] = _invert(entry.form, entry.kind, xs[inside], abscissa)
     return np.column_stack((xs, fs))
 
 
-def _grid_upper(entry, spec):
+def _grid_upper(entry, abscissa):
     hi = entry.support.hi
     if not math.isinf(hi):
         return hi
     probes = 8.0 * 2.0 ** np.arange(5)
-    small = np.abs(_invert(entry.form, entry.kind, probes, spec)) < 1e-9
+    small = np.abs(_invert(entry.form, entry.kind, probes, abscissa)) < 1e-9
     return float(probes[small.argmax()]) if small.any() else 256.0
 
 
 def check_normalization(entry: DistributionEntry,
-                        spec: InversionSpec | None = None,
+                        abscissa: float | None = None,
                         points: int = 1200) -> float:
     """Trapezoid integral of the inverted density over a covering grid."""
-    spec = spec or InversionSpec()
-    hi = _grid_upper(entry, spec)
+    hi = _grid_upper(entry, abscissa)
     if entry.support.symmetric or entry.support.lo == -math.inf:
         xs = np.linspace(-hi, hi, points)
     else:
         lo = entry.support.lo
         xs = np.linspace(lo + (hi - lo) * 1e-6, hi, points)
-    table = density_table(entry, xs, spec)
+    table = density_table(entry, xs, abscissa)
     return float(np.trapezoid(table[:, 1], table[:, 0]))
 
 

@@ -2,10 +2,10 @@
 
 Everything else in the package funnels its Gamma evaluations through
 ``log_gamma`` so accuracy is controlled in exactly one place.  The kernel
-uses a 15-term Lanczos approximation (g = 607/128) for Re z >= 1/2,
-a Stirling series far from the real axis, and the downward recurrence
-otherwise.  All work happens in log space; exponentiation saturates to an
-infinite sentinel once the exponent passes the float64 range.
+uses a 15-term Lanczos approximation (g = 607/128) for Re z >= 1/2 and
+one reflection onto that half-plane otherwise, with no loop whose length
+depends on z.  All work happens in log space; exponentiation saturates to
+an infinite sentinel once the exponent passes the float64 range.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = ["log_gamma", "gamma_real", "log_gamma_real", "OVERFLOW_EXPONENT"]
 OVERFLOW_EXPONENT = 709.0
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
+_LOG_TWO_PI = math.log(2.0 * math.pi)
 
 # Lanczos coefficients for g = 607/128, n = 15 (Godfrey's set, good to
 # ~1e-15 relative in the half-plane Re z >= 1/2).
@@ -44,19 +44,6 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
-# Bernoulli quotients B_{2k} / (2k (2k-1)) for the Stirling series.
-_STIRLING_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-
 def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
@@ -69,17 +56,6 @@ def _lanczos(z: complex) -> complex:
         acc += _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
     return (zm1 + 0.5) * cmath.log(t) - t + _LOG_SQRT_TWO_PI + cmath.log(acc)
-
-
-def _stirling(z: complex) -> complex:
-    # asymptotic series; requires |z| large and |arg z| bounded away from pi
-    out = (z - 0.5) * cmath.log(z) - z + _LOG_SQRT_TWO_PI
-    zpow = z
-    z2 = z * z
-    for c in _STIRLING_COEF:
-        out += c / zpow
-        zpow *= z2
-    return out
 
 
 def log_gamma(z: complex) -> complex:
@@ -97,29 +73,28 @@ def log_gamma(z: complex) -> complex:
         raise PoleError(z)
     if z.real >= 0.5:
         return _lanczos(z)
-    if abs(z.imag) >= 10.0:
-        # Stirling is valid here and avoids reflection branch bookkeeping
-        return _stirling(z)
-    # shift into the Lanczos half-plane; the recurrence with the principal
-    # log is exact off the negative real axis and matches the upper-limit
-    # convention on it
-    shift = int(math.ceil(0.5 - z.real))
-    acc = 0.0 + 0.0j
-    for k in range(shift):
-        acc += cmath.log(z + k)
-    return _lanczos(z + shift) - acc
+    # reflection (Hare 1997), worked with y = |Im z| and conjugated back:
+    # log Gamma(z) = log 2pi - pi y + i pi k - log S - log Gamma(1 - z),
+    # S = 2 e^(-pi y) sin(pi (r + i y)), z = k + r + i y, k = round(Re z).
+    # S has the argument of sin(pi (r + i y)), within [0, pi], so no branch
+    # correction is needed; built from the exactly reduced r, it neither
+    # overflows for large y nor cancels near the poles.  On the real axis
+    # y is +0.0 for either sign of Im z, so Im S is +0.0 and the negative
+    # axis gets the limit from above.
+    x, y = z.real, abs(z.imag)
+    k = round(x)
+    r = x - k
+    e = math.expm1(-2.0 * math.pi * y)
+    s = complex(math.sin(math.pi * r) * (2.0 + e), -math.cos(math.pi * r) * e)
+    out = (complex(_LOG_TWO_PI - math.pi * y, math.pi * k) - cmath.log(s)
+           - _lanczos(complex(1.0 - x, -y)))
+    return out.conjugate() if z.imag < 0.0 else out
 
 
 def log_gamma_real(x: float) -> tuple[float, int]:
     """Return ``(log |Gamma(x)|, sign of Gamma(x))`` for real non-pole x."""
-    if _is_nonpositive_integer(complex(x)):
-        raise PoleError(x)
-    if x > 0.0:
-        return log_gamma(x).real, 1
-    # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1 - x))
-    s = math.sin(math.pi * x)
-    mag = _LOG_PI - math.log(abs(s)) - log_gamma(1.0 - x).real
-    return mag, (1 if s > 0.0 else -1)
+    mag = log_gamma(x).real
+    return mag, (-1 if x < 0.0 and math.ceil(-x) % 2 else 1)
 
 
 def gamma_real(x: float) -> float:

@@ -14,7 +14,7 @@ from gammatype import catalog
 from gammatype.catalog import build, pref_attach_candidate_form
 from gammatype.cli import main as cli_main
 from gammatype.forms import GammaTypeForm, make_form, moments_equal
-from gammatype.mellin import InversionSpec, density, density_table
+from gammatype.mellin import density, density_table
 from gammatype.specfun import gamma_real, log_gamma
 from gammatype.stochastics import harmonic_drift, mc_moment, verify_entry
 
@@ -249,8 +249,8 @@ def test_criterion_8_density_cross_checks():
             failures.append(f"{name}{params}: {err:.2e}")
     form = build("rayleigh", {}).form
     for x in (0.7, 1.8):
-        f1 = density(form, "mellin", x, InversionSpec(abscissa=-0.5))
-        f2 = density(form, "mellin", x, InversionSpec(abscissa=1.0))
+        f1 = density(form, "mellin", x, abscissa=-0.5)
+        f2 = density(form, "mellin", x, abscissa=1.0)
         if abs(f1 - f2) > 2e-8:
             failures.append(f"contour dependence at x={x}")
     report(8, "density inversion vs closed forms (50-point grids)",

@@ -122,8 +122,22 @@ def test_unknown_and_missing_params():
 
 
 def test_integer_params_enforced():
-    with pytest.raises(ParameterError):
-        catalog.build("max_exp", {"n": 2.5})
+    for n in (2.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            catalog.build("max_exp", {"n": n})
+
+
+@pytest.mark.parametrize("name, params", [
+    ("beta", {"a": 1e300, "b": 1e300}),
+    ("beta", {"a": 1e-300, "b": 1e300}),
+    ("gamma", {"a": 1e300}),
+    ("ball_distance", {"n": 1e300, "a": 1.0}),
+])
+def test_unrepresentable_parameters_are_parameter_errors(name, params):
+    # each passes the entry's conditions, but its form constant leaves
+    # float64
+    with pytest.raises(ParameterError, match="representable range"):
+        catalog.build(name, params)
 
 
 def test_pref_attach_needs_alpha_at_least_half():

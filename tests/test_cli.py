@@ -132,6 +132,33 @@ def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     assert name in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("name, params", [
+    ("beta", "a=1e300,b=1e300"),
+    ("ball_distance", "n=1e300,a=1"),
+    ("max_exp", "n=inf"),
+])
+def test_out_of_range_parameters_exit_2(capsys, name, params):
+    code, out, _ = run(capsys, "strip", name, "--params", params)
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    data = json.loads(out)
+    assert "violated condition" in data["error"]
+    assert data["hint"].startswith(f"{name} parameters")
+
+
+def test_far_left_moment_returns_promptly():
+    # the log-Gamma kernel has no loop whose length grows with |Re s|
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammatype.cli", "moment", "gamma",
+         "--params", "a=1", "--s=-1e300,1"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 1
+    assert json.loads(proc.stdout)["s"] == [-1e300, 1.0]
+
+
 def test_missing_recipe_same_error_from_sample_and_verify(capsys):
     params = ("--params", "alpha=0.5,theta=1")
     results = [run(capsys, cmd, "tilted_stable", *params)[:2]

@@ -117,6 +117,16 @@ def test_net_zero_at_origin_fails():
         False, AnalyticityStrip(-math.inf, math.inf), 0.0)
 
 
+def test_tied_zeros_report_the_negative_one():
+    # Gamma(s-1)/Gamma(2s-2) vanishes at every half-integer; the nearest
+    # zeros are -1/2 and 1/2, in either representation
+    form = make_form(1, 0, [(1, -1)], [(2, -2)])
+    for f in (form, form.expand_multiplication(0, 3, "den")):
+        report = f.check_positive_consistency()
+        assert not report.passed
+        assert report.zero_location == pytest.approx(-0.5, rel=1e-12)
+
+
 # ---------------------------------------------------------------- operations
 
 def test_power_strip_relation():
@@ -269,11 +279,8 @@ def _pole_answers(form):
     except InvalidFormError:
         return ("InvalidFormError",)
     report = form.check_positive_consistency()
-    zero = report.zero_location
-    # zeros at -z and z tie, and the last bit of each location decides
-    # which one is reported: keep its distance from 0
     return (strip.rho_minus, strip.rho_plus, report.passed,
-            None if zero is None else abs(zero))
+            report.zero_location)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from gammatype import catalog
 from gammatype.errors import InversionError
 from gammatype.mellin import (
-    InversionSpec, check_normalization, density, density_table,
+    check_normalization, density, density_table,
     save_density_table,
 )
 
@@ -40,8 +40,8 @@ def test_cauchy_product_table_value():
 def test_contour_independence():
     form = catalog.build("stirling_blocks", {"k": 2}).form
     for x in (0.5, 1.5, 3.0):
-        f1 = density(form, "mellin", x, InversionSpec(abscissa=-0.8))
-        f2 = density(form, "mellin", x, InversionSpec(abscissa=1.1))
+        f1 = density(form, "mellin", x, abscissa=-0.8)
+        f2 = density(form, "mellin", x, abscissa=1.1)
         assert abs(f1 - f2) < 2e-8
 
 
@@ -94,7 +94,7 @@ def test_no_decay_is_rejected():
 def test_abscissa_must_sit_in_strip():
     form = catalog.build("rayleigh", {}).form
     with pytest.raises(InversionError):
-        density(form, "mellin", 1.0, InversionSpec(abscissa=-5.0))
+        density(form, "mellin", 1.0, abscissa=-5.0)
 
 
 def test_outside_support_is_zero():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -104,3 +105,59 @@ def test_poles_raise():
 def test_non_finite_arguments_raise(bad):
     with pytest.raises(ValidationError):
         log_gamma(bad)
+
+
+def test_real_values_next_to_the_poles():
+    worst_log = worst = 0.0
+    with mpmath.workdps(30):
+        for n in range(51):
+            for k in range(2, 13):
+                for x in (-n - 10.0 ** -k, -n + 10.0 ** -k):
+                    want = mpmath.gamma(x)
+                    mag, sign = log_gamma_real(x)
+                    assert sign == int(mpmath.sign(want))
+                    want_log = float(mpmath.log(abs(want)))
+                    worst_log = max(worst_log, abs(mag - want_log)
+                                    / max(1.0, abs(want_log)))
+                    worst = max(worst,
+                                abs(gamma_real(x) - float(want)) / abs(want))
+    assert worst_log < 1e-13
+    assert worst < 1e-13
+
+
+def _left_half_plane_points():
+    rng = np.random.default_rng(5)
+    # near the poles: offsets 1e-1 .. 1e-12 in every direction
+    n = rng.integers(0, 50, 1500)
+    r = 10.0 ** -rng.uniform(1, 12, 1500)
+    t = rng.uniform(0, TWO_PI, 1500)
+    near = -n + r * np.exp(1j * t)
+    # tall: |Im z| up to 300
+    tall = rng.uniform(-30, 0.5, 1000) + 1j * rng.uniform(-300, 300, 1000)
+    # far left: Re z down to -1e5
+    far = -10.0 ** rng.uniform(1, 5, 500) + 1j * rng.uniform(-20, 20, 500)
+    return np.concatenate([near, tall, far])
+
+
+def test_left_half_plane_matches_mpmath():
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z in _left_half_plane_points():
+            z = complex(z)
+            got = log_gamma(z)
+            want = complex(mpmath.loggamma(z))
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst < 1e-13
+
+
+def test_branch_on_the_real_axis():
+    rng = np.random.default_rng(6)
+    for x in rng.uniform(0, 0.5, 200):
+        im = log_gamma(complex(x, 0.0)).imag
+        assert im == 0.0 and math.copysign(1.0, im) == 1.0
+    # the negative axis takes the limit from above, whatever the zero's sign
+    for x in (-0.3, -1.5, -2.5, -5 + 1e-10, -49.75, -1e4 - 0.25):
+        for zero in (0.0, -0.0):
+            got = log_gamma(complex(x, zero)).imag
+            assert got == pytest.approx(-math.pi * math.ceil(-x), rel=1e-15)
+    assert log_gamma_real(-2.5)[1] == -1
