@@ -3,7 +3,7 @@
 from .errors import (
     GammaTypeError, PoleError, ValidationError, InvalidFormError,
     EmptyStripError, ParameterError, UnrepresentableError,
-    MomentRangeError, InversionError,
+    MomentRangeError, InversionError, UndecidedStripError,
 )
 from .specfun import log_gamma, log_gamma_real, gamma_real
 from .forms import (

@@ -25,6 +25,10 @@ class EmptyStripError(GammaTypeError):
     """Two forms have no common open strip of analyticity."""
 
 
+class UndecidedStripError(GammaTypeError):
+    """The pole walk met no strip edge within its visit budget."""
+
+
 class ParameterError(GammaTypeError, ValueError):
     """Distribution parameters violate the entry's existence conditions."""
 

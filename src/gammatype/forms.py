@@ -24,6 +24,7 @@ from .errors import (
     EmptyStripError,
     InvalidFormError,
     PoleError,
+    UndecidedStripError,
     ValidationError,
 )
 from .specfun import OVERFLOW_EXPONENT, log_gamma
@@ -41,9 +42,9 @@ __all__ = [
 # absolute tolerance for comparing factor offsets and pole locations
 OFFSET_TOL = 1e-12
 
-# outward pole scan is abandoned beyond this and the strip side reported
-# as unbounded
-POLE_SCAN_LIMIT = 1.0e4
+# a strip side still undecided after this many pole visits (about 1 s)
+# raises UndecidedStripError
+VISIT_BUDGET = 250_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -82,9 +83,6 @@ class GammaFactor:
 
     def argument(self, s: complex) -> complex:
         return float(self.slope) * s + self.offset
-
-    def sort_key(self):
-        return (self.slope, self.offset)
 
 
 @dataclass(frozen=True)
@@ -138,47 +136,58 @@ def pole_index(a: float, b: float, s: float) -> int | None:
     return None
 
 
-def _poles_at(pairs, s: float) -> list[float]:
-    """Locations (-n - b) / a of the poles at s of the (slope, offset) pairs."""
-    return [(-n - b) / a for a, b in pairs
-            if (n := pole_index(a, b, s)) is not None]
+def _walk(factors, direction: int) -> tuple[float, float]:
+    """(edge, zero) on one side of s = 0 for (factor, sign) pairs.
 
-
-def _first_excess(top, bottom, direction: int,
-                  bound: float = math.inf) -> float:
-    """Nearest s != 0 on one side of 0 where ``top`` has more poles than
-    ``bottom``.
-
-    The poles of the ``top`` pairs are visited in order of |s| (a heap over
-    their arithmetic progressions), up to |s| = min(bound, POLE_SCAN_LIMIT);
-    direction * inf if none qualifies by then.  Of coinciding locations,
-    which may differ in the last bit, the lowest is returned.
+    The poles of num (sign +1) and den (sign -1) factors are visited in
+    order of |s|, by one heap over their arithmetic progressions, and their
+    signs summed per location.  The edge is the first positive sum, the
+    zero the first negative one before it; direction * inf if none.  Of
+    coinciding locations, which may differ in the last bit, the lowest is
+    returned.  Past t0, the last start -b/a of a progression, only the
+    progressions that run on forever remain and the sums repeat with the
+    lcm of their spacings, so the walk ends one period past the first
+    location beyond t0.  Past VISIT_BUDGET visits it raises.
     """
-    limit = min(bound, POLE_SCAN_LIMIT)
-    heap = []
-    for a, b in top:
-        a *= direction  # in t = direction * s the poles are t_n = (-n - b) / a
+    heap, starts, endless = [], [], []
+    for f, sign in factors:
+        # in t = direction * s the poles are t_n = (-n - b) / a, n >= 0
+        a, b = float(f.slope) * direction, f.offset
+        starts.append(-b / a)
         if a > 0:  # t_n falls with n: walk n down from the last t_n > 0
             n, step = math.ceil(-b) - 1, -1
         else:      # t_n grows with n: walk n up from the first t_n > 0
             n, step = max(0, math.floor(-b) + 1), 1
+            endless.append(f.slope)
         if n >= 0:
-            heap.append(((-n - b) / a, n, step, a, b))
+            heap.append(((-n - b) / a, n, step, a, b, sign))
     heapq.heapify(heap)
-    while heap and heap[0][0] <= limit:
+    t0 = max(starts, default=0.0)
+    end, zero, visits = math.inf, direction * math.inf, 0
+    while heap and heap[0][0] < end:
         t = heap[0][0]
-        here = []  # the progressions with a pole at t
+        here = []  # the poles at t
         while heap and heap[0][0] - t <= OFFSET_TOL * max(1.0, t):
             here.append(heapq.heappop(heap))
-        if t > OFFSET_TOL:
-            down = _poles_at(bottom, direction * t)
-            if len(here) > len(down):
-                return min([direction * u for u, *_ in here] + down)
-        for _, n, step, a, b in here:
+        visits += len(here)
+        if visits > VISIT_BUDGET:
+            raise UndecidedStripError(
+                f"strip edge undecided after {VISIT_BUDGET} pole visits")
+        net = sum(p[-1] for p in here)
+        if t > OFFSET_TOL and net:  # s = 0 is the caller's
+            s = min(direction * u for u, *_ in here)
+            if net > 0:
+                return s, zero
+            if math.isinf(zero):
+                zero = s
+        if end == math.inf and t > t0:  # period lcm(q) / gcd(|p|)
+            end = t + (math.lcm(*(a.denominator for a in endless))
+                       / math.gcd(*(a.numerator for a in endless)))
+        for _, n, step, a, b, sign in here:
             if n + step >= 0:
                 heapq.heappush(heap, ((-n - step - b) / a, n + step, step,
-                                      a, b))
-    return direction * math.inf
+                                      a, b, sign))
+    return direction * math.inf, zero
 
 
 @dataclass(frozen=True)
@@ -309,24 +318,31 @@ class GammaTypeForm:
 
     # ------------------------------------------------------ poles and profile
 
-    def _net_poles(self):
-        """(slope, offset) pairs of num and den, common factors cancelled."""
+    def _poles(self) -> tuple[AnalyticityStrip, float | None]:
+        """The strip and the zero nearest 0 in it, common factors cancelled."""
         num, den = Counter(self.num), Counter(self.den)
-        return ([(float(f.slope), f.offset) for f in (num - den).elements()],
-                [(float(f.slope), f.offset) for f in (den - num).elements()])
+        factors = ([(f, 1) for f in (num - den).elements()]
+                   + [(f, -1) for f in (den - num).elements()])
+        at_zero = sum(sign for f, sign in factors
+                      if pole_index(float(f.slope), f.offset, 0.0) is not None)
+        if at_zero > 0:
+            raise InvalidFormError("net Gamma pole at s = 0")
+        (lo, neg), (hi, pos) = _walk(factors, -1), _walk(factors, +1)
+        # zeros at -z and z can differ in the last bit: the positive one
+        # wins only if nearer by more than the location tolerance
+        nearest = (0.0 if at_zero < 0 else
+                   pos if pos < -neg - OFFSET_TOL * max(1.0, pos) else neg)
+        return (AnalyticityStrip(lo, hi),
+                None if math.isinf(nearest) else nearest)
 
     def strip(self) -> AnalyticityStrip:
         """Maximal open strip around 0 free of net numerator poles.
 
-        A side with no net pole within |s| <= POLE_SCAN_LIMIT is reported
-        as unbounded.  Raises InvalidFormError if a net pole sits at s = 0
-        (such a form cannot be the moment function of a positive variable).
+        Raises InvalidFormError if a net pole sits at s = 0 (such a form
+        cannot be the moment function of a positive variable), and
+        UndecidedStripError if the pole walk exceeds its visit budget.
         """
-        num, den = self._net_poles()
-        if len(_poles_at(num, 0.0)) > len(_poles_at(den, 0.0)):
-            raise InvalidFormError("net Gamma pole at s = 0")
-        return AnalyticityStrip(_first_excess(num, den, -1),
-                                _first_excess(num, den, +1))
+        return self._poles()[0]
 
     def check_positive_consistency(self) -> ConsistencyReport:
         """Locate zeros of F inside the open strip of analyticity.
@@ -336,18 +352,8 @@ class GammaTypeForm:
         nearest 0 is reported, the negative one on a tie (distances from 0
         equal within OFFSET_TOL, relative past 1).
         """
-        strip = self.strip()
-        num, den = self._net_poles()
-        if len(_poles_at(den, 0.0)) > len(_poles_at(num, 0.0)):
-            return ConsistencyReport(False, strip, 0.0)
-        neg = _first_excess(den, num, -1, -strip.rho_minus)
-        pos = _first_excess(den, num, +1, strip.rho_plus)
-        # zeros at -z and z can differ in the last bit: the positive one
-        # wins only if nearer by more than the location tolerance
-        nearest = pos if pos < -neg - OFFSET_TOL * max(1.0, pos) else neg
-        if math.isinf(nearest):
-            return ConsistencyReport(True, strip)
-        return ConsistencyReport(False, strip, nearest)
+        strip, zero = self._poles()
+        return ConsistencyReport(zero is None, strip, zero)
 
     def asymptotic_profile(self) -> AsymptoticProfile:
         """Closed-form growth parameters derived from Stirling's expansion."""
@@ -389,10 +395,6 @@ class GammaTypeForm:
         return cls(float(data["constant"]), float(data["log_scale"]),
                    unpack(data["num"]), unpack(data["den"]))
 
-    def sorted_factors(self) -> tuple[tuple, tuple]:
-        return (tuple(sorted(self.num, key=GammaFactor.sort_key)),
-                tuple(sorted(self.den, key=GammaFactor.sort_key)))
-
 
 def make_form(constant: float, log_scale: float,
               num: Sequence[tuple] = (), den: Sequence[tuple] = ()) -> GammaTypeForm:
@@ -405,18 +407,6 @@ def make_form(constant: float, log_scale: float,
         tuple(GammaFactor(_as_slope(a), float(b)) for a, b in num),
         tuple(GammaFactor(_as_slope(a), float(b)) for a, b in den),
     )
-
-
-def _structurally_equal(f: GammaTypeForm, g: GammaTypeForm, tol: float) -> bool:
-    fn, fd = f.sorted_factors()
-    gn, gd = g.sorted_factors()
-    if len(fn) != len(gn) or len(fd) != len(gd):
-        return False
-    for a, b in zip(fn + fd, gn + gd):
-        if a.slope != b.slope or abs(a.offset - b.offset) > OFFSET_TOL:
-            return False
-    return (abs(math.log(f.constant) - math.log(g.constant)) <= tol
-            and abs(f.log_scale - g.log_scale) <= tol)
 
 
 def _comparison_grid(strip: AnalyticityStrip) -> list[complex]:
@@ -437,13 +427,18 @@ def moments_equal(f: GammaTypeForm, g: GammaTypeForm,
                   tol: float = 1e-10) -> bool:
     """Decide whether two forms represent the same function.
 
-    Fast path: structural identity of sorted factor lists.  Otherwise the
-    logs are compared on a 25-point complex grid inside the intersection
-    of the two strips (imaginary parts compared modulo 2 pi, since the
-    log-space sums of different representations may sit on different
-    branches).
+    Fast path: the factor multisets num(F) + den(G) and num(G) + den(F)
+    are equal, and so are the constants and exponents within tol.
+    Otherwise the logs are compared on a 25-point complex grid inside the
+    intersection of the two strips (imaginary parts compared modulo 2 pi,
+    since the log-space sums of different representations may sit on
+    different branches).  tol must be finite and >= 0.
     """
-    if _structurally_equal(f, g, tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    if (Counter(f.num) + Counter(g.den) == Counter(g.num) + Counter(f.den)
+            and abs(math.log(f.constant) - math.log(g.constant)) <= tol
+            and abs(f.log_scale - g.log_scale) <= tol):
         return True
     strip = f.strip().intersect(g.strip())
     for s in _comparison_grid(strip):

@@ -22,6 +22,7 @@ OVERFLOW_EXPONENT = 709.0
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+_LOG_TWO = math.log(2.0)
 
 # Lanczos coefficients for g = 607/128, n = 15 (Godfrey's set, good to
 # ~1e-15 relative in the half-plane Re z >= 1/2).
@@ -84,10 +85,15 @@ def log_gamma(z: complex) -> complex:
     x, y = z.real, abs(z.imag)
     k = round(x)
     r = x - k
-    e = math.expm1(-2.0 * math.pi * y)
-    s = complex(math.sin(math.pi * r) * (2.0 + e), -math.cos(math.pi * r) * e)
-    out = (complex(_LOG_TWO_PI - math.pi * y, math.pi * k) - cmath.log(s)
-           - _lanczos(complex(1.0 - x, -y)))
+    # S is linear in r and y near 0; below 2^-900 both are scaled by 2^300
+    # so that sin and expm1 see normal floats, and 300 log 2 is taken back
+    m = 300 if max(abs(r), y) < 2.0 ** -900 else 0
+    rm, ym = math.ldexp(r, m), math.ldexp(y, m)
+    e = math.expm1(-2.0 * math.pi * ym)
+    s = complex(math.sin(math.pi * rm) * (2.0 + e),
+                -math.cos(math.pi * rm) * e)
+    out = (complex(_LOG_TWO_PI - math.pi * y + m * _LOG_TWO, math.pi * k)
+           - cmath.log(s) - _lanczos(complex(1.0 - x, -y)))
     return out.conjugate() if z.imag < 0.0 else out
 
 

@@ -50,13 +50,18 @@ def sample(recipe: Recipe, n: int, seed: int = 0,
                                lambda i: np.random.default_rng((seed, c, i)),
                                min(CHUNK_SIZE, n - c * CHUNK_SIZE))
 
+    # each chunk is copied into one preallocated array as it arrives, so
+    # the chunks are not all held beside a concatenated copy
+    out = np.empty(n)
     chunks = range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)
     if workers and workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, chunks))
+            for c, part in zip(chunks, pool.map(chunk, chunks)):
+                out[c * CHUNK_SIZE:c * CHUNK_SIZE + len(part)] = part
     else:
-        parts = [chunk(c) for c in chunks]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        for c in chunks:
+            out[c * CHUNK_SIZE:(c + 1) * CHUNK_SIZE] = chunk(c)
+    return out
 
 
 def save_samples(values: np.ndarray, path: str, fmt: str = "csv") -> None:
@@ -82,13 +87,26 @@ class MCEstimate:
     ci_valid: bool
 
 
-def _moment_mean(entry, x, s):
-    """Sample mean of X^s (e^{sX} for an MGF) and its standard error."""
+def _moment_mean(entry, x, s, buf):
+    """Sample mean of X^s (e^{sX} for an MGF) and its standard error.
+
+    Everything is computed in ``buf``, an array shaped like x, so one call
+    allocates no array of the sample's size.  The steps are those of
+    ``vals.mean()`` and ``vals.std(ddof=1)``, bit for bit.
+    """
     if entry.kind == "mgf":
-        vals = np.exp(s * x)
+        np.multiply(s, x, out=buf)
+        np.exp(buf, out=buf)
+    elif s:
+        np.abs(x, out=buf)
+        buf **= s
     else:
-        vals = np.abs(x) ** s if s else np.ones_like(x)
-    return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(len(x))
+        buf.fill(1.0)
+    mean = float(buf.mean())
+    buf -= mean
+    np.square(buf, out=buf)
+    var = float(np.add.reduce(buf)) / (len(x) - 1)
+    return mean, math.sqrt(var) / math.sqrt(len(x))
 
 
 def _estimates(entry, s_grid, n, seed, workers):
@@ -98,6 +116,9 @@ def _estimates(entry, s_grid, n, seed, workers):
     the estimator exists, i.e. when 2s also lies in the strip; otherwise
     the estimate is still returned but flagged ``ci_valid=False``.
     """
+    if n < 2:
+        raise ValidationError(f"n must be at least 2 for a standard error, "
+                              f"got {n}")
     recipe = recipe_of(entry)
     strip = entry.form.strip()
     grid = _default_grid(strip) if s_grid is None else [float(s) for s in s_grid]
@@ -107,7 +128,8 @@ def _estimates(entry, s_grid, n, seed, workers):
                 f"{entry.name}: s={s} outside the open strip "
                 f"({strip.rho_minus}, {strip.rho_plus})")
     x = sample(recipe, n, seed, workers=workers)
-    return [MCEstimate(*_moment_mean(entry, x, s), n, s,
+    buf = np.empty_like(x)
+    return [MCEstimate(*_moment_mean(entry, x, s, buf), n, s,
                        strip.rho_minus < 2 * s < strip.rho_plus)
             for s in grid]
 
@@ -156,12 +178,18 @@ def verify_entry(entry: DistributionEntry, s_grid=None, n: int = 10 ** 6,
 
     Points whose estimator has infinite variance (2s outside the strip)
     are reported for inspection but excluded from the overall verdict,
-    since a z-score against an invalid stderr means nothing.
+    since a z-score against an invalid stderr means nothing.  A point
+    whose estimate or stderr is not finite gets z = nan and fails.
     """
     points = []
     for est in _estimates(entry, s_grid, n, seed, workers):
         exact = float(entry.form.evaluate(est.s).real)
-        zscore = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
+        if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
+            zscore = math.nan
+        elif est.stderr > 0:
+            zscore = (est.mean - exact) / est.stderr
+        else:  # a point mass
+            zscore = 0.0
         points.append(VerificationPoint(est.s, est.mean, est.stderr, exact,
                                         zscore, est.ci_valid,
                                         abs(zscore) <= z))

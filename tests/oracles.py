@@ -10,6 +10,8 @@ library agreeing with itself.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -85,3 +87,52 @@ def harmonic_number_highprec(n: int) -> float:
     """H_n by direct mpmath summation (slow; keep n modest)."""
     with mp.workdps(40):
         return float(mp.fsum(mp.mpf(1) / k for k in range(1, n + 1)))
+
+
+def pole_walk(num, den):
+    """(rho_minus, rho_plus, zero) of prod Gamma(a s + b) over num / den.
+
+    num and den hold (a, b) pairs of exact Fractions.  On each side of 0
+    every pole out to t0 + 2P is listed exactly (t0 the last start -b/a
+    there, P the lcm of the spacings 1/|a| of the progressions running that
+    way), with sign +1 for num and -1 for den, and the signs are summed per
+    location.  The edge is the first positive sum, the zero the nearest
+    negative sum inside the strip (the negative one on a tie, None if
+    there is none).  Returns ("InvalidFormError",) for a net pole at s = 0.
+    """
+    factors = [(a, b, 1) for a, b in num] + [(a, b, -1) for a, b in den]
+    at_zero = sum(sign for a, b, sign in factors
+                  if b <= 0 and b.denominator == 1)
+    if at_zero > 0:
+        return ("InvalidFormError",)
+    edges, zeros = [], []
+    for d in (-1, 1):
+        endless = [a for a, b, sign in factors if d * a < 0]
+        period = (Fraction(math.lcm(*(a.denominator for a in endless)),
+                           math.gcd(*(a.numerator for a in endless)))
+                  if endless else 0)
+        reach = max([d * -b / a for a, b, sign in factors] + [0]) + 2 * period
+        sums = Counter()
+        for a, b, sign in factors:
+            n = 0
+            while True:
+                t = d * (-n - b) / a
+                if d * a < 0 and t > reach or d * a > 0 and t <= 0:
+                    break
+                if t > 0:
+                    sums[t] += sign
+                n += 1
+        edge, zero = math.inf, math.inf
+        for t in sorted(sums):
+            if sums[t] > 0:
+                edge = t
+                break
+            if sums[t] < 0 and zero == math.inf:
+                zero = t
+        edges.append(d * float(edge))
+        zeros.append(d * float(zero))
+    if at_zero < 0:
+        zero = 0.0
+    else:
+        zero = zeros[1] if zeros[1] < -zeros[0] else zeros[0]
+    return edges[0], edges[1], None if math.isinf(zero) else zero

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import gammatype
+from gammatype import forms
 from gammatype.cli import main, parse_identity_spec
 from gammatype.forms import moments_equal
 
@@ -122,6 +123,10 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
     ({}, ("verify-mc", "rayleigh", "--n", "1000", "--seed", "-3"), "seed"),
     ({"GML_SEED": "abc"}, ("sample", "rayleigh"), "GML_SEED"),
     ({"GML_SEED": "-2"}, ("sample", "rayleigh"), "seed"),
+    ({}, ("check-identity", "exponential", "gamma:a=2", "--tol", "nan"),
+     "tol"),
+    ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "0.5",
+          "--n", "1"), "n must be at least 2"),
 ])
 def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     for key, value in env.items():
@@ -144,6 +149,13 @@ def test_out_of_range_parameters_exit_2(capsys, name, params):
     data = json.loads(out)
     assert "violated condition" in data["error"]
     assert data["hint"].startswith(f"{name} parameters")
+
+
+def test_undecided_strip_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(forms, "VISIT_BUDGET", 0)
+    code, out, _ = run(capsys, "strip", "exponential")
+    assert code == 3
+    assert "undecided" in json.loads(out)["error"]
 
 
 def test_far_left_moment_returns_promptly():

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from gammatype.catalog import build, pref_attach_candidate_form
 from gammatype.errors import (
-    EmptyStripError, InvalidFormError, PoleError, ValidationError,
+    EmptyStripError, InvalidFormError, PoleError, UndecidedStripError,
+    ValidationError,
 )
 from gammatype.forms import (
     AnalyticityStrip, ConsistencyReport, GammaTypeForm, make_form,
     moments_equal,
 )
 
-from oracles import mp_form_log
+from oracles import mp_form_log, pole_walk
 
 
 def rayleigh_form():
@@ -76,6 +77,21 @@ def test_strip_of_entire_form_is_unbounded():
     # denominator's, out to any distance
     form = make_form(1, 0, [(1, 1)], [(2, 1)])
     assert form.strip() == AnalyticityStrip(-math.inf, math.inf)
+
+
+def test_strip_edges_far_from_zero():
+    # the first pole lies beyond |s| = 1e4
+    power = build("exponential", {}).form.power(1e-5)
+    assert power.strip().rho_minus == pytest.approx(-1e5, rel=1e-12)
+    assert make_form(1, 0, [(1, 20000)]).strip() == AnalyticityStrip(
+        -20000.0, math.inf)
+
+
+def test_dense_denominator_exceeds_the_visit_budget():
+    # 1e7 denominator poles per unit of s around each numerator pole
+    form = make_form(1, 0, [(1, 1)], [(10 ** 7, 10 ** 7)])
+    with pytest.raises(UndecidedStripError):
+        form.strip()
 
 
 def test_entire_form_equals_its_expansion_near_zero(monkeypatch):
@@ -192,6 +208,24 @@ def test_perturbed_constant_fails():
     assert not moments_equal(k_half, scaled)
 
 
+def test_shared_factors_compare_without_evaluation(monkeypatch):
+    f = make_form(2, 0.5, [(1, 1)], [(Fraction(1, 2), 0.75)])
+    g = make_form(2, 0.5, [(1, 1), (3, 0.25)],
+                  [(3, 0.25), (Fraction(1, 2), 0.75)])
+
+    def no_grid(self, s):
+        raise AssertionError("evaluated on the grid")
+
+    monkeypatch.setattr(GammaTypeForm, "evaluate_log", no_grid)
+    assert moments_equal(f, g) and moments_equal(g, f)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        moments_equal(rayleigh_form(), rayleigh_form(), tol)
+
+
 def test_gumbel_symmetrization_is_logistic():
     gum = build("gumbel", {}).form
     assert moments_equal(gum.product(gum.reflect()),
@@ -253,7 +287,7 @@ def test_form_equals_itself_on_grid(f):
 
 
 # small slopes keep the walks short: a side free of net poles is walked
-# out to |s| = 1e4, about 1e4 * |slope| poles per factor
+# one period of the pole pattern past the last progression start
 pole_slopes = st.sampled_from([Fraction(k, q) for k in (-1, 1)
                                for q in (1, 2, 3)])
 pole_offsets = st.builds(Fraction, st.integers(-4, 8),
@@ -291,3 +325,41 @@ def test_strip_and_zeros_survive_gauss_expansion(f, data):
     g = f.expand_multiplication(index, data.draw(st.integers(2, 3)), side)
     assert _pole_answers(g) == pytest.approx(_pole_answers(f), rel=1e-12,
                                              abs=1e-12)
+
+
+exact_slopes = st.sampled_from([Fraction(p, q) for p in range(-4, 5) if p
+                                for q in range(1, 5)])
+exact_offsets = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+
+
+@st.composite
+def exact_factor_lists(draw):
+    """(num, den) lists of exact (slope, offset) pairs, often sharing one.
+
+    Gamma(k a s + k b) in den holds every pole of Gamma(a s + b) in num.
+    """
+    factor = st.tuples(exact_slopes, exact_offsets)
+    num = draw(st.lists(factor, min_size=1, max_size=3))
+    den = draw(st.lists(factor, max_size=2))
+    for a, b in num:
+        k = draw(st.integers(1, 3))
+        if k > 1:
+            den.append((k * a, k * b))
+    if draw(st.integers(0, 4)) < 2:
+        shared = draw(factor)
+        num.append(shared)
+        den.append(shared)
+    return num, den
+
+
+@settings(max_examples=500, deadline=None)
+@given(exact_factor_lists())
+def test_walk_matches_brute_force_enumeration(lists):
+    num, den = lists
+    form = make_form(1, 0, [(a, float(b)) for a, b in num],
+                     [(a, float(b)) for a, b in den])
+    want = pole_walk(num, den)
+    if len(want) == 3:
+        lo, hi, zero = want
+        want = (lo, hi, zero is None, zero)
+    assert _pole_answers(form) == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -125,6 +125,15 @@ def test_real_values_next_to_the_poles():
     assert worst < 1e-13
 
 
+def test_subnormal_arguments():
+    with mpmath.workdps(40):
+        for x in (1e-310, 1e-315, 1e-320, 5e-324):
+            for z in (x, -x):
+                got = log_gamma(z)
+                want = complex(mpmath.loggamma(z))
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def _left_half_plane_points():
     rng = np.random.default_rng(5)
     # near the poles: offsets 1e-1 .. 1e-12 in every direction

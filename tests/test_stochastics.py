@@ -120,6 +120,25 @@ def test_truncated_symmetrized_series_approaches_logistic():
 
 # ----------------------------------------------------------------- mc_moment
 
+@pytest.mark.parametrize("name,params,s", [
+    ("symmetric_stable", {"alpha": 1.5}, 0.0),
+    ("symmetric_stable", {"alpha": 1.5}, 0.5),
+    ("symmetric_stable", {"alpha": 1.5}, -0.3),
+    ("gamma", {"a": 2.0}, 2.0),
+    ("max_exp", {"n": 3}, 0.7),
+])
+def test_in_place_estimator_matches_mean_and_std(name, params, s):
+    entry = catalog.build(name, params)
+    x = sample(entry.recipe, 10_001, seed=2)
+    if entry.kind == "mgf":
+        vals = np.exp(s * x)
+    else:
+        vals = np.abs(x) ** s if s else np.ones_like(x)
+    expected = (float(vals.mean()),
+                float(vals.std(ddof=1)) / math.sqrt(len(x)))
+    assert stochastics._moment_mean(entry, x, s, np.empty_like(x)) == expected
+
+
 def test_mc_moment_matches_exact():
     entry = catalog.build("ball_distance", {"n": 3, "a": 0.5})
     est = mc_moment(entry, 1.0, n=10 ** 6, seed=6)
@@ -168,6 +187,16 @@ def test_verify_entry_report(monkeypatch):
     with pytest.raises(MomentRangeError):
         verify_entry(entry, [0.5, -3.0, 1.0], n=200_000, seed=8)
     assert calls == []
+
+
+def test_verify_entry_fails_points_without_a_finite_estimate():
+    # the draws overflow to inf, so mean and stderr are inf and nan
+    entry = catalog.build("symmetric_stable", {"alpha": 0.02})
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_entry(entry, [0.005, 0.009], n=10 ** 6, seed=0)
+    assert all(p.ci_valid and not p.passed and math.isnan(p.z)
+               for p in report.points)
+    assert not report.passed
 
 
 def test_verify_entry_excludes_invalid_ci_from_verdict():
