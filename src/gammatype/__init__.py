@@ -1,5 +1,7 @@
 """Exact manipulation and numerical verification of Gamma-type moment forms."""
 
+import importlib
+
 from .errors import (
     GammaTypeError, PoleError, ValidationError, InvalidFormError,
     EmptyStripError, ParameterError, UnrepresentableError,
@@ -15,12 +17,21 @@ from .catalog import (
     density_closed_form, catalog_to_json, pref_attach_candidate_form,
 )
 from . import recipes
-from .stochastics import (
-    sample, save_samples, MCEstimate, mc_moment,
-    VerificationReport, verify_entry, harmonic_drift,
-)
-from .mellin import (
-    density, density_table, check_normalization, save_density_table,
-)
 
 __version__ = "0.1.0"
+
+# the numpy-backed modules and their names load on first access (PEP 562)
+_LAZY = {
+    "stochastics": ("sample", "save_samples", "MCEstimate", "mc_moment",
+                    "VerificationReport", "verify_entry", "harmonic_drift"),
+    "mellin": ("density", "density_table", "check_normalization",
+               "save_density_table"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module("." + module, __name__)
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,6 +31,8 @@ __all__ = [
 _INF = math.inf
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+STIRLING_RECIPE_MAX_K = 1000  # its recipe has k-1 nodes; none above this
+
 
 @dataclass(frozen=True)
 class Support:
@@ -333,7 +335,7 @@ def _stirling_blocks(name, label, k):
     form = make_form(c, 0, [(1, 2)], [(Fraction(1, k), (k + 1) / k)])
     # splitting Gamma(s+2) into k pieces cancels the denominator factor,
     # leaving a product of k-1 fractional gamma powers times the constant k
-    recipe = rc.Scale(rc.Product(tuple(
+    recipe = None if k > STIRLING_RECIPE_MAX_K else rc.Scale(rc.Product(tuple(
         rc.Power(rc.gamma((i + 2) / k), 1.0 / k) for i in range(k - 1))),
         float(k))
     return DistributionEntry(

@@ -14,9 +14,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import catalog, mellin, stochastics
+from . import catalog
 from .errors import (
     EmptyStripError, GammaTypeError, InversionError, MomentRangeError,
     ParameterError, PoleError, UnrepresentableError, ValidationError,
@@ -115,12 +113,13 @@ def _split_args(text):
             cur.append(ch)
     if cur:
         out.append("".join(cur))
-    # a bare k=v segment is a parameter continuation of the preceding
-    # name:... expression, not a new argument
+    # a bare k=v segment continues the parameters of a preceding bare
+    # name:k=v,... segment; a segment with ':' or '(' is a new argument
     merged = []
     for seg in out:
         seg = seg.strip()
-        if merged and "=" in seg and "(" not in seg and ":" in merged[-1]:
+        if (merged and "=" in seg and ":" not in seg and "(" not in seg
+                and ":" in merged[-1] and "(" not in merged[-1]):
             merged[-1] += "," + seg
         else:
             merged.append(seg)
@@ -221,6 +220,7 @@ def _cmd_check_identity(args):
 
 
 def _cmd_verify_mc(args):
+    from . import stochastics
     entry = _build(args.name, args.params)
     grid = ([_number("--s-grid", v) for v in args.s_grid.split(",")]
             if args.s_grid else None)
@@ -232,6 +232,7 @@ def _cmd_verify_mc(args):
 
 
 def _cmd_sample(args):
+    from . import stochastics
     entry = _build(args.name, args.params)
     values = stochastics.sample(stochastics.recipe_of(entry), args.n,
                                 args.seed)
@@ -249,6 +250,7 @@ def _cmd_sample(args):
 
 
 def _parse_grid(text):
+    import numpy as np
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be a:b:steps, got {text!r}")
@@ -261,6 +263,7 @@ def _parse_grid(text):
 
 
 def _cmd_density(args):
+    from . import mellin
     entry = _build(args.name, args.params)
     table = mellin.density_table(entry, _parse_grid(args.x), args.abscissa)
     rows = [{"x": float(x), "density": float(f)} for x, f in table]

@@ -1,13 +1,15 @@
 """Seeded sampling of recipe trees and Monte Carlo moment verification.
 
-Generation is chunked: chunk ``c`` of a run with seed ``s`` hands leaf
-``i`` the generator seeded by ``SeedSequence((s, c, i))``.  Chunks are
-therefore independent of execution order, so a thread pool produces
-exactly the same array as a sequential loop, value for value.
+The one module that draws.  Generation is chunked: chunk ``c`` of a run
+with seed ``s`` hands leaf ``i`` (depth-first) the generator seeded by
+``SeedSequence((s, c, i))``.  Chunks are therefore independent of
+execution order, so a thread pool produces exactly the same array as a
+sequential loop, value for value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -15,27 +17,105 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import recipes as rc
 from .catalog import DistributionEntry
 from .errors import MomentRangeError, ValidationError
-from .recipes import Recipe, evaluate_recipe
 
 __all__ = [
-    "CHUNK_SIZE", "recipe_of", "sample", "save_samples", "MCEstimate",
-    "mc_moment", "VerificationPoint", "VerificationReport", "verify_entry",
-    "harmonic_drift",
+    "CHUNK_SIZE", "evaluate_recipe", "recipe_of", "sample", "save_samples",
+    "MCEstimate", "mc_moment", "VerificationPoint", "VerificationReport",
+    "verify_entry", "harmonic_drift",
 ]
 
 CHUNK_SIZE = 1 << 16
 
 
-def recipe_of(entry: DistributionEntry) -> Recipe:
+def _draw_positive_stable(rng, alpha, size):
+    """One-sided stable S_alpha with Laplace transform exp(-t^alpha).
+
+    Kanter's representation via Zolotarev's integral, exact for
+    0 < alpha < 1; alpha = 1 is the unit point mass.
+    """
+    if not 0 < alpha <= 1:
+        raise ValidationError("positive_stable requires 0 < alpha <= 1")
+    if alpha == 1.0:
+        return np.ones(size)
+    theta = rng.uniform(0.0, np.pi, size)
+    w = rng.standard_exponential(size)
+    a = (np.sin(alpha * theta) ** (alpha / (1 - alpha))
+         * np.sin((1 - alpha) * theta)
+         / np.sin(theta) ** (1 / (1 - alpha)))
+    return (a / w) ** ((1 - alpha) / alpha)
+
+
+def _draw_symmetric_stable(rng, alpha, size):
+    """Symmetric stable with characteristic function exp(-|t|^alpha).
+
+    Chambers-Mallows-Stuck construction; exact for 0 < alpha <= 2.
+    """
+    if not 0 < alpha <= 2:
+        raise ValidationError("symmetric_stable requires 0 < alpha <= 2")
+    v = rng.uniform(-np.pi / 2, np.pi / 2, size)
+    if alpha == 1.0:
+        return np.tan(v)
+    w = rng.standard_exponential(size)
+    return (np.sin(alpha * v) / np.cos(v) ** (1 / alpha)
+            * (np.cos((1 - alpha) * v) / w) ** ((1 - alpha) / alpha))
+
+
+# law -> draw(rng, *args, size), one for each law of recipes.LEAF_ARITY
+_LEAF_DRAWS = {
+    "uniform": lambda rng, size: rng.uniform(0.0, 1.0, size),
+    "exponential": lambda rng, size: rng.standard_exponential(size),
+    "gamma": lambda rng, a, size: rng.gamma(a, 1.0, size),
+    "beta": lambda rng, a, b, size: rng.beta(a, b, size),
+    "normal": lambda rng, size: rng.standard_normal(size),
+    "positive_stable": _draw_positive_stable,
+    "symmetric_stable": _draw_symmetric_stable,
+    "gumbel": lambda rng, size: -np.log(rng.standard_exponential(size)),
+    "cauchy": lambda rng, size: rng.standard_cauchy(size),
+}
+
+
+def evaluate_recipe(recipe: rc.Recipe, rngs, n) -> np.ndarray:
+    """Draw an array of shape n; the leaves, depth-first, take rngs in turn."""
+    if isinstance(recipe, rc.Leaf):
+        return _LEAF_DRAWS[recipe.kind](next(rngs), *recipe.args, n)
+    if isinstance(recipe, rc.Discriminant):
+        draws = evaluate_recipe(recipe.leaf, rngs, (n, recipe.n))
+        out = np.ones(n)
+        for i, j in itertools.combinations(range(recipe.n), 2):
+            out *= draws[:, j] - draws[:, i]
+        return out ** 2
+    if isinstance(recipe, rc.Product):
+        out = np.ones(n)
+        for part in recipe.parts:
+            out = out * evaluate_recipe(part, rngs, n)
+        return out
+    if isinstance(recipe, rc.Sum):
+        out = np.zeros(n)
+        for part in recipe.parts:
+            out = out + evaluate_recipe(part, rngs, n)
+        return out
+    if isinstance(recipe, rc.Power):
+        return evaluate_recipe(recipe.base, rngs, n) ** recipe.exponent
+    if isinstance(recipe, rc.Scale):
+        return recipe.factor * evaluate_recipe(recipe.base, rngs, n)
+    if isinstance(recipe, rc.NegLog):
+        return -np.log(evaluate_recipe(recipe.base, rngs, n))
+    if isinstance(recipe, rc.Abs):
+        return np.abs(evaluate_recipe(recipe.base, rngs, n))
+    raise ValidationError(f"unknown recipe node {recipe!r}")
+
+
+def recipe_of(entry: DistributionEntry) -> rc.Recipe:
     """The entry's sampling recipe; ValidationError if it has none."""
     if entry.recipe is None:
         raise ValidationError(f"{entry.name}: no sampling recipe available")
     return entry.recipe
 
 
-def sample(recipe: Recipe, n: int, seed: int = 0,
+def sample(recipe: rc.Recipe, n: int, seed: int = 0,
            workers: int | None = None) -> np.ndarray:
     """Draw n values; identical output for any worker count."""
     if n < 1:
@@ -43,11 +123,11 @@ def sample(recipe: Recipe, n: int, seed: int = 0,
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
+    # per chunk: numpy's error state does not carry into pool threads
+    @np.errstate(all="ignore")
     def chunk(c):
-        # leaf i gets SeedSequence((seed, c, i)); evaluate_recipe asks for
-        # each leaf index once per chunk
-        return evaluate_recipe(recipe,
-                               lambda i: np.random.default_rng((seed, c, i)),
+        rngs = (np.random.default_rng((seed, c, i)) for i in itertools.count())
+        return evaluate_recipe(recipe, rngs,
                                min(CHUNK_SIZE, n - c * CHUNK_SIZE))
 
     # each chunk is copied into one preallocated array as it arrives, so
@@ -87,6 +167,7 @@ class MCEstimate:
     ci_valid: bool
 
 
+@np.errstate(all="ignore")
 def _moment_mean(entry, x, s, buf):
     """Sample mean of X^s (e^{sX} for an MGF) and its standard error.
 
@@ -97,11 +178,9 @@ def _moment_mean(entry, x, s, buf):
     if entry.kind == "mgf":
         np.multiply(s, x, out=buf)
         np.exp(buf, out=buf)
-    elif s:
-        np.abs(x, out=buf)
-        buf **= s
     else:
-        buf.fill(1.0)
+        np.abs(x, out=buf)
+        buf **= s  # x ** 0.0 is 1.0 for every float, nan and inf included
     mean = float(buf.mean())
     buf -= mean
     np.square(buf, out=buf)

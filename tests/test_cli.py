@@ -81,6 +81,10 @@ def test_identity_spec_grammar():
     recip = parse_identity_spec("recip(exponential)")
     direct = parse_identity_spec("power(exponential,-1)")
     assert moments_equal(recip, direct)
+    # a name:k=v argument after a parenthesised one is an argument of its own
+    lhs = parse_identity_spec("product(power(gamma:a=2,3),gamma:a=2)")
+    rhs = parse_identity_spec("product(gamma:a=2,power(gamma:a=2,3))")
+    assert moments_equal(lhs, rhs)
 
 
 def test_unknown_entry_exits_2(capsys):
@@ -171,6 +175,21 @@ def test_far_left_moment_returns_promptly():
     assert json.loads(proc.stdout)["s"] == [-1e300, 1.0]
 
 
+def test_huge_stirling_k_gets_a_strip_promptly(capsys):
+    # the form does not grow with k; only the recipe (k-1 nodes) would
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammatype.cli", "strip", "stirling_blocks",
+         "--params", "k=1e300"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rho_minus"] == -2.0
+    code, out, _ = run(capsys, "sample", "stirling_blocks", "--params",
+                       "k=1001")
+    assert code == 2 and "no sampling recipe" in json.loads(out)["error"]
+
+
 def test_missing_recipe_same_error_from_sample_and_verify(capsys):
     params = ("--params", "alpha=0.5,theta=1")
     results = [run(capsys, cmd, "tilted_stable", *params)[:2]
@@ -243,3 +262,41 @@ def test_import_path_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_algebra_commands_load_no_numpy():
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = [
+        ["list"], ["info", "beta"], ["profile", "rayleigh"],
+        ["moment", "half_cauchy", "--s", "0"],
+        ["strip", "pref_attach", "--params", "alpha=0.5"],
+        ["check-identity", "scale(power(exponential,0.5),1.4142135623730951)",
+         "rayleigh"],
+        ["consistency", "half_cauchy"],
+    ]
+    code = ("import contextlib, io, sys, gammatype, gammatype.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert gammatype.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_sampling_names_resolve_after_bare_import():
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import gammatype\n"
+            "for name in ('mc_moment', 'density', 'stochastics', 'mellin',"
+            " 'recipes'):\n"
+            "    print(name, getattr(gammatype, name).__name__)\n"
+            "from gammatype import build, moments_equal, mc_moment\n"
+            "print(mc_moment(build('rayleigh', {}), s=1.0, n=1000).n)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [
+        "mc_moment", "mc_moment", "density", "density",
+        "stochastics", "gammatype.stochastics", "mellin", "gammatype.mellin",
+        "recipes", "gammatype.recipes", "1000"]

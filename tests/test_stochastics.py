@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def test_leaves_get_independent_substreams():
     x = sample(r, 50_000, seed=9)
     single = sample(rc.exponential(), 50_000, seed=9)
     assert not np.allclose(x, single ** 2)
+
+
+def test_every_leaf_law_has_a_draw():
+    # recipes checks each law's arity, stochastics draws it: one law list
+    assert set(stochastics._LEAF_DRAWS) == set(rc.LEAF_ARITY)
+    for law, arity in rc.LEAF_ARITY.items():
+        x = sample(rc.Leaf(law, (0.5,) * arity), 5, seed=1)
+        assert x.shape == (5,) and np.isfinite(x).all(), law
 
 
 # ------------------------------------------------------------ leaf anchors
@@ -197,6 +206,21 @@ def test_verify_entry_fails_points_without_a_finite_estimate():
     assert all(p.ci_valid and not p.passed and math.isnan(p.z)
                for p in report.points)
     assert not report.passed
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_overflowing_draws_raise_no_numpy_warning(workers):
+    # at seed 4 one draw of the second chunk overflows to inf; with two
+    # workers that chunk is drawn in a pool thread
+    entry = catalog.build("symmetric_stable", {"alpha": 0.02})
+    n = 2 * stochastics.CHUNK_SIZE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = sample(entry.recipe, n, seed=4, workers=workers)
+        report = verify_entry(entry, [0.005, 0.009], n=n, seed=4,
+                              workers=workers)
+    assert not np.isfinite(x).all()
+    assert all(math.isnan(p.z) and not p.passed for p in report.points)
 
 
 def test_verify_entry_excludes_invalid_ci_from_verdict():
