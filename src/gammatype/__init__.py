@@ -4,7 +4,7 @@ import importlib
 
 from .errors import (
     GammaTypeError, PoleError, ValidationError, InvalidFormError,
-    EmptyStripError, ParameterError, UnrepresentableError,
+    ParameterError, UnrepresentableError,
     MomentRangeError, InversionError, UndecidedStripError,
 )
 from .specfun import log_gamma, log_gamma_real, gamma_real

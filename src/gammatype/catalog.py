@@ -19,7 +19,7 @@ from . import recipes as rc
 from .errors import (
     GammaTypeError, ParameterError, UnrepresentableError, ValidationError,
 )
-from .forms import GammaTypeForm, make_form
+from .forms import GammaFactor, GammaTypeForm, make_form
 from .specfun import gamma_real
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 _INF = math.inf
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-STIRLING_RECIPE_MAX_K = 1000  # its recipe has k-1 nodes; none above this
+STIRLING_RECIPE_MAX_K = 1000  # its recipe has k leaves; none above this
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def _beta(name, label, a, b):
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _positive_stable(name, label, alpha):
     _require(name, 0 < alpha < 1, "0 < alpha < 1")
-    form = make_form(1, 0, [(-_frac(alpha) ** -1, 1)], [(-1, 1)])
+    form = make_form(1, 0, [(-1 / alpha, 1)], [(-1, 1)])
     dens = None
     if alpha == 0.5:
         dens = (lambda x: 0.5 / math.sqrt(math.pi) * x ** -1.5
@@ -148,11 +148,6 @@ def _positive_stable(name, label, alpha):
                        gamma=1 / alpha - 1, gamma_prime=1 - 1 / alpha,
                        delta=0.0, kappa=math.log(alpha) / alpha,
                        c1=1 / math.sqrt(alpha)))
-
-
-def _frac(x):
-    """Exact rational for a user parameter appearing in a slope."""
-    return Fraction(x).limit_denominator(10 ** 12)
 
 
 def _exp_cap(x):
@@ -333,11 +328,15 @@ def _stirling_blocks(name, label, k):
     _require(name, k >= 2, "k >= 2")
     c = gamma_real((k + 1) / k)
     form = make_form(c, 0, [(1, 2)], [(Fraction(1, k), (k + 1) / k)])
-    # splitting Gamma(s+2) into k pieces cancels the denominator factor,
-    # leaving a product of k-1 fractional gamma powers times the constant k
-    recipe = None if k > STIRLING_RECIPE_MAX_K else rc.Scale(rc.Product(tuple(
-        rc.Power(rc.gamma((i + 2) / k), 1.0 / k) for i in range(k - 1))),
-        float(k))
+    # splitting Gamma(s+2) into k pieces cancels the denominator, leaving
+    # k prod_{i<k-1} G_{(i+2)/k}^(1/k).  Such shapes draw exact zeros, so
+    # G_a = G_{a+1} U^(1/a) lifts each above 1; the U powers give B(2, k-1)
+    recipe = None
+    if k <= STIRLING_RECIPE_MAX_K:
+        gammas = tuple(rc.Power(rc.gamma(1 + (i + 2) / k), 1.0 / k)
+                       for i in range(k - 1))
+        recipe = rc.Scale(rc.Product((rc.beta(2, k - 1),) + gammas),
+                          float(k))
     return DistributionEntry(
         name, label, {"k": k}, form, "mellin", Support(0, _INF),
         recipe=recipe,
@@ -577,7 +576,7 @@ def _selberg_normal(name, label, n):
 
 def _symmetric_stable_form(alpha):
     return make_form(1 / math.sqrt(math.pi), math.log(2),
-                     [(Fraction(1, 2), 0.5), (-_frac(alpha) ** -1, 1)],
+                     [(Fraction(1, 2), 0.5), (-1 / alpha, 1)],
                      [(Fraction(-1, 2), 1)])
 
 
@@ -619,8 +618,10 @@ def _cauchy_product_density_2(x):
            (ParamSpec("k", "int", "k >= 1"),))
 def _cauchy_product(name, label, k):
     _require(name, k >= 1, "k >= 1")
-    form = make_form(math.pi ** -k, 0,
-                     [(Fraction(1, 2), 0.5)] * k + [(Fraction(-1, 2), 0.5)] * k)
+    pos = GammaFactor(Fraction(1, 2), 0.5)
+    neg = GammaFactor(Fraction(-1, 2), 0.5)
+    # the constant pi^-k, 0 past k = 650, raises before the 2k factors exist
+    form = replace(make_form(math.pi ** -k, 0), num=(pos,) * k + (neg,) * k)
     dens = None
     if k == 1:
         dens = lambda x: 1 / (math.pi * (1 + x * x))
@@ -654,9 +655,9 @@ def _hyperbolic_secant(name, label, t):
             f"{name}: the characteristic function cosh^-t has no meromorphic "
             f"extension for non-integer t = {t}")
     k = int(t)
-    inv_pi = Fraction(1, 1) / _frac(math.pi)
-    form = make_form(math.pi ** -k, 0,
-                     [(inv_pi, 0.5)] * k + [(-inv_pi, 0.5)] * k)
+    pos, neg = GammaFactor(1 / math.pi, 0.5), GammaFactor(-1 / math.pi, 0.5)
+    # the constant pi^-k, 0 past k = 650, raises before the 2k factors exist
+    form = replace(make_form(math.pi ** -k, 0), num=(pos,) * k + (neg,) * k)
     dens = None
     if k == 1:
         dens = lambda x: _exp_or_zero(-math.pi * abs(x) / 2) / (
@@ -680,8 +681,8 @@ def _hyperbolic_secant(name, label, t):
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _lamperti(name, label, alpha):
     _require(name, 0 < alpha < 1, "0 < alpha < 1")
-    ia = _frac(alpha) ** -1
-    form = make_form(1, 0, [(ia, 1), (-ia, 1)], [(1, 1), (-1, 1)])
+    form = make_form(1, 0, [(1 / alpha, 1), (-1 / alpha, 1)],
+                     [(1, 1), (-1, 1)])
     sin_a, cos_a = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
     dens = (lambda x: sin_a / math.pi * x ** (alpha - 1)
             / (x ** (2 * alpha) + 2 * cos_a * x ** alpha + 1)
@@ -700,8 +701,7 @@ def _lamperti(name, label, alpha):
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _lamperti_power(name, label, alpha):
     _require(name, 0 < alpha < 1, "0 < alpha < 1")
-    fa = _frac(alpha)
-    form = make_form(1, 0, [(1, 1), (-1, 1)], [(fa, 1), (-fa, 1)])
+    form = make_form(1, 0, [(1, 1), (-1, 1)], [(alpha, 1), (-alpha, 1)])
     sin_a, cos_a = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
     dens = (lambda x: sin_a / (math.pi * alpha)
             / (x * x + 2 * cos_a * x + 1) if x > 0 else 0.0)
@@ -720,8 +720,8 @@ def _lamperti_power(name, label, alpha):
             ParamSpec("beta", "float", "alpha < beta <= 2")))
 def _kotz_ostrovskii(name, label, alpha, beta):
     _require(name, 0 < alpha < beta <= 2, "0 < alpha < beta <= 2")
-    ia, ib = _frac(alpha) ** -1, _frac(beta) ** -1
-    form = make_form(1, 0, [(ia, 1), (-ia, 1)], [(ib, 1), (-ib, 1)])
+    form = make_form(1, 0, [(1 / alpha, 1), (-1 / alpha, 1)],
+                     [(1 / beta, 1), (-1 / beta, 1)])
     g = alpha / beta
     sin_g, cos_g = math.sin(math.pi * g), math.cos(math.pi * g)
     dens = (lambda x: beta * sin_g / math.pi * x ** (alpha - 1)
@@ -745,9 +745,8 @@ def _kotz_ostrovskii(name, label, alpha, beta):
 def _tilted_stable(name, label, alpha, theta):
     _require(name, 0 < alpha < 1, "0 < alpha < 1")
     _require(name, theta > -alpha, "theta > -alpha")
-    ia = _frac(alpha) ** -1
     const = gamma_real(1 + theta) / gamma_real(1 + theta / alpha)
-    form = make_form(const, 0, [(-ia, (alpha + theta) / alpha)],
+    form = make_form(const, 0, [(-1 / alpha, (alpha + theta) / alpha)],
                      [(-1, 1 + theta)])
     return DistributionEntry(
         name, label, {"alpha": alpha, "theta": theta}, form, "mellin",
@@ -763,9 +762,9 @@ def _tilted_stable(name, label, alpha, theta):
            (ParamSpec("beta", "float", "beta > 0"),))
 def _gen_exponential(name, label, beta):
     _require(name, beta > 0, "beta > 0")
-    ib = Fraction(1, 1) / _frac(beta)
+    form = make_form(1, 0, [(1 / beta, 1 / beta)])  # 1/beta = 0 raises here
     gb = gamma_real(1 / beta)
-    form = make_form(1.0 / gb, 0, [(ib, 1 / beta)])
+    form = replace(form, constant=1.0 / gb)
     norm = 1.0 / gamma_real(1 + 1 / beta)
     dens = lambda x: norm * math.exp(-x ** beta) if x > 0 else 0.0
     return DistributionEntry(
@@ -781,9 +780,8 @@ def _gen_exponential(name, label, beta):
            (ParamSpec("alpha", "float", "0 < alpha <= 2"),))
 def _linnik(name, label, alpha):
     _require(name, 0 < alpha <= 2, "0 < alpha <= 2")
-    ia = _frac(alpha) ** -1
     form = make_form(1 / math.sqrt(math.pi), math.log(2),
-                     [(Fraction(1, 2), 0.5), (ia, 1), (-ia, 1)],
+                     [(Fraction(1, 2), 0.5), (1 / alpha, 1), (-1 / alpha, 1)],
                      [(Fraction(-1, 2), 1)])
     dens = None
     if alpha == 2.0:
@@ -823,9 +821,10 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
     kwargs = {p.name: p.coerce(params[p.name]) for p in d.params}
     try:
         return d.factory(name, d.label, **kwargs)
-    except ValidationError as exc:
-        # the parameters passed their conditions, so the form's constant or
-        # offsets left float64: an out-of-range parameter, not a bad form
+    except (ValidationError, OverflowError) as exc:
+        # the parameters passed their conditions, so the form's constant,
+        # offsets or slopes left float64: an out-of-range parameter, not a
+        # bad form
         raise ParameterError(name, "parameters outside the representable "
                                    f"range ({exc})") from None
 

@@ -3,7 +3,7 @@
 Machine-readable JSON goes to standard output with a fixed key order;
 ``--human`` adds a one-line summary on standard error.  Exit codes:
 0 success, 1 a requested check failed, 2 unknown name or bad parameters,
-3 mathematical domain error (pole, empty strip, unsupported inversion).
+3 mathematical domain error (pole, undecided strip, unsupported inversion).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 
 from . import catalog
 from .errors import (
-    EmptyStripError, GammaTypeError, InversionError, MomentRangeError,
-    ParameterError, PoleError, UnrepresentableError, ValidationError,
+    GammaTypeError, InversionError, MomentRangeError, ParameterError,
+    PoleError, UnrepresentableError, ValidationError,
 )
 from .forms import moments_equal
 
@@ -383,8 +383,7 @@ def main(argv=None) -> int:
         hint = _schema_hint(args.name) if hasattr(args, "name") else None
         _emit({"error": str(exc), "hint": hint})
         return EXIT_UNKNOWN
-    except (PoleError, MomentRangeError, EmptyStripError,
-            InversionError) as exc:
+    except (PoleError, MomentRangeError, InversionError) as exc:
         payload = {"error": str(exc)}
         if isinstance(exc, PoleError):
             loc = exc.location

@@ -21,10 +21,6 @@ class InvalidFormError(GammaTypeError):
     """Form cannot be the moment function of a positive random variable."""
 
 
-class EmptyStripError(GammaTypeError):
-    """Two forms have no common open strip of analyticity."""
-
-
 class UndecidedStripError(GammaTypeError):
     """The pole walk met no strip edge within its visit budget."""
 

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    EmptyStripError,
     InvalidFormError,
     PoleError,
     UndecidedStripError,
@@ -42,6 +41,11 @@ __all__ = [
 # absolute tolerance for comparing factor offsets and pole locations
 OFFSET_TOL = 1e-12
 
+# above this |slope| poles near s = 0 lie closer than 2 * OFFSET_TOL and
+# the walk would merge them; past |s| = 1 its merge radius grows with |s|,
+# so there the resolvable |slope| falls as 1 / |s|
+MAX_SLOPE = 1 / (2 * OFFSET_TOL)
+
 # a strip side still undecided after this many pole visits (about 1 s)
 # raises UndecidedStripError
 VISIT_BUDGET = 250_000
@@ -52,8 +56,9 @@ _TWO_PI = 2.0 * math.pi
 def _as_slope(a) -> Fraction:
     """Coerce a slope to an exact Fraction.
 
-    Floats are converted exactly (they are binary rationals); pass a
-    Fraction for slopes like 1/3 that have no exact float.
+    A float becomes the nearest fraction with denominator at most 10**12,
+    so 1/1.234 is 500/617 wherever it is written.  Pass a Fraction for an
+    exact slope beyond that.
     """
     if isinstance(a, Fraction):
         return a
@@ -62,7 +67,7 @@ def _as_slope(a) -> Fraction:
     if isinstance(a, float):
         if not math.isfinite(a):
             raise ValidationError(f"slope must be finite, got {a!r}")
-        return Fraction(a)
+        return Fraction(a).limit_denominator(10 ** 12)
     raise ValidationError(f"cannot interpret {a!r} as an exact slope")
 
 
@@ -78,6 +83,9 @@ class GammaFactor:
         object.__setattr__(self, "offset", float(self.offset))
         if self.slope == 0:
             raise ValidationError("factor slope must be nonzero")
+        if abs(self.slope) > MAX_SLOPE:
+            raise ValidationError(f"|slope| {float(self.slope)!r} above "
+                                  f"{MAX_SLOPE:g}: poles too close to resolve")
         if not math.isfinite(self.offset):
             raise ValidationError("factor offset must be finite")
 
@@ -91,13 +99,6 @@ class AnalyticityStrip:
 
     rho_minus: float
     rho_plus: float
-
-    def intersect(self, other: "AnalyticityStrip") -> "AnalyticityStrip":
-        lo = max(self.rho_minus, other.rho_minus)
-        hi = min(self.rho_plus, other.rho_plus)
-        if not lo < hi:
-            raise EmptyStripError(f"strips ({self}) and ({other}) do not overlap")
-        return AnalyticityStrip(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -136,20 +137,12 @@ def pole_index(a: float, b: float, s: float) -> int | None:
     return None
 
 
-def _walk(factors, direction: int) -> tuple[float, float]:
-    """(edge, zero) on one side of s = 0 for (factor, sign) pairs.
-
-    The poles of num (sign +1) and den (sign -1) factors are visited in
-    order of |s|, by one heap over their arithmetic progressions, and their
-    signs summed per location.  The edge is the first positive sum, the
-    zero the first negative one before it; direction * inf if none.  Of
-    coinciding locations, which may differ in the last bit, the lowest is
-    returned.  Past t0, the last start -b/a of a progression, only the
-    progressions that run on forever remain and the sums repeat with the
-    lcm of their spacings, so the walk ends one period past the first
-    location beyond t0.  Past VISIT_BUDGET visits it raises.
-    """
-    heap, starts, endless = [], [], []
+def _first_poles(factors, direction: int) -> tuple[list, float, list]:
+    """For the (factor, sign) pairs on one side of s = 0, in t = direction
+    * s: (t, n, step, a, b, sign) of each pole nearest 0 with t > 0, and
+    the step of n that walks outward; t0, the last start -b/a; and the
+    (slope, offset, sign) of the progressions that run on forever."""
+    poles, starts, endless = [], [], []
     for f, sign in factors:
         # in t = direction * s the poles are t_n = (-n - b) / a, n >= 0
         a, b = float(f.slope) * direction, f.offset
@@ -158,13 +151,134 @@ def _walk(factors, direction: int) -> tuple[float, float]:
             n, step = math.ceil(-b) - 1, -1
         else:      # t_n grows with n: walk n up from the first t_n > 0
             n, step = max(0, math.floor(-b) + 1), 1
-            endless.append(f.slope)
+            endless.append((f.slope, b, sign))
         if n >= 0:
-            heap.append(((-n - b) / a, n, step, a, b, sign))
+            poles.append(((-n - b) / a, n, step, a, b, sign))
+    return poles, max(starts, default=0.0), endless
+
+
+def _net(num, den) -> tuple[list, int]:
+    """(factor, sign) pairs left after cancelling factors common to num and
+    den (+1 num, -1 den), and the net pole count of those pairs at s = 0.
+
+    That count takes the poles exactly at 0 and, on each side, the first
+    location of _walk if it starts within OFFSET_TOL of 0, merged as the
+    walk merges it; the walk leaves that location to its caller."""
+    num, den = Counter(num), Counter(den)
+    factors = ([(f, 1) for f in (num - den).elements()]
+               + [(f, -1) for f in (den - num).elements()])
+    # such a location ends within 2 * OFFSET_TOL; only poles within
+    # 3 * OFFSET_TOL of 0 are looked at
+    near = [(f, sign) for f, sign in factors
+            if abs(max(0, round(-f.offset)) + f.offset)
+            <= 3 * OFFSET_TOL * abs(float(f.slope))]
+    if not near:
+        return factors, 0
+    at_zero = sum(sign for f, sign in near
+                  if f.offset <= 0 and f.offset.is_integer())
+    for direction in (-1, 1):
+        poles = sorted(_first_poles(near, direction)[0])
+        if poles and poles[0][0] <= OFFSET_TOL:
+            t = poles[0][0]
+            at_zero += sum(p[-1] for p in poles
+                           if p[0] - t <= OFFSET_TOL * max(1.0, t))
+    return factors, at_zero
+
+
+def _classes(slopes: dict) -> list[list]:
+    """Split the slopes of the unbounded progressions into classes whose
+    net pole counts far out must each vanish if their sum does.
+
+    slopes maps each |slope|, an integer in a common unit, to its number
+    of progressions.  Far out a class's net count is periodic with
+    frequencies in the lattices a Z of its slopes, and a frequency it
+    shares with another class lies in lcm(a, a') Z.  If the sum vanishes,
+    so do the class's other frequencies: its count has period 1 / M, M the
+    gcd of those lcms, and a nonzero count with that period has at least
+    M locations per unit length.  The class's progressions have at most
+    the sum of their a, so for a larger M the count vanishes.  A class
+    failing that bound is merged with the class it shares most with.
+    """
+    classes = [[a] for a in slopes]
+    while len(classes) > 1:
+        for c in classes:
+            others = [d for d in classes if d is not c]
+            links = [math.gcd(*(math.lcm(x, y) for x in c for y in d))
+                     for d in others]
+            if math.gcd(*links) <= sum(a * slopes[a] for a in c):
+                d = others[links.index(min(links))]
+                classes.remove(d)
+                c.extend(d)
+                break
+        else:
+            break
+    return classes
+
+
+def _cancels(progressions: dict, slopes, unit: int) -> bool:
+    """Whether the cosets unit * (n + b) / a, n in Z, of the (offset b,
+    sign) progressions of these slopes have net count 0 everywhere.
+
+    The count has period unit / gcd(a); the locations of one period are
+    sorted and merged as _walk merges them, the last with the first across
+    the period boundary.  A period of more than VISIT_BUDGET locations is
+    left to the walk: False.
+    """
+    g = math.gcd(*slopes)
+    if sum(a // g * len(progressions[a]) for a in slopes) > VISIT_BUDGET:
+        return False
+    points = sorted(((b % 1 + k) * (unit / a), sign) for a in slopes
+                    for b, sign in progressions[a] for k in range(a // g))
+    nets, start = [], -math.inf
+    for t, sign in points:
+        if t - start > OFFSET_TOL * max(1.0, start):
+            nets.append(0)
+            start = t
+        nets[-1] += sign
+    wrapped = points[0][0] + unit / g
+    if len(nets) > 1 and wrapped - start <= OFFSET_TOL * max(1.0, start):
+        nets[0] += nets.pop()
+    return not any(nets)
+
+
+def _tail_period(endless) -> float:
+    """Period of the net pole count past every start of the unbounded
+    (slope, offset, sign) progressions: the lcm of the spacings of the
+    classes (see _classes) that do not cancel, 0 if all do."""
+    # in units of 1 / lcm(q) the slopes p / q are integers
+    unit = math.lcm(*(a.denominator for a, _, _ in endless))
+    progressions = {}
+    for a, b, sign in endless:
+        scaled = abs(a.numerator) * (unit // a.denominator)
+        progressions.setdefault(scaled, []).append((b, sign))
+    counts = {a: len(ps) for a, ps in progressions.items()}
+    live = [a for c in _classes(counts)
+            if not _cancels(progressions, c, unit) for a in c]
+    if not live:
+        return 0.0
+    period = Fraction(unit, math.gcd(*live))
+    # past the float range the visit budget ends the walk first
+    return float(period) if period < 2 ** 1000 else math.inf
+
+
+def _walk(factors, direction: int):
+    """Yield (s, net) for each location on one side of s = 0 where the
+    (factor, sign) pairs have a nonzero net pole count, in order of |s|.
+
+    The poles of num (sign +1) and den (sign -1) factors are visited by one
+    heap over their arithmetic progressions and their signs summed per
+    location.  Of coinciding locations, which may differ in the last bit,
+    the lowest is yielded.  Past t0, the last start -b/a of a progression,
+    only the progressions that run on forever remain, and the sums repeat
+    with the lcm of the spacings of the classes (see _classes) that do not
+    cancel, so the walk ends one such period past the first location
+    beyond t0, or there if every class cancels.  Past VISIT_BUDGET visits
+    it raises.
+    """
+    heap, t0, endless = _first_poles(factors, direction)
     heapq.heapify(heap)
-    t0 = max(starts, default=0.0)
-    end, zero, visits = math.inf, direction * math.inf, 0
-    while heap and heap[0][0] < end:
+    end, visits = None, 0  # end is set once the walk passes t0
+    while heap and (end is None or heap[0][0] < end):
         t = heap[0][0]
         here = []  # the poles at t
         while heap and heap[0][0] - t <= OFFSET_TOL * max(1.0, t):
@@ -175,18 +289,24 @@ def _walk(factors, direction: int) -> tuple[float, float]:
                 f"strip edge undecided after {VISIT_BUDGET} pole visits")
         net = sum(p[-1] for p in here)
         if t > OFFSET_TOL and net:  # s = 0 is the caller's
-            s = min(direction * u for u, *_ in here)
-            if net > 0:
-                return s, zero
-            if math.isinf(zero):
-                zero = s
-        if end == math.inf and t > t0:  # period lcm(q) / gcd(|p|)
-            end = t + (math.lcm(*(a.denominator for a in endless))
-                       / math.gcd(*(a.numerator for a in endless)))
+            yield min(direction * u for u, *_ in here), net
+        if end is None and t > t0:
+            end = t + _tail_period(endless)
         for _, n, step, a, b, sign in here:
             if n + step >= 0:
                 heapq.heappush(heap, ((-n - step - b) / a, n + step, step,
                                       a, b, sign))
+
+
+def _edge_and_zero(factors, direction: int) -> tuple[float, float]:
+    """The first location with a positive net (the strip edge) and the
+    first negative one before it (a zero); direction * inf if none."""
+    zero = direction * math.inf
+    for s, net in _walk(factors, direction):
+        if net > 0:
+            return s, zero
+        if math.isinf(zero):
+            zero = s
     return direction * math.inf, zero
 
 
@@ -320,14 +440,11 @@ class GammaTypeForm:
 
     def _poles(self) -> tuple[AnalyticityStrip, float | None]:
         """The strip and the zero nearest 0 in it, common factors cancelled."""
-        num, den = Counter(self.num), Counter(self.den)
-        factors = ([(f, 1) for f in (num - den).elements()]
-                   + [(f, -1) for f in (den - num).elements()])
-        at_zero = sum(sign for f, sign in factors
-                      if pole_index(float(f.slope), f.offset, 0.0) is not None)
+        factors, at_zero = _net(self.num, self.den)
         if at_zero > 0:
             raise InvalidFormError("net Gamma pole at s = 0")
-        (lo, neg), (hi, pos) = _walk(factors, -1), _walk(factors, +1)
+        (lo, neg), (hi, pos) = (_edge_and_zero(factors, -1),
+                                _edge_and_zero(factors, +1))
         # zeros at -z and z can differ in the last bit: the positive one
         # wins only if nearer by more than the location tolerance
         nearest = (0.0 if at_zero < 0 else
@@ -400,7 +517,7 @@ def make_form(constant: float, log_scale: float,
               num: Sequence[tuple] = (), den: Sequence[tuple] = ()) -> GammaTypeForm:
     """Build a form from (slope, offset) pairs.
 
-    Slopes may be ints, Fractions, or exactly-representable floats.
+    Slopes may be ints, Fractions or floats (taken as _as_slope says).
     """
     return GammaTypeForm(
         float(constant), float(log_scale),
@@ -409,48 +526,31 @@ def make_form(constant: float, log_scale: float,
     )
 
 
-def _comparison_grid(strip: AnalyticityStrip) -> list[complex]:
-    lo, hi = strip.rho_minus, strip.rho_plus
-    if math.isinf(lo) and math.isinf(hi):
-        lo, hi = -3.0, 3.0
-    elif math.isinf(lo):
-        lo = min(-2.0, hi - 4.0)
-    elif math.isinf(hi):
-        hi = max(2.0, lo + 4.0)
-    width = hi - lo
-    reals = [lo + width * k / 6.0 for k in range(1, 6)]
-    imags = [-3.0, -1.5, 0.0, 1.5, 3.0]
-    return [complex(re, im) for re in reals for im in imags]
-
-
 def moments_equal(f: GammaTypeForm, g: GammaTypeForm,
                   tol: float = 1e-10) -> bool:
     """Decide whether two forms represent the same function.
 
-    Fast path: the factor multisets num(F) + den(G) and num(G) + den(F)
-    are equal, and so are the constants and exponents within tol.
-    Otherwise the logs are compared on a 25-point complex grid inside the
-    intersection of the two strips (imaginary parts compared modulo 2 pi,
-    since the log-space sums of different representations may sit on
-    different branches).  tol must be finite and >= 0.
+    F = G iff H = F/G is 1.  If num(F) + den(G) and num(G) + den(F) are
+    equal multisets, H = C exp(l s): C and l are compared within tol.
+    Else a pole or zero of H on the real line, found by the pole walk,
+    means unequal; without one H is entire, zero-free and of order 1, so
+    exp(a s + b), and log F, log G are compared at s = i and 1 + i, where
+    no factor has a pole (modulo 2 pi i, since representations may sit on
+    different branches; relative to max(1, |log F|)).  tol must be finite
+    and >= 0.  Raises UndecidedStripError if the walk exceeds its budget.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-    if (Counter(f.num) + Counter(g.den) == Counter(g.num) + Counter(f.den)
-            and abs(math.log(f.constant) - math.log(g.constant)) <= tol
-            and abs(f.log_scale - g.log_scale) <= tol):
-        return True
-    strip = f.strip().intersect(g.strip())
-    for s in _comparison_grid(strip):
-        try:
-            lf = f.evaluate_log(s)
-            lg = g.evaluate_log(s)
-        except PoleError:
-            continue
-        if lf.real == -math.inf or lg.real == -math.inf:
-            if lf.real != lg.real:
-                return False
-            continue
+    num = Counter(f.num) + Counter(g.den)
+    den = Counter(g.num) + Counter(f.den)
+    if num == den:
+        return (abs(math.log(f.constant) - math.log(g.constant)) <= tol
+                and abs(f.log_scale - g.log_scale) <= tol)
+    factors, at_zero = _net(num, den)
+    if at_zero or any(next(_walk(factors, d), None) for d in (-1, 1)):
+        return False
+    for s in (1j, 1 + 1j):
+        lf, lg = f.evaluate_log(s), g.evaluate_log(s)
         d_re = abs(lf.real - lg.real)
         d_im = abs(lf.imag - lg.imag) % _TWO_PI
         d_im = min(d_im, _TWO_PI - d_im)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import gammatype
-from gammatype import forms
+from gammatype import catalog, forms
 from gammatype.cli import main, parse_identity_spec
 from gammatype.forms import moments_equal
 
@@ -70,6 +71,20 @@ def test_check_identity_pass_and_fail(capsys):
     code, out, _ = run(capsys, "check-identity", spec, "rayleigh")
     assert code == 0 and json.loads(out)["equal"] is True
     code, out, _ = run(capsys, "check-identity", spec, "maxwell")
+    assert code == 1 and json.loads(out)["equal"] is False
+
+
+def test_check_identity_mixes_slope_classes(capsys):
+    # two identities that are not factor rearrangements, raised to powers
+    # with seven decimals: their slope classes share poles only sparsely
+    lhs = ("product(power(pref_attach:alpha=0.5,1.2345671),"
+           "power(exponential,2.7182819))")
+    duplication = "scale(product(power(gamma:a=0.5,0.5),power(exponential,0.5)),2)"
+    rhs = (f"product(power(scale(rayleigh,0.7071067811865476),1.2345671),"
+           f"power({duplication},2.7182819))")
+    code, out, _ = run(capsys, "check-identity", lhs, rhs)
+    assert code == 0 and json.loads(out)["equal"] is True
+    code, out, _ = run(capsys, "check-identity", lhs, f"scale({rhs},1.0001)")
     assert code == 1 and json.loads(out)["equal"] is False
 
 
@@ -145,6 +160,15 @@ def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     ("beta", "a=1e300,b=1e300"),
     ("ball_distance", "n=1e300,a=1"),
     ("max_exp", "n=inf"),
+    # an overflowing constant, and pi^-k underflowing to 0
+    ("selberg_gamma", "n=6000,alpha=1.5"),
+    ("cauchy_product", "k=1e300"),
+    ("hyperbolic_secant", "t=1e300"),
+    # slopes 1/beta = 0, and 1/alpha >= 1e12 (poles too close to resolve)
+    ("gen_exponential", "beta=inf"),
+    ("linnik", "alpha=5e-13"),
+    ("positive_stable", "alpha=1e-12"),
+    ("positive_stable", "alpha=1e-13"),
 ])
 def test_out_of_range_parameters_exit_2(capsys, name, params):
     code, out, _ = run(capsys, "strip", name, "--params", params)
@@ -153,6 +177,25 @@ def test_out_of_range_parameters_exit_2(capsys, name, params):
     data = json.loads(out)
     assert "violated condition" in data["error"]
     assert data["hint"].startswith(f"{name} parameters")
+
+
+SWEEP_VALUES = ("-1", "0", "1e-300", "5e-13", "0.5", "3", "nan", "inf")
+
+
+@pytest.mark.parametrize("entry", catalog.catalog_to_json(),
+                         ids=lambda entry: entry["name"])
+def test_every_entry_keeps_the_cli_contract(capsys, entry):
+    # all parameters of the entry set to one of SWEEP_VALUES in turn
+    name, params = entry["name"], [p["name"] for p in entry["params"]]
+    for value in SWEEP_VALUES if params else ("",):
+        extra = (["--params", ",".join(f"{p}={value}" for p in params)]
+                 if params else [])
+        for command, *tail in (["profile"], ["consistency"],
+                               ["moment", "--s=0.25"]):
+            code, out, _ = run(capsys, command, name, *extra, *tail)
+            assert code in (0, 1, 2, 3), (command, value)
+            assert len(out.splitlines()) == 1, (command, value)
+            json.loads(out)
 
 
 def test_undecided_strip_exits_3(capsys, monkeypatch):
@@ -188,6 +231,22 @@ def test_huge_stirling_k_gets_a_strip_promptly(capsys):
     code, out, _ = run(capsys, "sample", "stirling_blocks", "--params",
                        "k=1001")
     assert code == 2 and "no sampling recipe" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("name, params", [("cauchy_product", "k=1e9"),
+                                          ("hyperbolic_secant", "t=1e9")])
+def test_huge_factor_counts_are_refused_before_they_are_built(name, params):
+    # 2e9 factors would take 16 GB; the constant pi^-k is 0 first.  The
+    # address-space limit turns a regression into a MemoryError
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammatype.cli", "profile", name,
+         "--params", params],
+        env=env, capture_output=True, text=True, timeout=30, preexec_fn=limit)
+    assert proc.returncode == 2
+    assert "representable range" in json.loads(proc.stdout)["error"]
 
 
 def test_missing_recipe_same_error_from_sample_and_verify(capsys):

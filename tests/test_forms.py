@@ -5,15 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammatype.catalog import build, pref_attach_candidate_form
 from gammatype.errors import (
-    EmptyStripError, InvalidFormError, PoleError, UndecidedStripError,
-    ValidationError,
+    InvalidFormError, PoleError, UndecidedStripError, ValidationError,
 )
 from gammatype.forms import (
-    AnalyticityStrip, ConsistencyReport, GammaTypeForm, make_form,
+    MAX_SLOPE, AnalyticityStrip, ConsistencyReport, GammaTypeForm, make_form,
     moments_equal,
 )
 
@@ -29,6 +28,28 @@ def rayleigh_form():
 def test_rejects_zero_slope():
     with pytest.raises(ValidationError):
         make_form(1, 0, [(0, 1)])
+    # a float slope below 1/(2 10**12) rounds to 0
+    with pytest.raises(ValidationError, match="nonzero"):
+        make_form(1, 0, [(4e-13, 1)])
+
+
+def test_float_slopes_follow_one_rule():
+    # a float slope is the nearest fraction with denominator <= 10**12,
+    # wherever it is written: power(1/alpha) meets the catalog's 1/alpha
+    power = build("exponential", {}).form.power(1 / 1.234)
+    assert power.num[0].slope == Fraction(500, 617)
+    assert power.num[0].slope in {f.slope for f in
+                                  build("linnik", {"alpha": 1.234}).form.num}
+
+
+def test_rejects_slopes_too_steep_to_resolve():
+    # poles 1/|slope| apart must stay more than 2 * OFFSET_TOL apart
+    with pytest.raises(ValidationError, match="slope"):
+        make_form(1, 0, [(-1e12, 1)])
+    with pytest.raises(ValidationError, match="slope"):
+        make_form(1, 0, [(1, 1)]).power(10 ** 12)
+    steepest = make_form(1, 0, [(-MAX_SLOPE, 1)])
+    assert steepest.strip().rho_plus == pytest.approx(2e-12, rel=1e-12)
 
 
 def test_rejects_nonpositive_constant():
@@ -94,6 +115,15 @@ def test_dense_denominator_exceeds_the_visit_budget():
         form.strip()
 
 
+def test_period_beyond_the_float_range_exceeds_the_visit_budget():
+    # 30 slopes with coprime denominators near 1e12: the zeros of the
+    # denominator repeat with a period of about 3e349
+    slopes = [Fraction(10 ** 12 + 3 * k, 10 ** 12 + 39 + 6 * k)
+              for k in range(30)]
+    with pytest.raises(UndecidedStripError):
+        make_form(1, 0, [], [(a, 1) for a in slopes]).strip()
+
+
 def test_entire_form_equals_its_expansion_near_zero(monkeypatch):
     form = make_form(1, 0, [(1, 1)], [(2, 1)])
     reals = []
@@ -106,11 +136,6 @@ def test_entire_form_equals_its_expansion_near_zero(monkeypatch):
     monkeypatch.setattr(GammaTypeForm, "evaluate_log", spy)
     assert moments_equal(form, form.expand_multiplication(0, 2, "den"))
     assert reals and all(-3.0 <= re <= 3.0 for re in reals)
-
-
-def test_empty_strip_intersection():
-    with pytest.raises(EmptyStripError):
-        AnalyticityStrip(-2.0, -1.0).intersect(AnalyticityStrip(1.0, 3.0))
 
 
 # --------------------------------------------------------------- consistency
@@ -232,6 +257,55 @@ def test_gumbel_symmetrization_is_logistic():
                          build("logistic", {}).form)
 
 
+def test_entire_zero_free_quotient_of_sign_minus_one():
+    # with u = s + 1/2, Gamma(u) Gamma(1-u) / (Gamma(u+1) Gamma(-u)) is
+    # (1/u) (-u) = -1: no pole, no zero, and still not 1
+    minus_one = make_form(1, 0, [(1, 0.5), (-1, 0.5)], [(1, 1.5), (-1, -0.5)])
+    one = make_form(1, 0)
+    assert not moments_equal(minus_one, one)
+    assert moments_equal(minus_one.product(minus_one), one)
+
+
+def test_a_pole_or_zero_of_the_quotient_decides_unequal(monkeypatch):
+    def no_evaluation(self, s):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(GammaTypeForm, "evaluate_log", no_evaluation)
+    gamma = make_form(1, 0, [(1, 1)])
+    # F/G is Gamma(1-2s) (poles right of 0), 1/Gamma(2s+1) (zeros left of
+    # 0) and 1/Gamma(s) (a zero at 0): the walk decides each unequal
+    assert not moments_equal(gamma, make_form(1, 0, [(1, 1)], [(-2, 1)]))
+    assert not moments_equal(gamma, make_form(1, 0, [(1, 1), (2, 1)]))
+    assert not moments_equal(gamma, make_form(1, 0, [(1, 1), (1, 0.0)]))
+
+
+def test_identity_across_slope_classes_walks_each_class_alone(monkeypatch):
+    # the quotient's slopes are a, a/2, c, c/2 with denominators near 1e12:
+    # one period of all four progressions spans about 4e23, while the
+    # classes {a, a/2} and {c, c/2} each cancel within a period under 4
+    monkeypatch.setattr("gammatype.forms.VISIT_BUDGET", 50)
+    f = build("kotz_ostrovskii", {"alpha": 1.47831, "beta": 1.88913}).form
+    g = f.expand_multiplication(0, 2, "num").expand_multiplication(0, 2, "den")
+    assert moments_equal(f, g)
+    assert not moments_equal(f, g.scale(1 + 1e-7))
+    # Gamma(s + 1) against Gamma(s + 1/2) leaves a third class uncancelled,
+    # and the walk stops at its first location, a zero at -1/2
+    assert not moments_equal(f * make_form(1, 0, [(1, 1)]),
+                             g * make_form(1, 0, [(1, 0.5)]))
+
+
+def test_classes_cancel_across_their_period_boundary(monkeypatch):
+    # offsets 1 and 1 - 2**-53 are one offset, but modulo 1 they sit at the
+    # two ends of a class's period; each class must still cancel, or the
+    # walk would cover the common period of both slopes, about 9.3e4
+    monkeypatch.setattr("gammatype.forms.VISIT_BUDGET", 50)
+    below_one = 1 - 2 ** -53
+    a, c = Fraction(100000, 147831), Fraction(100000, 188913)
+    f = make_form(1, 0, [(a, 1), (c, 1)])
+    g = make_form(1, 0, [(a, below_one), (c, below_one)])
+    assert moments_equal(f, g)
+
+
 # ------------------------------------------------------- property-based tests
 
 small_fraction = st.fractions(
@@ -284,6 +358,39 @@ def test_serialization_round_trip_property(f):
 @given(simple_forms())
 def test_form_equals_itself_on_grid(f):
     assert moments_equal(f, f)
+
+
+@st.composite
+def rewritten_pairs(draw):
+    """A form and the same function after Gauss expansions and shuffles."""
+    factor = st.tuples(small_fraction, st.floats(-2.0, 3.0))
+    num = draw(st.lists(factor, min_size=1, max_size=3))
+    den = draw(st.lists(factor, max_size=2))
+    f = make_form(draw(st.floats(0.1, 10.0)), draw(st.floats(-2.0, 2.0)),
+                  num, den)
+    g = f
+    for _ in range(draw(st.integers(1, 2))):
+        side = draw(st.sampled_from(["num", "den"] if g.den else ["num"]))
+        index = draw(st.integers(0, len(getattr(g, side)) - 1))
+        g = g.expand_multiplication(index, draw(st.integers(2, 3)), side)
+    g = GammaTypeForm(g.constant, g.log_scale, draw(st.permutations(g.num)),
+                      draw(st.permutations(g.den)))
+    return f, g
+
+
+_near_zero = make_form(1, 0, [(1, 1e-12)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rewritten_pairs(), st.floats(-7.0, -3.0), st.sampled_from([-1, 1]))
+# a pole OFFSET_TOL from 0, which the expansion moves by one ulp past it
+@example((_near_zero, _near_zero.expand_multiplication(0, 3)), -3.0, -1)
+def test_rewrites_compare_equal_and_perturbed_constants_do_not(pair, e, sign):
+    f, g = pair
+    assert moments_equal(f, g) and moments_equal(g, f)
+    perturbed = GammaTypeForm(g.constant * (1 + sign * 10 ** e), g.log_scale,
+                              g.num, g.den)
+    assert not moments_equal(f, perturbed)
 
 
 # small slopes keep the walks short: a side free of net poles is walked
@@ -352,8 +459,30 @@ def exact_factor_lists(draw):
     return num, den
 
 
-@settings(max_examples=500, deadline=None)
-@given(exact_factor_lists())
+# slopes in two classes, k / 7 and k / 11, that share only sparse poles
+class_slopes = st.sampled_from([Fraction(p * k, q) for p in (-1, 1)
+                                for k in (1, 2, 3) for q in (7, 11)])
+
+
+@st.composite
+def expanded_factor_lists(draw):
+    """(num, den) lists of exact (slope, offset) pairs where den holds the
+    Gauss pieces Gamma((a s + b + i) / m), i < m, of most num factors, one
+    piece sometimes left out."""
+    num = draw(st.lists(st.tuples(class_slopes, exact_offsets),
+                        min_size=1, max_size=4))
+    den = []
+    for a, b in num:
+        m = draw(st.integers(1, 3))
+        pieces = [(a / m, (b + i) / m) for i in range(m)]
+        if draw(st.integers(0, 5)) == 0:
+            pieces.pop(draw(st.integers(0, m - 1)))
+        den.extend(pieces)
+    return num, den
+
+
+@settings(max_examples=700, deadline=None)
+@given(st.one_of(exact_factor_lists(), expanded_factor_lists()))
 def test_walk_matches_brute_force_enumeration(lists):
     num, den = lists
     form = make_form(1, 0, [(a, float(b)) for a, b in num],

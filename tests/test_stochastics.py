@@ -110,6 +110,13 @@ def test_neg_log_partial_sums_are_gamma():
     assert stat.pvalue > 0.01
 
 
+def test_stirling_blocks_draws_no_zeros():
+    # a gamma leaf of shape (i+2)/k can underflow to an exact 0 (about 0.8%
+    # of the values at k = 300); the recipe has no shape below 1
+    recipe = catalog.build("stirling_blocks", {"k": 300}).recipe
+    assert (sample(recipe, 10 ** 4, seed=0) > 0).all()
+
+
 def test_truncated_symmetrized_series_approaches_logistic():
     # sum_{j<=J} (T_j - T'_j)/j with a large cutoff behaves like logistic
     rng = np.random.default_rng(77)
