@@ -32,6 +32,8 @@ _INF = math.inf
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 STIRLING_RECIPE_MAX_K = 1000  # its recipe has k leaves; none above this
+SELBERG_MAX_N = 10 ** 5  # a Selberg form has O(n) factors; refused above
+_SELBERG_N = f"2 <= n <= {SELBERG_MAX_N}"
 
 
 @dataclass(frozen=True)
@@ -515,11 +517,11 @@ def _selberg_beta_form(n, alpha, beta):
 
 @_register("selberg_beta",
            "squared Vandermonde discriminant of n iid beta variables",
-           (ParamSpec("n", "int", "n >= 2"),
+           (ParamSpec("n", "int", _SELBERG_N),
             ParamSpec("alpha", "float", "alpha > 0"),
             ParamSpec("beta", "float", "beta > 0")))
 def _selberg_beta(name, label, n, alpha, beta):
-    _require(name, n >= 2, "n >= 2")
+    _require(name, 2 <= n <= SELBERG_MAX_N, _SELBERG_N)
     _require(name, alpha > 0 and beta > 0, "alpha > 0 and beta > 0")
     form = _selberg_beta_form(n, alpha, beta)
     rho = max(-1.0 / n, -alpha / (n - 1), -beta / (n - 1))
@@ -533,10 +535,10 @@ def _selberg_beta(name, label, n, alpha, beta):
 
 @_register("selberg_gamma",
            "squared Vandermonde discriminant of n iid gamma variables",
-           (ParamSpec("n", "int", "n >= 2"),
+           (ParamSpec("n", "int", _SELBERG_N),
             ParamSpec("alpha", "float", "alpha > 0")))
 def _selberg_gamma(name, label, n, alpha):
-    _require(name, n >= 2, "n >= 2")
+    _require(name, 2 <= n <= SELBERG_MAX_N, _SELBERG_N)
     _require(name, alpha > 0, "alpha > 0")
     num, den = [], []
     for j in range(2, n + 1):
@@ -556,9 +558,9 @@ def _selberg_gamma(name, label, n, alpha):
 
 @_register("selberg_normal",
            "squared Vandermonde discriminant of n iid standard normals",
-           (ParamSpec("n", "int", "n >= 2"),))
+           (ParamSpec("n", "int", _SELBERG_N),))
 def _selberg_normal(name, label, n):
-    _require(name, n >= 2, "n >= 2")
+    _require(name, 2 <= n <= SELBERG_MAX_N, _SELBERG_N)
     num = [(j, 1) for j in range(2, n + 1)]
     den = [(1, 1)] * (n - 1)
     form = make_form(1, 0, num, den)

@@ -88,9 +88,11 @@ def evaluate_recipe(recipe: rc.Recipe, rngs, n) -> np.ndarray:
             out *= draws[:, j] - draws[:, i]
         return out ** 2
     if isinstance(recipe, rc.Product):
-        out = np.ones(n)
-        for part in recipe.parts:
-            out = out * evaluate_recipe(part, rngs, n)
+        # no array of ones beside the first part's draw and its temporaries
+        out = (evaluate_recipe(recipe.parts[0], rngs, n) if recipe.parts
+               else np.ones(n))
+        for part in recipe.parts[1:]:
+            out *= evaluate_recipe(part, rngs, n)
         return out
     if isinstance(recipe, rc.Sum):
         out = np.zeros(n)
@@ -115,9 +117,12 @@ def recipe_of(entry: DistributionEntry) -> rc.Recipe:
     return entry.recipe
 
 
-def sample(recipe: rc.Recipe, n: int, seed: int = 0,
-           workers: int | None = None) -> np.ndarray:
-    """Draw n values; identical output for any worker count."""
+def _chunks(recipe: rc.Recipe, n: int, seed: int, workers: int | None):
+    """The n draws as chunks, in chunk order, for any worker count.
+
+    A pool keeps at most workers + 1 chunks in flight, so memory does not
+    grow with n.
+    """
     if n < 1:
         raise ValidationError("n must be at least 1")
     if seed < 0:
@@ -130,17 +135,31 @@ def sample(recipe: rc.Recipe, n: int, seed: int = 0,
         return evaluate_recipe(recipe, rngs,
                                min(CHUNK_SIZE, n - c * CHUNK_SIZE))
 
-    # each chunk is copied into one preallocated array as it arrives, so
-    # the chunks are not all held beside a concatenated copy
-    out = np.empty(n)
     chunks = range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)
     if workers and workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for c, part in zip(chunks, pool.map(chunk, chunks)):
-                out[c * CHUNK_SIZE:c * CHUNK_SIZE + len(part)] = part
-    else:
-        for c in chunks:
-            out[c * CHUNK_SIZE:(c + 1) * CHUNK_SIZE] = chunk(c)
+        return _in_order(chunk, chunks, workers)
+    return map(chunk, chunks)
+
+
+def _in_order(fn, items, workers):
+    """fn over items on a thread pool, in order, workers + 1 at most in flight."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = []
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > workers:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+
+
+def sample(recipe: rc.Recipe, n: int, seed: int = 0,
+           workers: int | None = None) -> np.ndarray:
+    """Draw n values; identical output for any worker count."""
+    chunks = _chunks(recipe, n, seed, workers)
+    out = np.empty(n)
+    for c, part in enumerate(chunks):
+        out[c * CHUNK_SIZE:c * CHUNK_SIZE + len(part)] = part
     return out
 
 
@@ -168,24 +187,42 @@ class MCEstimate:
 
 
 @np.errstate(all="ignore")
-def _moment_mean(entry, x, s, buf):
-    """Sample mean of X^s (e^{sX} for an MGF) and its standard error.
+def _fold(chunks, grid, mgf):
+    """(mean, M2) of X^s, or of e^{sX} if mgf, for every s of grid.
 
-    Everything is computed in ``buf``, an array shaped like x, so one call
-    allocates no array of the sample's size.  The steps are those of
-    ``vals.mean()`` and ``vals.std(ddof=1)``, bit for bit.
+    M2 is the sum of squared deviations from the mean.  Each chunk is
+    merged into the running (count, mean, M2) of every s by the pairwise
+    update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983), so memory is
+    one chunk-sized buffer whatever n.
     """
-    if entry.kind == "mgf":
-        np.multiply(s, x, out=buf)
-        np.exp(buf, out=buf)
-    else:
-        np.abs(x, out=buf)
-        buf **= s  # x ** 0.0 is 1.0 for every float, nan and inf included
-    mean = float(buf.mean())
-    buf -= mean
-    np.square(buf, out=buf)
-    var = float(np.add.reduce(buf)) / (len(x) - 1)
-    return mean, math.sqrt(var) / math.sqrt(len(x))
+    buf = np.empty(CHUNK_SIZE)
+    count, stats = 0, [(0.0, 0.0)] * len(grid)
+    for x in chunks:
+        m, vals = len(x), buf[:len(x)]
+        count += m
+        if not mgf:
+            np.abs(x, out=x)
+            np.log(x, out=x)
+        for j, s in enumerate(grid):
+            if s == 0:  # as x ** 0.0, also where log|x| is inf or nan
+                vals.fill(1.0)
+            else:
+                np.multiply(s, x, out=vals)
+                np.exp(vals, out=vals)
+            chunk_mean = float(vals.mean())
+            vals -= chunk_mean
+            mean, m2 = stats[j]
+            delta = chunk_mean - mean
+            if math.isfinite(delta):
+                mean += delta * (m / count)
+            else:  # the values are >= 0: a mean is inf or nan; the sum keeps it
+                mean += chunk_mean
+            # the weight is 0 on the first chunk, where delta * delta may be
+            # inf, so it goes first; a float's ** 2 raises OverflowError
+            m2 += (float(np.einsum("i,i", vals, vals))
+                   + (count - m) * m / count * delta * delta)
+            stats[j] = mean, m2
+    return stats
 
 
 def _estimates(entry, s_grid, n, seed, workers):
@@ -206,11 +243,10 @@ def _estimates(entry, s_grid, n, seed, workers):
             raise MomentRangeError(
                 f"{entry.name}: s={s} outside the open strip "
                 f"({strip.rho_minus}, {strip.rho_plus})")
-    x = sample(recipe, n, seed, workers=workers)
-    buf = np.empty_like(x)
-    return [MCEstimate(*_moment_mean(entry, x, s, buf), n, s,
+    stats = _fold(_chunks(recipe, n, seed, workers), grid, entry.kind == "mgf")
+    return [MCEstimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, s,
                        strip.rho_minus < 2 * s < strip.rho_plus)
-            for s in grid]
+            for s, (mean, m2) in zip(grid, stats)]
 
 
 def mc_moment(entry: DistributionEntry, s: float, n: int = 10 ** 6,

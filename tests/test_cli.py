@@ -233,20 +233,41 @@ def test_huge_stirling_k_gets_a_strip_promptly(capsys):
     assert code == 2 and "no sampling recipe" in json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("name, params", [("cauchy_product", "k=1e9"),
-                                          ("hyperbolic_secant", "t=1e9")])
-def test_huge_factor_counts_are_refused_before_they_are_built(name, params):
-    # 2e9 factors would take 16 GB; the constant pi^-k is 0 first.  The
-    # address-space limit turns a regression into a MemoryError
+def _cli_in_1gb(*argv):
+    """The CLI in a fresh process whose address space is limited to 1 GiB.
+
+    The limit turns a regression that builds a huge form into a
+    MemoryError.
+    """
     src = os.path.dirname(os.path.dirname(gammatype.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gammatype.cli", "profile", name,
-         "--params", params],
+    return subprocess.run(
+        [sys.executable, "-m", "gammatype.cli", *argv],
         env=env, capture_output=True, text=True, timeout=30, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("name, params", [("cauchy_product", "k=1e9"),
+                                          ("hyperbolic_secant", "t=1e9")])
+def test_huge_factor_counts_are_refused_before_they_are_built(name, params):
+    # 2e9 factors would take 16 GB; the constant pi^-k is 0 first
+    proc = _cli_in_1gb("profile", name, "--params", params)
     assert proc.returncode == 2
     assert "representable range" in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("selberg_normal", "n=100001"),
+    ("selberg_beta", "n=1e8,alpha=1,beta=1"),
+    ("selberg_gamma", "n=1e8,alpha=1.5"),
+])
+def test_selberg_counts_are_refused_before_the_form_is_built(name, params):
+    # the forms have O(n) factors: n = 1e5 takes 2.5 s and 127 MiB
+    proc = _cli_in_1gb("strip", name, "--params", params)
+    assert proc.returncode == 2
+    assert len(proc.stdout.splitlines()) == 1
+    error = json.loads(proc.stdout)["error"]
+    assert f"n <= {catalog.SELBERG_MAX_N}" in error
 
 
 def test_missing_recipe_same_error_from_sample_and_verify(capsys):

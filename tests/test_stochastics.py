@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from scipy import stats
 from gammatype import catalog, recipes as rc, stochastics
 from gammatype.errors import MomentRangeError, ValidationError
 from gammatype.stochastics import (
-    MCEstimate, harmonic_drift, mc_moment, sample, save_samples,
-    verify_entry,
+    MCEstimate, evaluate_recipe, harmonic_drift, mc_moment, sample,
+    save_samples, verify_entry,
 )
 
 
@@ -136,6 +138,15 @@ def test_truncated_symmetrized_series_approaches_logistic():
 
 # ----------------------------------------------------------------- mc_moment
 
+def _exact_mean_and_stderr(entry, s, n, seed):
+    """math.fsum mean of X^s (e^{sX} for an MGF) and its standard error."""
+    x = sample(entry.recipe, n, seed=seed)
+    vals = (np.exp(s * x) if entry.kind == "mgf" else np.abs(x) ** s).tolist()
+    mean = math.fsum(vals) / n
+    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
 @pytest.mark.parametrize("name,params,s", [
     ("symmetric_stable", {"alpha": 1.5}, 0.0),
     ("symmetric_stable", {"alpha": 1.5}, 0.5),
@@ -144,15 +155,47 @@ def test_truncated_symmetrized_series_approaches_logistic():
     ("max_exp", {"n": 3}, 0.7),
 ])
 def test_in_place_estimator_matches_mean_and_std(name, params, s):
+    # the chunk-by-chunk fold against an exact sum over the whole sample:
+    # one short chunk, a full one plus one value, and a ragged third chunk
     entry = catalog.build(name, params)
-    x = sample(entry.recipe, 10_001, seed=2)
-    if entry.kind == "mgf":
-        vals = np.exp(s * x)
-    else:
-        vals = np.abs(x) ** s if s else np.ones_like(x)
-    expected = (float(vals.mean()),
-                float(vals.std(ddof=1)) / math.sqrt(len(x)))
-    assert stochastics._moment_mean(entry, x, s, np.empty_like(x)) == expected
+    for n in (2, stochastics.CHUNK_SIZE + 1, 3 * stochastics.CHUNK_SIZE - 7):
+        mean, stderr = _exact_mean_and_stderr(entry, s, n, seed=2)
+        est = mc_moment(entry, s, n=n, seed=2)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0), n
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0), n
+
+
+def test_zeroth_moment_is_one_whatever_the_draws():
+    # log|x| is -inf at 0 and inf at inf, and 0 * inf is nan; x ** 0.0 is 1
+    entry = catalog.build("symmetric_stable", {"alpha": 0.01})
+    entry = replace(entry, recipe=rc.Product((rc.gamma(1e-3), entry.recipe)))
+    n = 2 * stochastics.CHUNK_SIZE
+    x = sample(entry.recipe, n, seed=1)
+    assert (x == 0).any() and np.isinf(x).any()
+    point = verify_entry(entry, [0.0], n=n, seed=1).points[0]
+    assert (point.estimate, point.stderr, point.z) == (1.0, 0.0, 0.0)
+
+
+def test_an_infinite_draw_keeps_the_estimate_infinite():
+    # at seed 4 one draw of the second chunk overflows; the third chunk's
+    # merge must not turn the infinite mean into nan
+    entry = catalog.build("symmetric_stable", {"alpha": 0.02})
+    n = 3 * stochastics.CHUNK_SIZE
+    x = sample(entry.recipe, n, seed=4)
+    assert np.isinf(x[stochastics.CHUNK_SIZE:2 * stochastics.CHUNK_SIZE]).any()
+    report = verify_entry(entry, [0.005, 0.009], n=n, seed=4)
+    assert all(p.estimate == math.inf and math.isnan(p.z) and not p.passed
+               for p in report.points)
+
+
+def test_point_mass_has_zero_stderr():
+    entry = catalog.build("beta_product", {"a": 1, "b": 0, "c": 1, "d": 0})
+    assert entry.recipe == rc.Power(rc.uniform(), 0.0)
+    report = verify_entry(entry, [-1.0, 0.5, 3.0],
+                          n=2 * stochastics.CHUNK_SIZE + 5, seed=3)
+    assert all((p.estimate, p.stderr, p.z) == (1.0, 0.0, 0.0)
+               for p in report.points)
+    assert report.passed
 
 
 def test_mc_moment_matches_exact():
@@ -181,16 +224,19 @@ def test_mc_moment_requires_recipe():
 
 
 def test_verify_entry_report(monkeypatch):
-    calls = []
-
-    def counting_sample(*args, **kwargs):
-        calls.append(args)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(stochastics, "sample", counting_sample)
     entry = catalog.build("gamma", {"a": 2.0})
+    draws = []
+
+    def counting_evaluate(recipe, rngs, n):
+        if recipe is entry.recipe:
+            draws.append(n)
+        return evaluate_recipe(recipe, rngs, n)
+
+    monkeypatch.setattr(stochastics, "evaluate_recipe", counting_evaluate)
     report = verify_entry(entry, [0.5, 1.0, 2.0], n=200_000, seed=8)
-    assert len(calls) == 1
+    # each chunk is drawn once, for the whole grid
+    chunk = stochastics.CHUNK_SIZE
+    assert draws == [chunk] * 3 + [200_000 - 3 * chunk]
     assert report.passed
     data = report.to_json_dict()
     assert data["entry"] == "gamma"
@@ -199,10 +245,37 @@ def test_verify_entry_report(monkeypatch):
     for p in report.points:
         assert mc_moment(entry, p.s, n=200_000, seed=8) == MCEstimate(
             p.estimate, p.stderr, 200_000, p.s, p.ci_valid)
-    calls.clear()
+    draws.clear()
     with pytest.raises(MomentRangeError):
         verify_entry(entry, [0.5, -3.0, 1.0], n=200_000, seed=8)
-    assert calls == []
+    assert draws == []
+
+
+@pytest.mark.parametrize("name,params", [("rayleigh", {}),
+                                         ("linnik", {"alpha": 1.5})])
+def test_verify_entry_memory_does_not_grow_with_n(name, params):
+    # numpy reports its buffers to tracemalloc; one sample of 1e6 draws
+    # alone would take 7.6 MiB, and 16 MiB at 2**21
+    entry = catalog.build(name, params)
+    mib = 1 << 20
+    reports, peaks = [], {}
+    for workers in (None, 2):
+        for n in (1 << 17, 10 ** 6, 1 << 21):
+            tracemalloc.start()
+            try:
+                report = verify_entry(entry, None, n=n, seed=1,
+                                      workers=workers)
+                peaks[workers, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if n == 10 ** 6:
+                reports.append(report)
+        assert peaks[workers, 10 ** 6] < 8 * mib
+        # whether two pool threads hold a draw's temporaries at the same
+        # moment varies from run to run, which moves linnik's peak by about
+        # 2 MiB; 2**21 draws held at once would add 14 MiB
+        assert peaks[workers, 1 << 21] < peaks[workers, 1 << 17] + 4 * mib
+    assert reports[0] == reports[1]
 
 
 def test_verify_entry_fails_points_without_a_finite_estimate():
