@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .errors import (
     InvalidFormError,
+    MomentRangeError,
     PoleError,
     UndecidedStripError,
     ValidationError,
@@ -364,11 +365,7 @@ class GammaTypeForm:
 
     def reflect(self) -> "GammaTypeForm":
         """F(-s); for an MGF this is the moment function of -X."""
-        return GammaTypeForm(
-            self.constant, -self.log_scale,
-            tuple(GammaFactor(-f.slope, f.offset) for f in self.num),
-            tuple(GammaFactor(-f.slope, f.offset) for f in self.den),
-        )
+        return self.power(-1)
 
     def expand_multiplication(self, index: int, m: int,
                               side: str = "num") -> "GammaTypeForm":
@@ -429,9 +426,17 @@ class GammaTypeForm:
         return total
 
     def evaluate(self, s: complex) -> complex:
+        """F(s); 0 at a denominator pole, inf past the float range.
+
+        MomentRangeError where log F(s) is nan or has an infinite phase,
+        as at |Im s| = 1e306.
+        """
         logv = self.evaluate_log(s)
         if logv.real == -math.inf:
             return 0.0 + 0.0j
+        if math.isnan(logv.real) or not math.isfinite(logv.imag):
+            raise MomentRangeError(f"log F(s) at s = {s} is not finite: "
+                                   f"{logv}")
         if logv.real > OVERFLOW_EXPONENT:
             return cmath.rect(math.inf, logv.imag)
         return cmath.exp(logv)
@@ -488,8 +493,10 @@ class GammaTypeForm:
                 delta += sign * (f.offset - 0.5)
                 kappa += sign * a * math.log(abs(a))
                 log_c1 += sign * (f.offset - 0.5) * math.log(abs(a))
+        # C1 saturates to inf past the float range, as gamma_real does
+        c1 = math.exp(log_c1) if log_c1 <= OVERFLOW_EXPONENT else math.inf
         return AsymptoticProfile(float(gamma), float(gamma_prime), delta,
-                                 kappa, math.exp(log_c1))
+                                 kappa, c1)
 
     # ---------------------------------------------------------- serialization
 

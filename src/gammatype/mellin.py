@@ -26,6 +26,13 @@ __all__ = [
 # absolute accuracy; a tenth each goes to the truncated tail and the step
 TARGET = 1e-8
 
+# most nodes one trapezoid sum may take (16 MiB of F values); tables in
+# ordinary use take a few hundred
+MAX_NODES = 1 << 20
+
+# grid points of check_normalization's trapezoid integral
+NORMALIZATION_POINTS = 1200
+
 
 def _resolve_abscissa(strip: AnalyticityStrip, kind: str,
                       abscissa: float | None) -> float:
@@ -74,6 +81,7 @@ def _invert(form: GammaTypeForm, kind: str, xs,
     integrand is analytic in |Im t| < d, so the rule errs by about
     e^(d|u| - 2 pi d/h), u = log x or x; h makes that TARGET / 10.  The
     half-step offset keeps nodes off t = 0, where a cancelled pole may sit.
+    InversionError if T is not finite or T/h exceeds MAX_NODES.
     """
     xs = np.asarray(xs, dtype=float)
     if not xs.size:
@@ -81,10 +89,17 @@ def _invert(form: GammaTypeForm, kind: str, xs,
     strip = form.strip()
     c = _resolve_abscissa(strip, kind, abscissa)
     big_t = _truncation(form, c)
+    if not math.isfinite(big_t):  # C1 past the float range
+        raise InversionError(f"no finite truncation point, T = {big_t}")
     u = np.log(xs) if kind == "mellin" else xs
     d = 0.5 * min(c - strip.rho_minus, strip.rho_plus - c, 2.0)
-    h = 2 * math.pi * d / (math.log(10 / TARGET) + d * np.abs(u).max())
-    t = (np.arange(math.ceil(big_t / h)) + 0.5) * h
+    # Python floats: an overflowing T/h becomes inf without a numpy warning
+    h = 2 * math.pi * d / (math.log(10 / TARGET) + d * float(abs(u).max()))
+    nodes = big_t / h
+    if not nodes <= MAX_NODES:  # also nan, from a nan x
+        raise InversionError(f"the trapezoid sum would need {nodes:.3g} "
+                             f"nodes (at most {MAX_NODES})")
+    t = (np.arange(math.ceil(nodes)) + 0.5) * h
     values = np.array([form.evaluate(complex(c, tk)) for tk in t])
     rows = max(1, (1 << 20) // t.size)  # phase matrix blocks of <= 16 MiB
     sums = np.concatenate([np.exp(-1j * np.outer(u[i:i + rows], t)) @ values
@@ -165,15 +180,14 @@ def _grid_upper(entry, abscissa):
 
 
 def check_normalization(entry: DistributionEntry,
-                        abscissa: float | None = None,
-                        points: int = 1200) -> float:
+                        abscissa: float | None = None) -> float:
     """Trapezoid integral of the inverted density over a covering grid."""
     hi = _grid_upper(entry, abscissa)
     if entry.support.symmetric or entry.support.lo == -math.inf:
-        xs = np.linspace(-hi, hi, points)
+        xs = np.linspace(-hi, hi, NORMALIZATION_POINTS)
     else:
         lo = entry.support.lo
-        xs = np.linspace(lo + (hi - lo) * 1e-6, hi, points)
+        xs = np.linspace(lo + (hi - lo) * 1e-6, hi, NORMALIZATION_POINTS)
     table = density_table(entry, xs, abscissa)
     return float(np.trapezoid(table[:, 1], table[:, 0]))
 

@@ -2,9 +2,8 @@
 
 The one module that draws.  Generation is chunked: chunk ``c`` of a run
 with seed ``s`` hands leaf ``i`` (depth-first) the generator seeded by
-``SeedSequence((s, c, i))``.  Chunks are therefore independent of
-execution order, so a thread pool produces exactly the same array as a
-sequential loop, value for value.
+``SeedSequence((s, c, i))``, so a chunk's values depend only on the
+seed, the chunk index and the recipe.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,6 +26,9 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
+
+# a Monte Carlo point passes when its z-score is at most this in size
+Z_PASS = 5.0
 
 
 def _draw_positive_stable(rng, alpha, size):
@@ -117,46 +118,27 @@ def recipe_of(entry: DistributionEntry) -> rc.Recipe:
     return entry.recipe
 
 
-def _chunks(recipe: rc.Recipe, n: int, seed: int, workers: int | None):
-    """The n draws as chunks, in chunk order, for any worker count.
-
-    A pool keeps at most workers + 1 chunks in flight, so memory does not
-    grow with n.
-    """
+def _chunks(recipe: rc.Recipe, n: int, seed: int):
+    """The n draws as chunks, drawn lazily in chunk order; n and seed are
+    checked at the call."""
     if n < 1:
         raise ValidationError("n must be at least 1")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
-    # per chunk: numpy's error state does not carry into pool threads
+    # per chunk, since sample() consumes the chunks outside _fold
     @np.errstate(all="ignore")
     def chunk(c):
         rngs = (np.random.default_rng((seed, c, i)) for i in itertools.count())
         return evaluate_recipe(recipe, rngs,
                                min(CHUNK_SIZE, n - c * CHUNK_SIZE))
 
-    chunks = range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)
-    if workers and workers > 1 and len(chunks) > 1:
-        return _in_order(chunk, chunks, workers)
-    return map(chunk, chunks)
+    return map(chunk, range((n + CHUNK_SIZE - 1) // CHUNK_SIZE))
 
 
-def _in_order(fn, items, workers):
-    """fn over items on a thread pool, in order, workers + 1 at most in flight."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > workers:
-                yield pending.pop(0).result()
-        while pending:
-            yield pending.pop(0).result()
-
-
-def sample(recipe: rc.Recipe, n: int, seed: int = 0,
-           workers: int | None = None) -> np.ndarray:
-    """Draw n values; identical output for any worker count."""
-    chunks = _chunks(recipe, n, seed, workers)
+def sample(recipe: rc.Recipe, n: int, seed: int = 0) -> np.ndarray:
+    """Draw n values; the same seed gives the same values."""
+    chunks = _chunks(recipe, n, seed)
     out = np.empty(n)
     for c, part in enumerate(chunks):
         out[c * CHUNK_SIZE:c * CHUNK_SIZE + len(part)] = part
@@ -225,7 +207,7 @@ def _fold(chunks, grid, mgf):
     return stats
 
 
-def _estimates(entry, s_grid, n, seed, workers):
+def _estimates(entry, s_grid, n, seed):
     """MCEstimates at every s of s_grid (default if None) from one sample.
 
     The confidence interval is only meaningful when the second moment of
@@ -243,16 +225,16 @@ def _estimates(entry, s_grid, n, seed, workers):
             raise MomentRangeError(
                 f"{entry.name}: s={s} outside the open strip "
                 f"({strip.rho_minus}, {strip.rho_plus})")
-    stats = _fold(_chunks(recipe, n, seed, workers), grid, entry.kind == "mgf")
+    stats = _fold(_chunks(recipe, n, seed), grid, entry.kind == "mgf")
     return [MCEstimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, s,
                        strip.rho_minus < 2 * s < strip.rho_plus)
             for s, (mean, m2) in zip(grid, stats)]
 
 
 def mc_moment(entry: DistributionEntry, s: float, n: int = 10 ** 6,
-              seed: int = 0, workers: int | None = None) -> MCEstimate:
+              seed: int = 0) -> MCEstimate:
     """Monte Carlo estimate of the entry's moment function at real s."""
-    return _estimates(entry, [s], n, seed, workers)[0]
+    return _estimates(entry, [s], n, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -287,17 +269,17 @@ def _default_grid(strip):
 
 
 def verify_entry(entry: DistributionEntry, s_grid=None, n: int = 10 ** 6,
-                 seed: int = 0, z: float = 5.0,
-                 workers: int | None = None) -> VerificationReport:
+                 seed: int = 0) -> VerificationReport:
     """Check the sampler against the exact moment function on a grid of s.
 
     Points whose estimator has infinite variance (2s outside the strip)
     are reported for inspection but excluded from the overall verdict,
     since a z-score against an invalid stderr means nothing.  A point
-    whose estimate or stderr is not finite gets z = nan and fails.
+    passes when |z| <= Z_PASS; one whose estimate or stderr is not finite
+    gets z = nan and fails.
     """
     points = []
-    for est in _estimates(entry, s_grid, n, seed, workers):
+    for est in _estimates(entry, s_grid, n, seed):
         exact = float(entry.form.evaluate(est.s).real)
         if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
             zscore = math.nan
@@ -307,7 +289,7 @@ def verify_entry(entry: DistributionEntry, s_grid=None, n: int = 10 ** 6,
             zscore = 0.0
         points.append(VerificationPoint(est.s, est.mean, est.stderr, exact,
                                         zscore, est.ci_valid,
-                                        abs(zscore) <= z))
+                                        abs(zscore) <= Z_PASS))
     verdict = all(p.passed for p in points if p.ci_valid)
     return VerificationReport(entry.name, tuple(points), verdict)
 

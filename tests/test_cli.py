@@ -198,6 +198,33 @@ def test_every_entry_keeps_the_cli_contract(capsys, entry):
             json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    # C1 = inf, so no finite truncation point
+    ("density", "selberg_gamma", "--params", "n=200,alpha=1", "--x=0.1:1:3"),
+    # more than mellin.MAX_NODES nodes
+    ("density", "gumbel", "--x=1e10:1e10:1"),
+    ("density", "logistic", "--x=-1e15:1e15:3"),
+    ("density", "exponential", "--x=0:1:3", "--abscissa", "-0.999999999999"),
+    # log F(s) with a phase of inf or nan
+    ("moment", "rayleigh", "--s=1,1e306"),
+    ("moment", "logistic", "--s=0.1,1e306"),
+])
+def test_unanswerable_inputs_exit_3(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert len(out.splitlines()) == 1
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("name, params", [("selberg_gamma", "n=150,alpha=1"),
+                                          ("selberg_normal", "n=1000")])
+def test_overflowing_c1_saturates(capsys, name, params):
+    code, out, _ = run(capsys, "profile", name, "--params", params)
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["c1"] == "inf"
+
+
 def test_undecided_strip_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(forms, "VISIT_BUDGET", 0)
     code, out, _ = run(capsys, "strip", "exponential")

@@ -17,6 +17,7 @@ from gammatype.forms import (
 )
 
 from oracles import mp_form_log, pole_walk
+from test_catalog import CASES
 
 
 def rayleigh_form():
@@ -184,6 +185,10 @@ def test_reflect_evaluates_mirrored():
     refl = form.reflect()
     for s in (0.3, -0.7, 0.2 + 1j):
         assert abs(refl.evaluate(s) - form.evaluate(-s)) < 1e-12
+    # F(-s) is the moment function of 1/X: one reparametrization
+    for name, params in CASES.items():
+        form = build(name, params).form
+        assert form.reflect() == form.power(-1), name
 
 
 def test_scale_requires_positive():

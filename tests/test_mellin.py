@@ -97,6 +97,15 @@ def test_abscissa_must_sit_in_strip():
         density(form, "mellin", 1.0, abscissa=-5.0)
 
 
+@pytest.mark.parametrize("name, params, x", [
+    ("logistic", {}, 1e12),  # e^(-itx) needs a step below 1e-11
+    ("symmetric_stable", {"alpha": 1.5}, math.nan),  # a nan node count
+])
+def test_node_count_is_bounded(name, params, x):
+    with pytest.raises(InversionError, match="nodes"):
+        density_table(catalog.build(name, params), [x])
+
+
 def test_outside_support_is_zero():
     form = catalog.build("rayleigh", {}).form
     assert density(form, "mellin", -2.0) == 0.0
