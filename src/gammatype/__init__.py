@@ -14,7 +14,7 @@ from .forms import (
 )
 from .catalog import (
     DistributionEntry, Support, ParamSpec, build, entry_names,
-    density_closed_form, catalog_to_json, pref_attach_candidate_form,
+    catalog_to_json, pref_attach_candidate_form,
 )
 from . import recipes
 
@@ -22,10 +22,9 @@ __version__ = "0.1.0"
 
 # the numpy-backed modules and their names load on first access (PEP 562)
 _LAZY = {
-    "stochastics": ("sample", "save_samples", "MCEstimate", "mc_moment",
+    "stochastics": ("sample", "MCEstimate", "mc_moment",
                     "VerificationReport", "verify_entry", "harmonic_drift"),
-    "mellin": ("density", "density_table", "check_normalization",
-               "save_density_table"),
+    "mellin": ("density", "density_table", "check_normalization"),
 }
 
 

@@ -16,16 +16,13 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import recipes as rc
-from .errors import (
-    GammaTypeError, ParameterError, UnrepresentableError, ValidationError,
-)
+from .errors import ParameterError, UnrepresentableError, ValidationError
 from .forms import GammaFactor, GammaTypeForm, make_form
 from .specfun import gamma_real
 
 __all__ = [
     "Support", "ParamSpec", "DistributionEntry",
-    "build", "entry_names",
-    "density_closed_form", "catalog_to_json", "pref_attach_candidate_form",
+    "build", "entry_names", "catalog_to_json", "pref_attach_candidate_form",
 ]
 
 _INF = math.inf
@@ -829,13 +826,6 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
         # bad form
         raise ParameterError(name, "parameters outside the representable "
                                    f"range ({exc})") from None
-
-
-def density_closed_form(entry: DistributionEntry, x: float) -> float:
-    """Evaluate the entry's closed-form density, if it has one."""
-    if entry.density is None:
-        raise GammaTypeError(f"{entry.name}: no closed-form density available")
-    return entry.density(float(x))
 
 
 def catalog_to_json() -> list[dict]:

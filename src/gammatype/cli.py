@@ -9,6 +9,7 @@ Machine-readable JSON goes to standard output with a fixed key order;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -231,49 +232,77 @@ def _cmd_verify_mc(args):
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+@contextlib.contextmanager
+def _sink(path):
+    """sys.stdout, or the file at path opened for writing.
+
+    Entered before any drawing or inversion, so an unwritable path is a
+    usage error that wastes no work.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ValidationError(f"--output: {exc}") from None
+    with fh:
+        yield fh
+
+
 def _cmd_sample(args):
     from . import stochastics
     entry = _build(args.name, args.params)
-    values = stochastics.sample(stochastics.recipe_of(entry), args.n,
+    chunks = stochastics.chunks(stochastics.recipe_of(entry), args.n,
                                 args.seed)
+    line = ((lambda i, x: json.dumps({"i": i, "x": x}))
+            if args.format == "jsonl" else lambda i, x: repr(x))
+    with _sink(args.output) as sink:
+        start = 0
+        for part in chunks:  # one chunk in memory, whatever n
+            sink.write("".join(line(i, x) + "\n" for i, x
+                               in enumerate(part.tolist(), start)))
+            start += len(part)
     if args.output:
-        stochastics.save_samples(values, args.output, args.format)
         _emit({"name": args.name, "n": args.n, "seed": args.seed,
                "path": args.output, "format": args.format})
-    else:
-        for i, v in enumerate(values):
-            if args.format == "jsonl":
-                print(json.dumps({"i": i, "x": float(v)}))
-            else:
-                print(repr(float(v)))
     return EXIT_OK
 
 
 def _parse_grid(text):
     import numpy as np
+    from .mellin import MAX_NODES
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be a:b:steps, got {text!r}")
     lo, hi = _number("--x", parts[0]), _number("--x", parts[1])
     count = _number("--x", parts[2], int)
-    if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1):
-        raise ValidationError(f"--x: a grid needs finite ends and at least "
-                              f"1 step, got {text!r}")
+    # a float subtraction: an overflowing span is inf, without a warning
+    if not (math.isfinite(hi - lo) and 1 <= count <= MAX_NODES):
+        raise ValidationError(f"--x: a grid needs finite ends, a finite "
+                              f"span and 1 to {MAX_NODES} steps, got "
+                              f"{text!r}")
     return np.linspace(lo, hi, count)
 
 
 def _cmd_density(args):
     from . import mellin
     entry = _build(args.name, args.params)
-    table = mellin.density_table(entry, _parse_grid(args.x), args.abscissa)
-    rows = [{"x": float(x), "density": float(f)} for x, f in table]
+    xs = _parse_grid(args.x)
+    with _sink(args.output) as sink:
+        rows = [{"x": float(x), "density": float(f)}
+                for x, f in mellin.density_table(entry, xs, args.abscissa)]
+        if args.output is None:
+            _emit({"name": args.name, "table": rows},
+                  f"{len(rows)} density points" if args.human else None)
+        elif args.format == "csv":
+            sink.write("x,density\n" + "".join(
+                f"{row['x']!r},{row['density']!r}\n" for row in rows))
+        else:
+            sink.write(json.dumps(rows, indent=2) + "\n")
     if args.output:
-        mellin.save_density_table(table, args.output, args.format)
-        _emit({"name": args.name, "path": args.output, "format": args.format,
-               "points": len(rows)})
-    else:
-        _emit({"name": args.name, "table": rows},
-              f"{len(rows)} density points" if args.human else None)
+        _emit({"name": args.name, "path": args.output,
+               "format": args.format, "points": len(rows)})
     return EXIT_OK
 
 
@@ -373,7 +402,15 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _number("GML_SEED", os.environ.get("GML_SEED", "0"),
                                 int)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # here, so that a closed pipe raises inside main
+        return code
+    except BrokenPipeError:
+        # the reader stopped, and nothing failed; stdout goes to devnull so
+        # that the interpreter's last flush does not fail again (the SIGPIPE
+        # note in the documentation of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except KeyError as exc:
         # unknown catalog name raised by catalog.build
         _emit({"error": str(exc.args[0]) if exc.args else str(exc),

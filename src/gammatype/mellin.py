@@ -9,7 +9,6 @@ forms with gamma <= 0 are rejected outright.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -19,9 +18,7 @@ from .errors import InversionError, ValidationError
 from .forms import OFFSET_TOL, AnalyticityStrip, GammaTypeForm, pole_index
 from .specfun import gamma_real
 
-__all__ = [
-    "density", "density_table", "check_normalization", "save_density_table",
-]
+__all__ = ["density", "density_table", "check_normalization"]
 
 # absolute accuracy; a tenth each goes to the truncated tail and the step
 TARGET = 1e-8
@@ -191,17 +188,3 @@ def check_normalization(entry: DistributionEntry,
     table = density_table(entry, xs, abscissa)
     return float(np.trapezoid(table[:, 1], table[:, 0]))
 
-
-def save_density_table(table: np.ndarray, path: str, fmt: str = "csv") -> None:
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write("x,density\n")
-            for x, f in table:
-                fh.write(f"{float(x)!r},{float(f)!r}\n")
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump([{"x": float(x), "density": float(f)}
-                       for x, f in table], fh, indent=2)
-            fh.write("\n")
-    else:
-        raise ValidationError(f"unknown density format {fmt!r}")

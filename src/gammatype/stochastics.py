@@ -9,7 +9,6 @@ seed, the chunk index and the recipe.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -20,7 +19,7 @@ from .catalog import DistributionEntry
 from .errors import MomentRangeError, ValidationError
 
 __all__ = [
-    "CHUNK_SIZE", "evaluate_recipe", "recipe_of", "sample", "save_samples",
+    "CHUNK_SIZE", "evaluate_recipe", "recipe_of", "chunks", "sample",
     "MCEstimate", "mc_moment", "VerificationPoint", "VerificationReport",
     "verify_entry", "harmonic_drift",
 ]
@@ -118,7 +117,7 @@ def recipe_of(entry: DistributionEntry) -> rc.Recipe:
     return entry.recipe
 
 
-def _chunks(recipe: rc.Recipe, n: int, seed: int):
+def chunks(recipe: rc.Recipe, n: int, seed: int):
     """The n draws as chunks, drawn lazily in chunk order; n and seed are
     checked at the call."""
     if n < 1:
@@ -126,7 +125,7 @@ def _chunks(recipe: rc.Recipe, n: int, seed: int):
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
-    # per chunk, since sample() consumes the chunks outside _fold
+    # per chunk, since sample() and the CLI consume the chunks outside _fold
     @np.errstate(all="ignore")
     def chunk(c):
         rngs = (np.random.default_rng((seed, c, i)) for i in itertools.count())
@@ -138,25 +137,11 @@ def _chunks(recipe: rc.Recipe, n: int, seed: int):
 
 def sample(recipe: rc.Recipe, n: int, seed: int = 0) -> np.ndarray:
     """Draw n values; the same seed gives the same values."""
-    chunks = _chunks(recipe, n, seed)
+    parts = chunks(recipe, n, seed)
     out = np.empty(n)
-    for c, part in enumerate(chunks):
+    for c, part in enumerate(parts):
         out[c * CHUNK_SIZE:c * CHUNK_SIZE + len(part)] = part
     return out
-
-
-def save_samples(values: np.ndarray, path: str, fmt: str = "csv") -> None:
-    """Write samples as bare CSV lines or as {"i":…, "x":…} JSON lines."""
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            for v in values:
-                fh.write(repr(float(v)) + "\n")
-    elif fmt == "jsonl":
-        with open(path, "w") as fh:
-            for i, v in enumerate(values):
-                fh.write(json.dumps({"i": i, "x": float(v)}) + "\n")
-    else:
-        raise ValidationError(f"unknown sample format {fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +210,7 @@ def _estimates(entry, s_grid, n, seed):
             raise MomentRangeError(
                 f"{entry.name}: s={s} outside the open strip "
                 f"({strip.rho_minus}, {strip.rho_plus})")
-    stats = _fold(_chunks(recipe, n, seed), grid, entry.kind == "mgf")
+    stats = _fold(chunks(recipe, n, seed), grid, entry.kind == "mgf")
     return [MCEstimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, s,
                        strip.rho_minus < 2 * s < strip.rho_plus)
             for s, (mean, m2) in zip(grid, stats)]

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from gammatype import catalog
-from gammatype.errors import GammaTypeError, ParameterError, UnrepresentableError
+from gammatype.errors import ParameterError, UnrepresentableError
 from gammatype.forms import make_form, moments_equal
 
 from oracles import fit_profile, moment_by_quadrature
@@ -152,11 +152,9 @@ def test_hyperbolic_secant_non_integer_time():
 
 def test_density_closed_form_api():
     ray = catalog.build("rayleigh", {})
-    assert catalog.density_closed_form(ray, 1.0) == pytest.approx(
-        math.exp(-0.5))
+    assert ray.density(1.0) == pytest.approx(math.exp(-0.5))
     ise = catalog.build("ise_density_zero", {})
-    with pytest.raises(GammaTypeError):
-        catalog.density_closed_form(ise, 1.0)
+    assert ise.density is None
 
 
 # --------------------------------------------------------- beta product rules

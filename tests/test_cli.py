@@ -1,6 +1,7 @@
 """CLI behavior: payload schemas, exit codes, seeding, determinism."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -9,9 +10,10 @@ import sys
 import pytest
 
 import gammatype
-from gammatype import catalog, forms
+from gammatype import catalog, forms, mellin, recipes as rc, stochastics
 from gammatype.cli import main, parse_identity_spec
 from gammatype.forms import moments_equal
+from gammatype.stochastics import sample
 
 
 def run(capsys, *argv):
@@ -121,14 +123,19 @@ def test_bad_params_exit_2_with_schema_hint(capsys):
     ("density", "logistic", "--x", "a:b:c"),
     ("density", "logistic", "--x", "1:2:0"),
     ("density", "logistic", "--x", "nan:1:3"),
+    # a span that overflows, and more steps than mellin.MAX_NODES
+    ("density", "logistic", "--x=-1.7e308:1.7e308:2"),
+    ("density", "gamma", "--params", "a=2", "--x=1:2:99999999999"),
     ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"),
     ("check-identity", "gamma:a=x", "rayleigh"),
 ])
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
 def test_bad_numbers_exit_2_with_json(capsys, argv):
-    code, out, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert len(out.splitlines()) == 1
     assert "error" in json.loads(out)
+    assert err == ""
 
 
 @pytest.mark.parametrize("env, argv, name", [
@@ -352,6 +359,96 @@ def test_density_command(capsys):
     table = json.loads(out)["table"]
     assert table[1]["x"] == 0.0
     assert table[1]["density"] == pytest.approx(0.25, abs=1e-6)
+
+
+def test_sample_output_formats(capsys, tmp_path):
+    values = sample(rc.exponential(), 5, seed=1)
+    argv = ("sample", "exponential", "--n", "5", "--seed", "1")
+    csv_path = tmp_path / "x.csv"
+    assert run(capsys, *argv, "--output", str(csv_path))[0] == 0
+    lines = csv_path.read_text().strip().split("\n")
+    assert [float(v) for v in lines] == [float(v) for v in values]
+    jl_path = tmp_path / "x.jsonl"
+    assert run(capsys, *argv, "--format", "jsonl",
+               "--output", str(jl_path))[0] == 0
+    rows = [json.loads(line) for line in jl_path.read_text().splitlines()]
+    assert rows[2]["i"] == 2
+    assert rows[2]["x"] == float(values[2])
+
+
+def test_density_output_formats(capsys, tmp_path):
+    argv = ("density", "rayleigh", "--x=0.5:1:2")
+    csv_path = tmp_path / "d.csv"
+    assert run(capsys, *argv, "--output", str(csv_path))[0] == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "x,density"
+    assert float(lines[2].split(",")[0]) == 1.0
+    json_path = tmp_path / "d.json"
+    assert run(capsys, *argv, "--format", "json",
+               "--output", str(json_path))[0] == 0
+    rows = json.loads(json_path.read_text())
+    assert rows[1]["x"] == 1.0
+    assert rows[1]["density"] == pytest.approx(math.exp(-0.5), abs=1e-6)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_sample_output_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
+    # two chunks, so the file and stdout both join chunks in order
+    argv = ("sample", "linnik", "--params", "alpha=1.5", "--n",
+            str(stochastics.CHUNK_SIZE + 5), "--seed", "5", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "x"
+    code, receipt, _ = run(capsys, *argv, "--output", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+    assert json.loads(receipt) == {
+        "name": "linnik", "n": stochastics.CHUNK_SIZE + 5, "seed": 5,
+        "path": str(path), "format": fmt}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before --output was opened")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "gamma", "--params", "a=2", "--n", "3"),
+    ("density", "gamma", "--params", "a=2", "--x=1:2:3"),
+])
+def test_unwritable_output_exits_2_before_any_work(capsys, monkeypatch,
+                                                   tmp_path, argv):
+    monkeypatch.setattr(stochastics, "evaluate_recipe", _refuse)
+    monkeypatch.setattr(mellin, "density_table", _refuse)
+    code, out, err = run(capsys, *argv, "--output",
+                         str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert "--output" in json.loads(out)["error"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, read", [
+    (("sample", "maxwell", "--n", "200000"), "readline"),
+    (("density", "logistic", "--x=-4:4:20000"), "read10"),
+    # a draw of n values would not fit in memory; the stream stops early
+    (("sample", "maxwell", "--n", "99999999999999999999", "--seed", "7"),
+     "readline"),
+])
+def test_closed_stdout_exits_0_without_a_traceback(argv, read):
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "gammatype.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        first = (proc.stdout.readline() if read == "readline"
+                 else proc.stdout.read(10))
+        proc.stdout.close()  # the reader stops, as `head` does
+        assert proc.wait(timeout=30) == 0
+        assert first and proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_human_summary_goes_to_stderr(capsys):

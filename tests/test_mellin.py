@@ -7,10 +7,7 @@ import pytest
 
 from gammatype import catalog
 from gammatype.errors import InversionError
-from gammatype.mellin import (
-    check_normalization, density, density_table,
-    save_density_table,
-)
+from gammatype.mellin import check_normalization, density, density_table
 
 
 def test_logistic_at_zero():
@@ -117,19 +114,3 @@ def test_outside_support_is_zero():
 def test_normalization_check():
     entry = catalog.build("pref_attach", {"alpha": 1.0})
     assert check_normalization(entry) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_table_export(tmp_path):
-    entry = catalog.build("rayleigh", {})
-    table = density_table(entry, [0.5, 1.0])
-    csv_path = tmp_path / "d.csv"
-    save_density_table(table, str(csv_path), "csv")
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "x,density"
-    assert float(lines[2].split(",")[0]) == 1.0
-    json_path = tmp_path / "d.json"
-    save_density_table(table, str(json_path), "json")
-    import json as _json
-    rows = _json.loads(json_path.read_text())
-    assert rows[1]["x"] == 1.0
-    assert rows[1]["density"] == pytest.approx(math.exp(-0.5), abs=1e-6)

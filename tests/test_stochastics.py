@@ -1,6 +1,5 @@
 """Sampling determinism, recipe correctness, and the MC harness."""
 
-import json
 import math
 import tracemalloc
 import warnings
@@ -15,7 +14,7 @@ from gammatype import catalog, recipes as rc, stochastics
 from gammatype.errors import MomentRangeError, ValidationError
 from gammatype.stochastics import (
     MCEstimate, evaluate_recipe, harmonic_drift, mc_moment, sample,
-    save_samples, verify_entry,
+    verify_entry,
 )
 
 
@@ -306,21 +305,6 @@ def test_verify_entry_excludes_invalid_ci_from_verdict():
     flags = {p.s: p.ci_valid for p in report.points}
     assert flags[-1.0] and not flags[0.5]
     assert report.passed
-
-
-# ------------------------------------------------------------------- exports
-
-def test_save_samples_formats(tmp_path):
-    values = sample(rc.exponential(), 5, seed=1)
-    csv_path = tmp_path / "x.csv"
-    save_samples(values, str(csv_path), "csv")
-    lines = csv_path.read_text().strip().split("\n")
-    assert [float(v) for v in lines] == [float(v) for v in values]
-    jl_path = tmp_path / "x.jsonl"
-    save_samples(values, str(jl_path), "jsonl")
-    rows = [json.loads(line) for line in jl_path.read_text().splitlines()]
-    assert rows[2]["i"] == 2
-    assert rows[2]["x"] == float(values[2])
 
 
 # --------------------------------------------------------------- Euler drift
