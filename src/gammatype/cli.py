@@ -17,8 +17,8 @@ import sys
 
 from . import catalog
 from .errors import (
-    GammaTypeError, InversionError, MomentRangeError, ParameterError,
-    PoleError, UnrepresentableError, ValidationError,
+    GammaTypeError, ParameterError, PoleError, UnrepresentableError,
+    ValidationError,
 )
 from .forms import moments_equal
 
@@ -234,20 +234,27 @@ def _cmd_verify_mc(args):
 
 @contextlib.contextmanager
 def _sink(path):
-    """sys.stdout, or the file at path opened for writing.
+    """The write function of sys.stdout, or of the file at path.
 
     Entered before any drawing or inversion, so an unwritable path is a
-    usage error that wastes no work.
+    usage error that wastes no work.  The file is emptied at the first
+    write, so a command that fails before it leaves the file as it was.
     """
     if path is None:
-        yield sys.stdout
+        yield sys.stdout.write
         return
     try:
-        fh = open(path, "w")
+        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
     except OSError as exc:
         raise ValidationError(f"--output: {exc}") from None
+    regular = os.path.isfile(path)  # as with O_TRUNC, not a pipe or device
+
+    def write(text):
+        if regular:
+            fh.truncate()  # to the bytes written so far: at first, none
+        fh.write(text)
     with fh:
-        yield fh
+        yield write
 
 
 def _cmd_sample(args):
@@ -257,11 +264,11 @@ def _cmd_sample(args):
                                 args.seed)
     line = ((lambda i, x: json.dumps({"i": i, "x": x}))
             if args.format == "jsonl" else lambda i, x: repr(x))
-    with _sink(args.output) as sink:
+    with _sink(args.output) as write:
         start = 0
         for part in chunks:  # one chunk in memory, whatever n
-            sink.write("".join(line(i, x) + "\n" for i, x
-                               in enumerate(part.tolist(), start)))
+            write("".join(line(i, x) + "\n"
+                          for i, x in enumerate(part.tolist(), start)))
             start += len(part)
     if args.output:
         _emit({"name": args.name, "n": args.n, "seed": args.seed,
@@ -289,17 +296,17 @@ def _cmd_density(args):
     from . import mellin
     entry = _build(args.name, args.params)
     xs = _parse_grid(args.x)
-    with _sink(args.output) as sink:
+    with _sink(args.output) as write:
         rows = [{"x": float(x), "density": float(f)}
                 for x, f in mellin.density_table(entry, xs, args.abscissa)]
         if args.output is None:
             _emit({"name": args.name, "table": rows},
                   f"{len(rows)} density points" if args.human else None)
         elif args.format == "csv":
-            sink.write("x,density\n" + "".join(
+            write("x,density\n" + "".join(
                 f"{row['x']!r},{row['density']!r}\n" for row in rows))
         else:
-            sink.write(json.dumps(rows, indent=2) + "\n")
+            write(json.dumps(rows, indent=2) + "\n")
     if args.output:
         _emit({"name": args.name, "path": args.output,
                "format": args.format, "points": len(rows)})
@@ -420,16 +427,13 @@ def main(argv=None) -> int:
         hint = _schema_hint(args.name) if hasattr(args, "name") else None
         _emit({"error": str(exc), "hint": hint})
         return EXIT_UNKNOWN
-    except (PoleError, MomentRangeError, InversionError) as exc:
+    except GammaTypeError as exc:
         payload = {"error": str(exc)}
         if isinstance(exc, PoleError):
             loc = exc.location
             payload["location"] = ([loc.real, loc.imag]
                                    if isinstance(loc, complex) else loc)
         _emit(payload)
-        return EXIT_DOMAIN
-    except GammaTypeError as exc:
-        _emit({"error": str(exc)})
         return EXIT_DOMAIN
 
 

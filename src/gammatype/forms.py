@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .errors import (
     UndecidedStripError,
     ValidationError,
 )
-from .specfun import OVERFLOW_EXPONENT, log_gamma
+from .specfun import OVERFLOW_EXPONENT, gamma_real, log_gamma
 
 __all__ = [
     "GammaFactor",
@@ -126,64 +127,18 @@ class ConsistencyReport:
     zero_location: float | None = None
 
 
-def pole_index(a: float, b: float, s: float) -> int | None:
-    """The n >= 0 with a s + b = -n, or None if Gamma(a s + b) has no pole at s.
-
-    s must match the pole (-n - b) / a within OFFSET_TOL, relative once
-    |s| > 1.
-    """
-    n = round(-(a * s + b))
-    if n >= 0 and abs((-n - b) / a - s) <= OFFSET_TOL * max(1.0, abs(s)):
-        return n
-    return None
+def _merges(t: float, u: float) -> bool:
+    """Whether a pole at u >= t joins the location that starts at t >= 0:
+    within OFFSET_TOL of t, relative once t > 1."""
+    return u - t <= OFFSET_TOL * max(1.0, t)
 
 
-def _first_poles(factors, direction: int) -> tuple[list, float, list]:
-    """For the (factor, sign) pairs on one side of s = 0, in t = direction
-    * s: (t, n, step, a, b, sign) of each pole nearest 0 with t > 0, and
-    the step of n that walks outward; t0, the last start -b/a; and the
-    (slope, offset, sign) of the progressions that run on forever."""
-    poles, starts, endless = [], [], []
-    for f, sign in factors:
-        # in t = direction * s the poles are t_n = (-n - b) / a, n >= 0
-        a, b = float(f.slope) * direction, f.offset
-        starts.append(-b / a)
-        if a > 0:  # t_n falls with n: walk n down from the last t_n > 0
-            n, step = math.ceil(-b) - 1, -1
-        else:      # t_n grows with n: walk n up from the first t_n > 0
-            n, step = max(0, math.floor(-b) + 1), 1
-            endless.append((f.slope, b, sign))
-        if n >= 0:
-            poles.append(((-n - b) / a, n, step, a, b, sign))
-    return poles, max(starts, default=0.0), endless
-
-
-def _net(num, den) -> tuple[list, int]:
+def _net(num, den) -> list:
     """(factor, sign) pairs left after cancelling factors common to num and
-    den (+1 num, -1 den), and the net pole count of those pairs at s = 0.
-
-    That count takes the poles exactly at 0 and, on each side, the first
-    location of _walk if it starts within OFFSET_TOL of 0, merged as the
-    walk merges it; the walk leaves that location to its caller."""
+    den (+1 num, -1 den)."""
     num, den = Counter(num), Counter(den)
-    factors = ([(f, 1) for f in (num - den).elements()]
-               + [(f, -1) for f in (den - num).elements()])
-    # such a location ends within 2 * OFFSET_TOL; only poles within
-    # 3 * OFFSET_TOL of 0 are looked at
-    near = [(f, sign) for f, sign in factors
-            if abs(max(0, round(-f.offset)) + f.offset)
-            <= 3 * OFFSET_TOL * abs(float(f.slope))]
-    if not near:
-        return factors, 0
-    at_zero = sum(sign for f, sign in near
-                  if f.offset <= 0 and f.offset.is_integer())
-    for direction in (-1, 1):
-        poles = sorted(_first_poles(near, direction)[0])
-        if poles and poles[0][0] <= OFFSET_TOL:
-            t = poles[0][0]
-            at_zero += sum(p[-1] for p in poles
-                           if p[0] - t <= OFFSET_TOL * max(1.0, t))
-    return factors, at_zero
+    return ([(f, 1) for f in (num - den).elements()]
+            + [(f, -1) for f in (den - num).elements()])
 
 
 def _classes(slopes: dict) -> list[list]:
@@ -232,12 +187,12 @@ def _cancels(progressions: dict, slopes, unit: int) -> bool:
                     for b, sign in progressions[a] for k in range(a // g))
     nets, start = [], -math.inf
     for t, sign in points:
-        if t - start > OFFSET_TOL * max(1.0, start):
+        if not _merges(start, t):
             nets.append(0)
             start = t
         nets[-1] += sign
     wrapped = points[0][0] + unit / g
-    if len(nets) > 1 and wrapped - start <= OFFSET_TOL * max(1.0, start):
+    if len(nets) > 1 and _merges(start, wrapped):
         nets[0] += nets.pop()
     return not any(nets)
 
@@ -263,52 +218,87 @@ def _tail_period(endless) -> float:
 
 
 def _walk(factors, direction: int):
-    """Yield (s, net) for each location on one side of s = 0 where the
-    (factor, sign) pairs have a nonzero net pole count, in order of |s|.
+    """Yield (s, net, poles) for each location on one side of s = 0 where
+    the (factor, sign) pairs have a nonzero net pole count, in order of |s|;
+    poles holds the (t, n, step, a, b, sign, i) of each pole there, nearest
+    0 first, with t = direction * s, step the step of n that walks outward
+    and i the index of the pole's pair.
 
     The poles of num (sign +1) and den (sign -1) factors are visited by one
     heap over their arithmetic progressions and their signs summed per
     location.  Of coinciding locations, which may differ in the last bit,
-    the lowest is yielded.  Past t0, the last start -b/a of a progression,
+    the lowest s is yielded.  Past t0, the last start -b/a of a progression,
     only the progressions that run on forever remain, and the sums repeat
     with the lcm of the spacings of the classes (see _classes) that do not
     cancel, so the walk ends one such period past the first location
     beyond t0, or there if every class cancels.  Past VISIT_BUDGET visits
     it raises.
     """
-    heap, t0, endless = _first_poles(factors, direction)
+    heap, starts, endless = [], [], []
+    for i, (f, sign) in enumerate(factors):
+        # in t the poles are t_n = (-n - b) / a, n >= 0
+        a, b = float(f.slope) * direction, f.offset
+        starts.append(-b / a)
+        if a > 0:  # t_n falls with n: walk n down from the last t_n > 0
+            n, step = math.ceil(-b) - 1, -1
+        else:      # t_n grows with n: walk n up from the first t_n > 0
+            n, step = max(0, math.floor(-b) + 1), 1
+            endless.append((f.slope, b, sign))
+        if n >= 0:
+            heap.append(((-n - b) / a, n, step, a, b, sign, i))
     heapq.heapify(heap)
+    t0 = max(starts, default=0.0)
     end, visits = None, 0  # end is set once the walk passes t0
     while heap and (end is None or heap[0][0] < end):
         t = heap[0][0]
         here = []  # the poles at t
-        while heap and heap[0][0] - t <= OFFSET_TOL * max(1.0, t):
+        while heap and _merges(t, heap[0][0]):
             here.append(heapq.heappop(heap))
         visits += len(here)
         if visits > VISIT_BUDGET:
             raise UndecidedStripError(
                 f"strip edge undecided after {VISIT_BUDGET} pole visits")
-        net = sum(p[-1] for p in here)
-        if t > OFFSET_TOL and net:  # s = 0 is the caller's
-            yield min(direction * u for u, *_ in here), net
+        net = sum(p[5] for p in here)
+        if net:
+            yield min(direction * u for u, *_ in here), net, here
         if end is None and t > t0:
             end = t + _tail_period(endless)
-        for _, n, step, a, b, sign in here:
+        for _, n, step, a, b, sign, i in here:
             if n + step >= 0:
                 heapq.heappush(heap, ((-n - step - b) / a, n + step, step,
-                                      a, b, sign))
+                                      a, b, sign, i))
 
 
-def _edge_and_zero(factors, direction: int) -> tuple[float, float]:
-    """The first location with a positive net (the strip edge) and the
-    first negative one before it (a zero); direction * inf if none."""
+def _past_zero(factors) -> tuple[int, list]:
+    """The net pole count at s = 0, of the poles there and of each side's
+    first walk location if it starts within OFFSET_TOL of 0, and the walks
+    for s < 0 and s > 0 past it."""
+    at_zero = sum(sign for f, sign in factors
+                  if f.offset <= 0 and f.offset.is_integer())
+    walks = []
+    for direction in (-1, 1):
+        walk = _walk(factors, direction)
+        first = next(walk, None)
+        if first and first[2][0][0] <= OFFSET_TOL:  # t of its first pole
+            at_zero += first[1]
+        elif first:
+            walk = itertools.chain([first], walk)
+        walks.append(walk)
+    return at_zero, walks
+
+
+def _edge_and_zero(walk, direction: int) -> tuple[tuple, float]:
+    """The walk's first location with a positive net (the strip edge),
+    (direction * inf, 0, []) if none, and the s of the first negative one
+    before it (a zero), direction * inf if none."""
     zero = direction * math.inf
-    for s, net in _walk(factors, direction):
+    for location in walk:
+        s, net, _ = location
         if net > 0:
-            return s, zero
+            return location, zero
         if math.isinf(zero):
             zero = s
-    return direction * math.inf, zero
+    return (direction * math.inf, 0, []), zero
 
 
 @dataclass(frozen=True)
@@ -443,19 +433,20 @@ class GammaTypeForm:
 
     # ------------------------------------------------------ poles and profile
 
-    def _poles(self) -> tuple[AnalyticityStrip, float | None]:
-        """The strip and the zero nearest 0 in it, common factors cancelled."""
-        factors, at_zero = _net(self.num, self.den)
+    def _poles(self) -> tuple[AnalyticityStrip, float | None, list, tuple]:
+        """The strip, the zero nearest 0 in it, the (factor, sign) pairs _net
+        leaves and the left edge location (see _edge_and_zero)."""
+        factors = _net(self.num, self.den)
+        at_zero, (left, right) = _past_zero(factors)
         if at_zero > 0:
             raise InvalidFormError("net Gamma pole at s = 0")
-        (lo, neg), (hi, pos) = (_edge_and_zero(factors, -1),
-                                _edge_and_zero(factors, +1))
+        (lo, neg), (hi, pos) = (_edge_and_zero(left, -1),
+                                _edge_and_zero(right, 1))
         # zeros at -z and z can differ in the last bit: the positive one
         # wins only if nearer by more than the location tolerance
-        nearest = (0.0 if at_zero < 0 else
-                   pos if pos < -neg - OFFSET_TOL * max(1.0, pos) else neg)
-        return (AnalyticityStrip(lo, hi),
-                None if math.isinf(nearest) else nearest)
+        nearest = 0.0 if at_zero < 0 else neg if _merges(pos, -neg) else pos
+        return (AnalyticityStrip(lo[0], hi[0]),
+                None if math.isinf(nearest) else nearest, factors, lo)
 
     def strip(self) -> AnalyticityStrip:
         """Maximal open strip around 0 free of net numerator poles.
@@ -474,8 +465,26 @@ class GammaTypeForm:
         nearest 0 is reported, the negative one on a tie (distances from 0
         equal within OFFSET_TOL, relative past 1).
         """
-        strip, zero = self._poles()
+        strip, zero = self._poles()[:2]
         return ConsistencyReport(zero is None, strip, zero)
+
+    def _residue_at(self, s0: float) -> float:
+        """lim (s - s0) F(s) as s falls to s0 < 0, read from the left edge
+        location: 0.0 if the edge lies left of s0, inf if right of s0 or a
+        multiple pole there, else the product of (-1)^n / (n! a) for each
+        pole there, a s + b = -n, and Gamma(a s0 + b) of every other factor.
+        """
+        _, _, factors, (_, net, poles) = self._poles()
+        start = poles[0][0] if poles else math.inf
+        if not _merges(min(start, -s0), max(start, -s0)):
+            return 0.0 if start > -s0 else math.inf
+        index = {i: n for _, n, *_, i in poles}
+        res = self.constant * math.exp(self.log_scale * s0)
+        for i, (f, sign) in enumerate(factors):
+            a, n = float(f.slope), index.get(i)
+            res *= (gamma_real(a * s0 + f.offset) if n is None
+                    else (-1) ** n / (math.factorial(n) * a)) ** sign
+        return res if net == 1 else math.inf
 
     def asymptotic_profile(self) -> AsymptoticProfile:
         """Closed-form growth parameters derived from Stirling's expansion."""
@@ -553,8 +562,8 @@ def moments_equal(f: GammaTypeForm, g: GammaTypeForm,
     if num == den:
         return (abs(math.log(f.constant) - math.log(g.constant)) <= tol
                 and abs(f.log_scale - g.log_scale) <= tol)
-    factors, at_zero = _net(num, den)
-    if at_zero or any(next(_walk(factors, d), None) for d in (-1, 1)):
+    at_zero, walks = _past_zero(_net(num, den))
+    if at_zero or any(next(walk, None) for walk in walks):
         return False
     for s in (1j, 1 + 1j):
         lf, lg = f.evaluate_log(s), g.evaluate_log(s)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .catalog import DistributionEntry
 from .errors import InversionError, ValidationError
-from .forms import OFFSET_TOL, AnalyticityStrip, GammaTypeForm, pole_index
-from .specfun import gamma_real
+from .forms import AnalyticityStrip, GammaTypeForm
 
 __all__ = ["density", "density_table", "check_normalization"]
 
@@ -126,23 +125,7 @@ def _half_density_at_zero(form: GammaTypeForm) -> float:
     limit is 0 when that pole lies left of -1, L = Res_{s=-1} F when it is
     a simple pole at -1, and +inf otherwise.
     """
-    rho = form.strip().rho_minus
-    if rho < -1.0 - OFFSET_TOL:
-        return 0.0
-    if rho > -1.0 + OFFSET_TOL:
-        return math.inf
-    # Gamma(a s + b) has residue (-1)^n / (n! a) where a s + b = -n
-    order, res = 0, form.constant * math.exp(-form.log_scale)
-    for factors, side in ((form.num, 1), (form.den, -1)):
-        for f in factors:
-            a = float(f.slope)
-            n = pole_index(a, f.offset, -1.0)
-            if n is not None:
-                order += side
-                res *= ((-1) ** n / (math.factorial(n) * a)) ** side
-            else:
-                res *= gamma_real(f.offset - a) ** side
-    return 0.5 * res if order == 1 else math.inf
+    return 0.5 * form._residue_at(-1.0)
 
 
 def density_table(entry: DistributionEntry, xs,

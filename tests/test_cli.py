@@ -407,6 +407,26 @@ def test_sample_output_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
         "path": str(path), "format": fmt}
 
 
+def test_a_failing_command_keeps_an_existing_output_file(capsys, tmp_path):
+    path = tmp_path / "f"
+    path.write_text("old\n" * 1000)
+    code, out, _ = run(capsys, "density", "beta", "--params", "a=2,b=3",
+                       "--x=0.1:0.9:3", "--output", str(path))
+    assert code == 3
+    assert len(out.splitlines()) == 1
+    assert path.read_text() == "old\n" * 1000
+    # a command that succeeds replaces the whole file
+    argv = ("sample", "maxwell", "--n", "3", "--seed", "7")
+    _, want, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--output", str(path))[0] == 0
+    assert path.read_text() == want
+
+
+def test_output_to_a_device_is_written_not_truncated(capsys):
+    argv = ("sample", "maxwell", "--n", "3", "--output", os.devnull)
+    assert run(capsys, *argv)[0] == 0
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("work started before --output was opened")
 

@@ -159,6 +159,32 @@ def test_net_zero_at_origin_fails():
         False, AnalyticityStrip(-math.inf, math.inf), 0.0)
 
 
+# A location is the poles within OFFSET_TOL of its start (the pole nearest
+# 0), so it can reach 2 * OFFSET_TOL; the one at s = 0 starts within
+# OFFSET_TOL, wherever it ends.  None: InvalidFormError.
+@pytest.mark.parametrize("num, den, want", [
+    # num poles at -1e-12 and -2e-12: one net double pole at 0
+    ([(Fraction(1, 2), 1e-12), (-1, -1e-12)], [], None),
+    # the same two poles, one of them in den, cancel at 0
+    ([(Fraction(1, 2), 1e-12)], [(-1, -1e-12)],
+     ConsistencyReport(False, AnalyticityStrip(-2.000000000002, math.inf),
+                       0.999999999999)),
+    ([(Fraction(1, 2), 1e-12), (-1, -1e-12), (-1, 4.0)],
+     [(Fraction(1, 2), 1.7435787380581385)], None),
+    # den poles at -6.7e-13 and -1.2e-12: a net double zero at 0
+    ([(4, 5e-13)], [(Fraction(-1, 4), -3e-13), (Fraction(4, 3), 2.0),
+                    (Fraction(-3, 2), -1e-12), (4, 5e-13)],
+     ConsistencyReport(False, AnalyticityStrip(-math.inf, math.inf), 0.0)),
+])
+def test_the_location_at_zero_is_decided_by_its_start(num, den, want):
+    form = make_form(1, 0, num, den)
+    if want is None:
+        with pytest.raises(InvalidFormError):
+            form.check_positive_consistency()
+    else:
+        assert form.check_positive_consistency() == want
+
+
 def test_tied_zeros_report_the_negative_one():
     # Gamma(s-1)/Gamma(2s-2) vanishes at every half-integer; the nearest
     # zeros are -1/2 and 1/2, in either representation

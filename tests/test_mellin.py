@@ -1,13 +1,18 @@
 """Density inversion: reference values, invariants, error paths."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from gammatype import catalog
+from gammatype import catalog, mellin
 from gammatype.errors import InversionError
+from gammatype.forms import make_form
 from gammatype.mellin import check_normalization, density, density_table
+
+HALF = Fraction(1, 2)
 
 
 def test_logistic_at_zero():
@@ -80,6 +85,40 @@ def test_symmetric_entry_at_zero(name, params):
 def test_symmetric_entry_unbounded_at_zero():
     entry = catalog.build("cauchy_product", {"k": 2})
     assert density_table(entry, [0.0])[0, 1] == entry.density(0.0) == math.inf
+
+
+def _half_epsilon_f(form, eps="1e-25"):
+    """eps F(-1 + eps) / 2 with mpmath at 40 digits: half the residue at a
+    simple pole at -1, to a relative eps."""
+    with mp.workdps(40):
+        eps = mp.mpf(eps)
+        s = -1 + eps
+        value = mp.mpf(form.constant) * mp.exp(form.log_scale * s)
+        for factors, sign in ((form.num, 1), (form.den, -1)):
+            for f in factors:
+                a = mp.mpf(f.slope.numerator) / f.slope.denominator
+                value *= mp.gamma(a * s + f.offset) ** sign
+        return float(value * eps / 2)
+
+
+@pytest.mark.parametrize("form", [
+    # Gamma(s/2 + 1/2) Gamma(s + 1) / Gamma(2s + 2): a simple net pole at
+    # -1, where a numerator pole and a denominator pole meet it
+    make_form(1, 0, [(HALF, 0.5), (1, 1)], [(2, 2)]),
+    make_form(1.7, 0.3, [(HALF, 0.5), (3, 3.25)], [(Fraction(1, 3), 0.75)]),
+])
+def test_density_at_zero_is_half_the_residue_at_minus_one(form):
+    assert mellin._half_density_at_zero(form) == pytest.approx(
+        _half_epsilon_f(form), rel=1e-13)
+
+
+@pytest.mark.parametrize("num, want", [
+    ([(HALF, 0.5), (1, 1)], math.inf),  # a double pole at -1
+    ([(1, 2)], 0.0),  # the left edge at -2
+    ([(2, 1)], math.inf),  # the left edge at -1/2
+])
+def test_density_at_zero_off_a_simple_pole_at_minus_one(num, want):
+    assert mellin._half_density_at_zero(make_form(1, 0, num)) == want
 
 
 def test_no_decay_is_rejected():
