@@ -3,9 +3,13 @@
 Each entry ties a named distribution to its exact form, the strip and
 growth profile it is expected to have, a seedable sampler recipe where a
 factorization into primitive draws is known, and a closed-form density
-where one exists.  Forms are built compositionally from the factorization
-whenever one is available, so the catalog doubles as a test bed for the
-form algebra.
+where one exists.  Most forms are written out factor by factor with
+make_form; the recipes follow the factorization into primitive draws, so
+Monte Carlo checks each form against an independent construction.
+
+A factory takes only its parameters and states the mathematics.  build
+gives the entry its name and coerced parameters, and names it in every
+error raised while building.
 """
 
 from __future__ import annotations
@@ -49,22 +53,21 @@ class ParamSpec:
     def coerce(self, value):
         if self.kind == "int":
             if not float(value).is_integer():
-                raise ParameterError("<param>", f"{self.name} must be an integer")
+                raise ParameterError(None, f"{self.name} must be an integer")
             return int(value)
         return float(value)
 
 
 @dataclass(frozen=True)
 class DistributionEntry:
-    name: str
-    label: str
-    params: dict
     form: GammaTypeForm
     kind: str                    # "mellin" (E X^s) or "mgf" (E e^{sX})
     support: Support
     recipe: Optional[rc.Recipe] = None
     density: Optional[Callable[[float], float]] = None
     tabulated: dict = field(default_factory=dict)
+    name: str = ""                                # set by build
+    params: dict = field(default_factory=dict)    # set by build: coerced
 
 
 @dataclass(frozen=True)
@@ -84,32 +87,33 @@ def _register(name, label, params):
     return wrap
 
 
-def _require(entry, ok, condition):
+def _require(ok, condition):
+    """ParameterError unless ok; build names the entry."""
     if not ok:
-        raise ParameterError(entry, condition)
+        raise ParameterError(None, condition)
 
 
 # ----------------------------------------------------------------- primitives
 
 @_register("exponential", "standard exponential", ())
-def _exponential(name, label):
+def _exponential():
     form = make_form(1, 0, [(1, 1)])
     dens = lambda x: math.exp(-x) if x > 0 else 0.0
     return DistributionEntry(
-        name, label, {}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.exponential(), density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=_INF, gamma=1.0,
                        gamma_prime=1.0, delta=0.5, kappa=0.0, c1=_SQRT_2PI))
 
 
 @_register("gamma", "gamma distribution", (ParamSpec("a", "float", "a > 0"),))
-def _gamma(name, label, a):
-    _require(name, a > 0, "a > 0")
+def _gamma(a):
+    _require(a > 0, "a > 0")
     ga = gamma_real(a)
     form = make_form(1.0 / ga, 0, [(1, a)])
     dens = lambda x: x ** (a - 1) * math.exp(-x) / ga if x > 0 else 0.0
     return DistributionEntry(
-        name, label, {"a": a}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.gamma(a), density=dens,
         tabulated=dict(rho_minus=-a, rho_plus=_INF, gamma=1.0, gamma_prime=1.0,
                        delta=a - 0.5, kappa=0.0, c1=_SQRT_2PI / ga))
@@ -117,15 +121,15 @@ def _gamma(name, label, a):
 
 @_register("beta", "beta distribution",
            (ParamSpec("a", "float", "a > 0"), ParamSpec("b", "float", "b > 0")))
-def _beta(name, label, a, b):
-    _require(name, a > 0 and b > 0, "a > 0 and b > 0")
+def _beta(a, b):
+    _require(a > 0 and b > 0, "a > 0 and b > 0")
     cab = gamma_real(a + b) / gamma_real(a)
     form = make_form(cab, 0, [(1, a)], [(1, a + b)])
     inv_b = gamma_real(a + b) / (gamma_real(a) * gamma_real(b))
     dens = (lambda x: inv_b * x ** (a - 1) * (1 - x) ** (b - 1)
             if 0 < x < 1 else 0.0)
     return DistributionEntry(
-        name, label, {"a": a, "b": b}, form, "mellin", Support(0, 1),
+        form, "mellin", Support(0, 1),
         recipe=rc.beta(a, b), density=dens,
         tabulated=dict(rho_minus=-a, rho_plus=_INF, gamma=0.0, gamma_prime=0.0,
                        delta=-b, kappa=0.0, c1=cab))
@@ -133,15 +137,15 @@ def _beta(name, label, a, b):
 
 @_register("positive_stable", "one-sided stable law, Laplace transform exp(-t^alpha)",
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
-def _positive_stable(name, label, alpha):
-    _require(name, 0 < alpha < 1, "0 < alpha < 1")
+def _positive_stable(alpha):
+    _require(0 < alpha < 1, "0 < alpha < 1")
     form = make_form(1, 0, [(-1 / alpha, 1)], [(-1, 1)])
     dens = None
     if alpha == 0.5:
         dens = (lambda x: 0.5 / math.sqrt(math.pi) * x ** -1.5
                 * math.exp(-0.25 / x) if x > 0 else 0.0)
     return DistributionEntry(
-        name, label, {"alpha": alpha}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.positive_stable(alpha), density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=alpha,
                        gamma=1 / alpha - 1, gamma_prime=1 - 1 / alpha,
@@ -160,11 +164,11 @@ def _exp_or_zero(x):
 # ----------------------------------------------------- chi family and friends
 
 @_register("rayleigh", "Rayleigh distribution (chi with 2 degrees of freedom)", ())
-def _rayleigh(name, label):
+def _rayleigh():
     form = make_form(1, 0.5 * math.log(2), [(Fraction(1, 2), 1)])
     dens = lambda x: x * math.exp(-x * x / 2) if x > 0 else 0.0
     return DistributionEntry(
-        name, label, {}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.Scale(rc.Power(rc.exponential(), 0.5), math.sqrt(2)),
         density=dens,
         tabulated=dict(rho_minus=-2.0, rho_plus=_INF, gamma=0.5,
@@ -173,13 +177,13 @@ def _rayleigh(name, label):
 
 
 @_register("maxwell", "Maxwell distribution (chi with 3 degrees of freedom)", ())
-def _maxwell(name, label):
+def _maxwell():
     form = make_form(2 / math.sqrt(math.pi), 0.5 * math.log(2),
                      [(Fraction(1, 2), 1.5)])
     dens = (lambda x: math.sqrt(2 / math.pi) * x * x * math.exp(-x * x / 2)
             if x > 0 else 0.0)
     return DistributionEntry(
-        name, label, {}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.Power(rc.Scale(rc.gamma(1.5), 2.0), 0.5),
         density=dens,
         tabulated=dict(rho_minus=-3.0, rho_plus=_INF, gamma=0.5,
@@ -190,16 +194,15 @@ def _maxwell(name, label):
 @_register("type2_beta", "type-2 beta distribution (ratio of independent gammas)",
            (ParamSpec("alpha", "float", "alpha > 0"),
             ParamSpec("beta", "float", "beta > 0")))
-def _type2_beta(name, label, alpha, beta):
-    _require(name, alpha > 0 and beta > 0, "alpha > 0 and beta > 0")
+def _type2_beta(alpha, beta):
+    _require(alpha > 0 and beta > 0, "alpha > 0 and beta > 0")
     ga, gb = gamma_real(alpha), gamma_real(beta)
     form = make_form(1.0 / (ga * gb), 0, [(1, alpha), (-1, beta)])
     c = gamma_real(alpha + beta) / (ga * gb)
     dens = (lambda x: c * x ** (alpha - 1) * (1 + x) ** -(alpha + beta)
             if x > 0 else 0.0)
     return DistributionEntry(
-        name, label, {"alpha": alpha, "beta": beta}, form, "mellin",
-        Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.Product((rc.gamma(alpha), rc.Power(rc.gamma(beta), -1.0))),
         density=dens,
         tabulated=dict(rho_minus=-alpha, rho_plus=beta, gamma=2.0,
@@ -207,16 +210,27 @@ def _type2_beta(name, label, alpha, beta):
                        c1=2 * math.pi / (ga * gb)))
 
 
+def _cauchy_pair(slope, k):
+    """pi^-k (Gamma(slope s + 1/2) Gamma(-slope s + 1/2))^k: E|X|^s of a
+    product of k standard Cauchy variables at slope 1/2, the MGF of a sum
+    of k hyperbolic secant variables at slope 1/pi."""
+    pos, neg = GammaFactor(slope, 0.5), GammaFactor(-slope, 0.5)
+    # the constant pi^-k, 0 past k = 650, raises before the 2k factors exist
+    return replace(make_form(math.pi ** -k, 0), num=(pos,) * k + (neg,) * k)
+
+
+# |C| of a standard Cauchy C, by E|C|^s = Gamma(s/2 + 1/2) Gamma(-s/2 + 1/2)
+# / pi: the square root of a ratio of two independent Gamma(1/2) variables
+_HALF_CAUCHY = rc.Power(rc.Product((rc.gamma(0.5),
+                                    rc.Power(rc.gamma(0.5), -1.0))), 0.5)
+
+
 @_register("half_cauchy", "absolute value of a standard Cauchy variable", ())
-def _half_cauchy(name, label):
-    form = make_form(1 / math.pi, 0,
-                     [(Fraction(1, 2), 0.5), (Fraction(-1, 2), 0.5)])
+def _half_cauchy():
     dens = lambda x: 2 / (math.pi * (1 + x * x)) if x > 0 else 0.0
-    recipe = rc.Power(rc.Product((rc.gamma(0.5),
-                                  rc.Power(rc.gamma(0.5), -1.0))), 0.5)
     return DistributionEntry(
-        name, label, {}, form, "mellin", Support(0, _INF),
-        recipe=recipe, density=dens,
+        _cauchy_pair(Fraction(1, 2), 1), "mellin", Support(0, _INF),
+        recipe=_HALF_CAUCHY, density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=1.0,
                        gamma_prime=0.0, delta=0.0, kappa=0.0, c1=2.0))
 
@@ -241,24 +255,22 @@ def _dufresne_degenerate(a, b, c, d):
             ParamSpec("b", "float", "existence condition (i) or (ii)"),
             ParamSpec("c", "float", "existence condition (i) or (ii)"),
             ParamSpec("d", "float", "existence condition (i) or (ii)")))
-def _beta_product(name, label, a, b, c, d):
-    params = {"a": a, "b": b, "c": c, "d": d}
+def _beta_product(a, b, c, d):
     reduced = _dufresne_degenerate(a, b, c, d)
     if reduced is not None:
         alpha, beta = reduced
-        if not (alpha > 0 and beta >= 0):
-            raise ParameterError(
-                name, "(ii): degenerate case needs alpha > 0 and beta >= 0 "
-                      f"(got alpha={alpha}, beta={beta})")
+        _require(alpha > 0 and beta >= 0,
+                 "(ii): degenerate case needs alpha > 0 and beta >= 0 "
+                 f"(got alpha={alpha}, beta={beta})")
         if beta == 0:
             form = make_form(1, 0)
             return DistributionEntry(
-                name, label, params, form, "mellin", Support(0, 1),
+                form, "mellin", Support(0, 1),
                 recipe=rc.Power(rc.uniform(), 0.0),
                 density=None,
                 tabulated=dict(rho_minus=-_INF, rho_plus=_INF, gamma=0.0,
                                gamma_prime=0.0, delta=0.0, kappa=0.0, c1=1.0))
-        return replace(_beta(name, label, alpha, beta), params=params)
+        return _beta(alpha, beta)
     failures = []
     if not (a > 0 and c > 0):
         failures.append("a > 0 and c > 0")
@@ -266,10 +278,8 @@ def _beta_product(name, label, a, b, c, d):
         failures.append("b + d > 0")
     if not min(a + b, c + d) > min(a, c):
         failures.append("min(a+b, c+d) > min(a, c)")
-    if failures:
-        raise ParameterError(
-            name, "(i): " + "; ".join(failures) + " [not degenerate, so (ii) "
-            "does not apply]")
+    _require(not failures, "(i): " + "; ".join(failures)
+             + " [not degenerate, so (ii) does not apply]")
     const = (gamma_real(a + b) * gamma_real(c + d)
              / (gamma_real(a) * gamma_real(c)))
     form = make_form(const, 0, [(1, a), (1, c)], [(1, a + b), (1, c + d)])
@@ -277,7 +287,7 @@ def _beta_product(name, label, a, b, c, d):
     if b > 0 and d > 0:
         recipe = rc.Product((rc.beta(a, b), rc.beta(c, d)))
     return DistributionEntry(
-        name, label, params, form, "mellin", Support(0, 1),
+        form, "mellin", Support(0, 1),
         recipe=recipe, density=None,
         tabulated=dict(rho_minus=-min(a, c), rho_plus=_INF, gamma=0.0,
                        gamma_prime=0.0, delta=-b - d, kappa=0.0, c1=const))
@@ -287,13 +297,13 @@ def _beta_product(name, label, a, b, c, d):
 
 @_register("ise_density_zero",
            "density of the integrated superbrownian excursion at the origin", ())
-def _ise_density_zero(name, label):
+def _ise_density_zero():
     form = make_form(1, 0.25 * math.log(2) - math.log(3),
                      [(Fraction(3, 4), 1)], [(Fraction(1, 2), 1)])
     recipe = rc.Scale(rc.Power(rc.positive_stable(2 / 3), -0.5),
                       2 ** 0.25 / 3)
     return DistributionEntry(
-        name, label, {}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=recipe,
         tabulated=dict(rho_minus=-4 / 3, rho_plus=_INF, gamma=0.25,
                        gamma_prime=0.25, delta=0.0,
@@ -303,7 +313,7 @@ def _ise_density_zero(name, label):
 
 @_register("average_ise",
            "random point of the averaged integrated superbrownian excursion", ())
-def _average_ise(name, label):
+def _average_ise():
     form = make_form(1 / math.sqrt(math.pi), 0.75 * math.log(2),
                      [(Fraction(1, 2), 0.5), (Fraction(1, 4), 1)])
     # two-factor representation implied by the Gamma product; validated by MC
@@ -311,7 +321,7 @@ def _average_ise(name, label):
                                   rc.Power(rc.exponential(), 0.25))),
                       2 ** 0.75)
     return DistributionEntry(
-        name, label, {}, form, "mellin", Support(-_INF, _INF, symmetric=True),
+        form, "mellin", Support(-_INF, _INF, symmetric=True),
         recipe=recipe,
         tabulated=dict(rho_minus=-1.0, rho_plus=_INF, gamma=0.75,
                        gamma_prime=0.75, delta=0.5,
@@ -323,8 +333,8 @@ def _average_ise(name, label):
 @_register("stirling_blocks",
            "limit law of the number of blocks in a random k-Stirling permutation",
            (ParamSpec("k", "int", "k >= 2"),))
-def _stirling_blocks(name, label, k):
-    _require(name, k >= 2, "k >= 2")
+def _stirling_blocks(k):
+    _require(k >= 2, "k >= 2")
     c = gamma_real((k + 1) / k)
     form = make_form(c, 0, [(1, 2)], [(Fraction(1, k), (k + 1) / k)])
     # splitting Gamma(s+2) into k pieces cancels the denominator, leaving
@@ -337,7 +347,7 @@ def _stirling_blocks(name, label, k):
         recipe = rc.Scale(rc.Product((rc.beta(2, k - 1),) + gammas),
                           float(k))
     return DistributionEntry(
-        name, label, {"k": k}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=recipe,
         tabulated=dict(rho_minus=-2.0, rho_plus=_INF, gamma=(k - 1) / k,
                        gamma_prime=(k - 1) / k, delta=(k - 1) / k,
@@ -348,9 +358,9 @@ def _stirling_blocks(name, label, k):
 @_register("ball_distance",
            "distance between two uniform random points in an n-ball of radius a",
            (ParamSpec("n", "int", "n >= 1"), ParamSpec("a", "float", "a > 0")))
-def _ball_distance(name, label, n, a):
-    _require(name, n >= 1, "n >= 1")
-    _require(name, a > 0, "a > 0")
+def _ball_distance(n, a):
+    _require(n >= 1, "n >= 1")
+    _require(a > 0, "a > 0")
     c = n * gamma_real(n + 1) / gamma_real((n + 1) / 2)
     form = make_form(c, math.log(2 * a),
                      [(1, n), (Fraction(1, 2), (n + 1) / 2)],
@@ -372,7 +382,7 @@ def _ball_distance(name, label, n, a):
         return _c * lam ** (_n - 1) * tail / (2 * _a)
 
     return DistributionEntry(
-        name, label, {"n": n, "a": a}, form, "mellin", Support(0, 2 * a),
+        form, "mellin", Support(0, 2 * a),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=float(-n), rho_plus=_INF, gamma=0.0,
                        gamma_prime=0.0, delta=-(n + 3) / 2,
@@ -392,8 +402,8 @@ def pref_attach_candidate_form(alpha: float) -> GammaTypeForm:
 @_register("pref_attach",
            "normalized vertex-degree limit of a preferential attachment graph",
            (ParamSpec("alpha", "float", "alpha >= 1/2"),))
-def _pref_attach(name, label, alpha):
-    _require(name, alpha >= 0.5, "alpha >= 1/2")
+def _pref_attach(alpha):
+    _require(alpha >= 0.5, "alpha >= 1/2")
     form = pref_attach_candidate_form(alpha).scale(math.sqrt(alpha / 2))
     # split Gamma(s+1) in half; the half-integer piece pairs with the
     # denominator into a beta factor when alpha >= 1/2
@@ -407,7 +417,7 @@ def _pref_attach(name, label, alpha):
     if alpha == 0.5:
         dens = lambda x: 2 * x * math.exp(-x * x) if x > 0 else 0.0
     return DistributionEntry(
-        name, label, {"alpha": alpha}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-2.0 if alpha == 0.5 else -1.0,
                        rho_plus=_INF, gamma=0.5, gamma_prime=0.5,
@@ -419,15 +429,15 @@ def _pref_attach(name, label, alpha):
 
 @_register("max_exp", "maximum of n iid standard exponentials (MGF kind)",
            (ParamSpec("n", "int", "n >= 1"),))
-def _max_exp(name, label, n):
-    _require(name, n >= 1, "n >= 1")
+def _max_exp(n):
+    _require(n >= 1, "n >= 1")
     form = make_form(gamma_real(n + 1), 0, [(-1, 1)], [(-1, n + 1)])
     recipe = rc.Sum(tuple(rc.Scale(rc.exponential(), 1.0 / j)
                           for j in range(1, n + 1)))
     dens = (lambda x: n * math.exp(-x) * (1 - math.exp(-x)) ** (n - 1)
             if x > 0 else 0.0)
     return DistributionEntry(
-        name, label, {"n": n}, form, "mgf", Support(0, _INF),
+        form, "mgf", Support(0, _INF),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=1.0, gamma=0.0,
                        gamma_prime=0.0, delta=float(-n), kappa=0.0,
@@ -437,9 +447,9 @@ def _max_exp(name, label, n):
 @_register("mth_max_exp", "m-th largest of n iid standard exponentials (MGF kind)",
            (ParamSpec("n", "int", "n >= 1"),
             ParamSpec("m", "int", "1 <= m <= n")))
-def _mth_max_exp(name, label, n, m):
-    _require(name, n >= 1, "n >= 1")
-    _require(name, 1 <= m <= n, "1 <= m <= n")
+def _mth_max_exp(n, m):
+    _require(n >= 1, "n >= 1")
+    _require(1 <= m <= n, "1 <= m <= n")
     form = make_form(gamma_real(n + 1) / gamma_real(m), 0,
                      [(-1, m)], [(-1, n + 1)])
     recipe = rc.Sum(tuple(rc.Scale(rc.exponential(), 1.0 / j)
@@ -448,7 +458,7 @@ def _mth_max_exp(name, label, n, m):
     dens = (lambda x: binom * math.exp(-m * x) * (1 - math.exp(-x)) ** (n - m)
             if x > 0 else 0.0)
     return DistributionEntry(
-        name, label, {"n": n, "m": m}, form, "mgf", Support(0, _INF),
+        form, "mgf", Support(0, _INF),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=float(m), gamma=0.0,
                        gamma_prime=0.0, delta=-(n - m + 1.0), kappa=0.0,
@@ -456,11 +466,11 @@ def _mth_max_exp(name, label, n, m):
 
 
 @_register("gumbel", "Gumbel distribution (MGF kind)", ())
-def _gumbel(name, label):
+def _gumbel():
     form = make_form(1, 0, [(-1, 1)])
     dens = lambda x: _exp_or_zero(-x - _exp_cap(-x))
     return DistributionEntry(
-        name, label, {}, form, "mgf", Support(-_INF, _INF),
+        form, "mgf", Support(-_INF, _INF),
         recipe=rc.gumbel(), density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=1.0, gamma=1.0,
                        gamma_prime=-1.0, delta=0.5, kappa=0.0, c1=_SQRT_2PI))
@@ -469,13 +479,13 @@ def _gumbel(name, label):
 @_register("mth_gumbel",
            "limit law of the m-th largest exponential, centered (MGF kind)",
            (ParamSpec("m", "int", "m >= 1"),))
-def _mth_gumbel(name, label, m):
-    _require(name, m >= 1, "m >= 1")
+def _mth_gumbel(m):
+    _require(m >= 1, "m >= 1")
     gm = gamma_real(m)
     form = make_form(1.0 / gm, 0, [(-1, m)])
     dens = lambda x: _exp_or_zero(-m * x - _exp_cap(-x)) / gm
     return DistributionEntry(
-        name, label, {"m": m}, form, "mgf", Support(-_INF, _INF),
+        form, "mgf", Support(-_INF, _INF),
         recipe=rc.NegLog(rc.gamma(float(m))), density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=float(m), gamma=1.0,
                        gamma_prime=-1.0, delta=m - 0.5, kappa=0.0,
@@ -483,12 +493,12 @@ def _mth_gumbel(name, label, m):
 
 
 @_register("logistic", "logistic distribution (MGF kind)", ())
-def _logistic(name, label):
+def _logistic():
     form = make_form(1, 0, [(-1, 1), (1, 1)])
     dens = lambda x: _exp_or_zero(-abs(x)) / (1 + _exp_or_zero(-abs(x))) ** 2
     recipe = rc.Sum((rc.gumbel(), rc.Scale(rc.gumbel(), -1.0)))
     return DistributionEntry(
-        name, label, {}, form, "mgf", Support(-_INF, _INF),
+        form, "mgf", Support(-_INF, _INF),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=2.0,
                        gamma_prime=0.0, delta=1.0, kappa=0.0,
@@ -517,14 +527,13 @@ def _selberg_beta_form(n, alpha, beta):
            (ParamSpec("n", "int", _SELBERG_N),
             ParamSpec("alpha", "float", "alpha > 0"),
             ParamSpec("beta", "float", "beta > 0")))
-def _selberg_beta(name, label, n, alpha, beta):
-    _require(name, 2 <= n <= SELBERG_MAX_N, _SELBERG_N)
-    _require(name, alpha > 0 and beta > 0, "alpha > 0 and beta > 0")
+def _selberg_beta(n, alpha, beta):
+    _require(2 <= n <= SELBERG_MAX_N, _SELBERG_N)
+    _require(alpha > 0 and beta > 0, "alpha > 0 and beta > 0")
     form = _selberg_beta_form(n, alpha, beta)
     rho = max(-1.0 / n, -alpha / (n - 1), -beta / (n - 1))
     return DistributionEntry(
-        name, label, {"n": n, "alpha": alpha, "beta": beta}, form, "mellin",
-        Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.Discriminant(n, rc.beta(alpha, beta)),
         tabulated=dict(rho_minus=rho, rho_plus=_INF, gamma=0.0,
                        gamma_prime=0.0, delta=1 - alpha - beta - n / 2))
@@ -534,9 +543,9 @@ def _selberg_beta(name, label, n, alpha, beta):
            "squared Vandermonde discriminant of n iid gamma variables",
            (ParamSpec("n", "int", _SELBERG_N),
             ParamSpec("alpha", "float", "alpha > 0")))
-def _selberg_gamma(name, label, n, alpha):
-    _require(name, 2 <= n <= SELBERG_MAX_N, _SELBERG_N)
-    _require(name, alpha > 0, "alpha > 0")
+def _selberg_gamma(n, alpha):
+    _require(2 <= n <= SELBERG_MAX_N, _SELBERG_N)
+    _require(alpha > 0, "alpha > 0")
     num, den = [], []
     for j in range(2, n + 1):
         num.append((j - 1, alpha))
@@ -545,8 +554,7 @@ def _selberg_gamma(name, label, n, alpha):
     form = make_form(gamma_real(alpha) ** (1 - n), 0, num, den)
     rho = max(-1.0 / n, -alpha / (n - 1))
     return DistributionEntry(
-        name, label, {"n": n, "alpha": alpha}, form, "mellin",
-        Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.Discriminant(n, rc.gamma(alpha)),
         tabulated=dict(rho_minus=rho, rho_plus=_INF,
                        gamma=float(n * n - n), gamma_prime=float(n * n - n),
@@ -556,14 +564,14 @@ def _selberg_gamma(name, label, n, alpha):
 @_register("selberg_normal",
            "squared Vandermonde discriminant of n iid standard normals",
            (ParamSpec("n", "int", _SELBERG_N),))
-def _selberg_normal(name, label, n):
-    _require(name, 2 <= n <= SELBERG_MAX_N, _SELBERG_N)
+def _selberg_normal(n):
+    _require(2 <= n <= SELBERG_MAX_N, _SELBERG_N)
     num = [(j, 1) for j in range(2, n + 1)]
     den = [(1, 1)] * (n - 1)
     form = make_form(1, 0, num, den)
     kappa = sum(j * math.log(j) for j in range(2, n + 1))
     return DistributionEntry(
-        name, label, {"n": n}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.Discriminant(n, rc.normal()),
         tabulated=dict(rho_minus=-1.0 / n, rho_plus=_INF,
                        gamma=n * (n - 1) / 2.0, gamma_prime=n * (n - 1) / 2.0,
@@ -582,8 +590,8 @@ def _symmetric_stable_form(alpha):
 @_register("symmetric_stable",
            "symmetric stable law, characteristic function exp(-|t|^alpha)",
            (ParamSpec("alpha", "float", "0 < alpha <= 2"),))
-def _symmetric_stable(name, label, alpha):
-    _require(name, 0 < alpha <= 2, "0 < alpha <= 2")
+def _symmetric_stable(alpha):
+    _require(0 < alpha <= 2, "0 < alpha <= 2")
     form = _symmetric_stable_form(alpha)
     dens = None
     if alpha == 2.0:
@@ -591,8 +599,7 @@ def _symmetric_stable(name, label, alpha):
     elif alpha == 1.0:
         dens = lambda x: 1 / (math.pi * (1 + x * x))
     return DistributionEntry(
-        name, label, {"alpha": alpha}, form, "mellin",
-        Support(-_INF, _INF, symmetric=True),
+        form, "mellin", Support(-_INF, _INF, symmetric=True),
         recipe=rc.Abs(rc.symmetric_stable(alpha)), density=dens,
         tabulated=dict(rho_minus=-1.0,
                        rho_plus=_INF if alpha == 2.0 else alpha,
@@ -615,23 +622,17 @@ def _cauchy_product_density_2(x):
 
 @_register("cauchy_product", "product of k independent standard Cauchy variables",
            (ParamSpec("k", "int", "k >= 1"),))
-def _cauchy_product(name, label, k):
-    _require(name, k >= 1, "k >= 1")
-    pos = GammaFactor(Fraction(1, 2), 0.5)
-    neg = GammaFactor(Fraction(-1, 2), 0.5)
-    # the constant pi^-k, 0 past k = 650, raises before the 2k factors exist
-    form = replace(make_form(math.pi ** -k, 0), num=(pos,) * k + (neg,) * k)
+def _cauchy_product(k):
+    _require(k >= 1, "k >= 1")
     dens = None
     if k == 1:
         dens = lambda x: 1 / (math.pi * (1 + x * x))
     elif k == 2:
         dens = _cauchy_product_density_2
-    half = rc.Power(rc.Product((rc.gamma(0.5), rc.Power(rc.gamma(0.5), -1.0))),
-                    0.5)
     return DistributionEntry(
-        name, label, {"k": k}, form, "mellin",
+        _cauchy_pair(Fraction(1, 2), k), "mellin",
         Support(-_INF, _INF, symmetric=True),
-        recipe=rc.Product((half,) * k), density=dens,
+        recipe=rc.Product((_HALF_CAUCHY,) * k), density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=float(k),
                        gamma_prime=0.0, delta=0.0, kappa=0.0, c1=2.0 ** k))
 
@@ -648,26 +649,21 @@ def _sech_density_2(x):
 @_register("hyperbolic_secant",
            "generalized hyperbolic secant law at integer time t (MGF kind)",
            (ParamSpec("t", "float", "positive integer"),))
-def _hyperbolic_secant(name, label, t):
+def _hyperbolic_secant(t):
     if not (t > 0 and float(t).is_integer()):
         raise UnrepresentableError(
-            f"{name}: the characteristic function cosh^-t has no meromorphic "
+            "the characteristic function cosh^-t has no meromorphic "
             f"extension for non-integer t = {t}")
     k = int(t)
-    pos, neg = GammaFactor(1 / math.pi, 0.5), GammaFactor(-1 / math.pi, 0.5)
-    # the constant pi^-k, 0 past k = 650, raises before the 2k factors exist
-    form = replace(make_form(math.pi ** -k, 0), num=(pos,) * k + (neg,) * k)
     dens = None
     if k == 1:
         dens = lambda x: _exp_or_zero(-math.pi * abs(x) / 2) / (
             1 + _exp_or_zero(-math.pi * abs(x)))
     elif k == 2:
         dens = _sech_density_2
-    half = rc.Power(rc.Product((rc.gamma(0.5), rc.Power(rc.gamma(0.5), -1.0))),
-                    0.5)
-    one_term = rc.Scale(rc.NegLog(half), -2 / math.pi)
+    one_term = rc.Scale(rc.NegLog(_HALF_CAUCHY), -2 / math.pi)
     return DistributionEntry(
-        name, label, {"t": float(k)}, form, "mgf", Support(-_INF, _INF),
+        _cauchy_pair(1 / math.pi, k), "mgf", Support(-_INF, _INF),
         recipe=rc.Sum((one_term,) * k), density=dens,
         tabulated=dict(rho_minus=-math.pi / 2, rho_plus=math.pi / 2,
                        gamma=2 * k / math.pi, gamma_prime=0.0, delta=0.0,
@@ -678,8 +674,8 @@ def _hyperbolic_secant(name, label, t):
 
 @_register("lamperti", "ratio of two independent one-sided stable variables",
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
-def _lamperti(name, label, alpha):
-    _require(name, 0 < alpha < 1, "0 < alpha < 1")
+def _lamperti(alpha):
+    _require(0 < alpha < 1, "0 < alpha < 1")
     form = make_form(1, 0, [(1 / alpha, 1), (-1 / alpha, 1)],
                      [(1, 1), (-1, 1)])
     sin_a, cos_a = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
@@ -689,7 +685,7 @@ def _lamperti(name, label, alpha):
     recipe = rc.Product((rc.positive_stable(alpha),
                          rc.Power(rc.positive_stable(alpha), -1.0)))
     return DistributionEntry(
-        name, label, {"alpha": alpha}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-alpha, rho_plus=alpha,
                        gamma=2 / alpha - 2, gamma_prime=0.0, delta=0.0,
@@ -698,8 +694,8 @@ def _lamperti(name, label, alpha):
 
 @_register("lamperti_power", "Lamperti ratio raised to its own index",
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
-def _lamperti_power(name, label, alpha):
-    _require(name, 0 < alpha < 1, "0 < alpha < 1")
+def _lamperti_power(alpha):
+    _require(0 < alpha < 1, "0 < alpha < 1")
     form = make_form(1, 0, [(1, 1), (-1, 1)], [(alpha, 1), (-alpha, 1)])
     sin_a, cos_a = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
     dens = (lambda x: sin_a / (math.pi * alpha)
@@ -708,7 +704,7 @@ def _lamperti_power(name, label, alpha):
                                   rc.Power(rc.positive_stable(alpha), -1.0))),
                       alpha)
     return DistributionEntry(
-        name, label, {"alpha": alpha}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=2 - 2 * alpha,
                        gamma_prime=0.0, delta=0.0, kappa=0.0, c1=1 / alpha))
@@ -717,8 +713,8 @@ def _lamperti_power(name, label, alpha):
 @_register("kotz_ostrovskii", "Kotz-Ostrovskii stable-ratio power variable",
            (ParamSpec("alpha", "float", "0 < alpha < beta"),
             ParamSpec("beta", "float", "alpha < beta <= 2")))
-def _kotz_ostrovskii(name, label, alpha, beta):
-    _require(name, 0 < alpha < beta <= 2, "0 < alpha < beta <= 2")
+def _kotz_ostrovskii(alpha, beta):
+    _require(0 < alpha < beta <= 2, "0 < alpha < beta <= 2")
     form = make_form(1, 0, [(1 / alpha, 1), (-1 / alpha, 1)],
                      [(1 / beta, 1), (-1 / beta, 1)])
     g = alpha / beta
@@ -730,8 +726,7 @@ def _kotz_ostrovskii(name, label, alpha, beta):
                                   rc.Power(rc.positive_stable(g), -1.0))),
                       1.0 / beta)
     return DistributionEntry(
-        name, label, {"alpha": alpha, "beta": beta}, form, "mellin",
-        Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-alpha, rho_plus=alpha,
                        gamma=2 / alpha - 2 / beta, gamma_prime=0.0, delta=0.0,
@@ -741,15 +736,14 @@ def _kotz_ostrovskii(name, label, alpha, beta):
 @_register("tilted_stable", "one-sided stable law tilted by x^-theta (moments only)",
            (ParamSpec("alpha", "float", "0 < alpha < 1"),
             ParamSpec("theta", "float", "theta > -alpha")))
-def _tilted_stable(name, label, alpha, theta):
-    _require(name, 0 < alpha < 1, "0 < alpha < 1")
-    _require(name, theta > -alpha, "theta > -alpha")
+def _tilted_stable(alpha, theta):
+    _require(0 < alpha < 1, "0 < alpha < 1")
+    _require(theta > -alpha, "theta > -alpha")
     const = gamma_real(1 + theta) / gamma_real(1 + theta / alpha)
     form = make_form(const, 0, [(-1 / alpha, (alpha + theta) / alpha)],
                      [(-1, 1 + theta)])
     return DistributionEntry(
-        name, label, {"alpha": alpha, "theta": theta}, form, "mellin",
-        Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         tabulated=dict(rho_minus=-_INF, rho_plus=alpha + theta,
                        gamma=1 / alpha - 1, gamma_prime=1 - 1 / alpha,
                        delta=theta / alpha - theta,
@@ -759,15 +753,15 @@ def _tilted_stable(name, label, alpha, theta):
 
 @_register("gen_exponential", "generalized exponential law with density ~ exp(-x^beta)",
            (ParamSpec("beta", "float", "beta > 0"),))
-def _gen_exponential(name, label, beta):
-    _require(name, beta > 0, "beta > 0")
+def _gen_exponential(beta):
+    _require(beta > 0, "beta > 0")
     form = make_form(1, 0, [(1 / beta, 1 / beta)])  # 1/beta = 0 raises here
     gb = gamma_real(1 / beta)
     form = replace(form, constant=1.0 / gb)
     norm = 1.0 / gamma_real(1 + 1 / beta)
     dens = lambda x: norm * math.exp(-x ** beta) if x > 0 else 0.0
     return DistributionEntry(
-        name, label, {"beta": beta}, form, "mellin", Support(0, _INF),
+        form, "mellin", Support(0, _INF),
         recipe=rc.Power(rc.gamma(1 / beta), 1.0 / beta), density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=_INF, gamma=1 / beta,
                        gamma_prime=1 / beta, delta=1 / beta - 0.5,
@@ -777,8 +771,8 @@ def _gen_exponential(name, label, beta):
 
 @_register("linnik", "Linnik distribution, characteristic function 1/(1+|t|^alpha)",
            (ParamSpec("alpha", "float", "0 < alpha <= 2"),))
-def _linnik(name, label, alpha):
-    _require(name, 0 < alpha <= 2, "0 < alpha <= 2")
+def _linnik(alpha):
+    _require(0 < alpha <= 2, "0 < alpha <= 2")
     form = make_form(1 / math.sqrt(math.pi), math.log(2),
                      [(Fraction(1, 2), 0.5), (1 / alpha, 1), (-1 / alpha, 1)],
                      [(Fraction(-1, 2), 1)])
@@ -788,8 +782,7 @@ def _linnik(name, label, alpha):
     recipe = rc.Product((rc.Abs(rc.symmetric_stable(alpha)),
                          rc.Power(rc.exponential(), 1.0 / alpha)))
     return DistributionEntry(
-        name, label, {"alpha": alpha}, form, "mellin",
-        Support(-_INF, _INF, symmetric=True),
+        form, "mellin", Support(-_INF, _INF, symmetric=True),
         recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-min(alpha, 1.0),
                        rho_plus=_INF if alpha == 2.0 else alpha,
@@ -804,7 +797,10 @@ def entry_names() -> list[str]:
 
 
 def build(name: str, params: dict | None = None) -> DistributionEntry:
-    """Construct a catalog entry, validating the parameter constraints."""
+    """Construct a catalog entry, validating the parameter constraints.
+
+    The entry's params are the coerced values, in ParamSpec order.
+    """
     if name not in _REGISTRY:
         raise KeyError(f"unknown distribution {name!r}")
     d = _REGISTRY[name]
@@ -817,15 +813,20 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
     missing = expected - set(params)
     if missing:
         raise ParameterError(name, f"missing parameter(s) {sorted(missing)}")
-    kwargs = {p.name: p.coerce(params[p.name]) for p in d.params}
     try:
-        return d.factory(name, d.label, **kwargs)
+        kwargs = {p.name: p.coerce(params[p.name]) for p in d.params}
+        entry = d.factory(**kwargs)
+    except ParameterError as exc:
+        raise ParameterError(name, exc.condition) from None
+    except UnrepresentableError as exc:
+        raise UnrepresentableError(f"{name}: {exc}") from None
     except (ValidationError, OverflowError) as exc:
         # the parameters passed their conditions, so the form's constant,
         # offsets or slopes left float64: an out-of-range parameter, not a
         # bad form
         raise ParameterError(name, "parameters outside the representable "
                                    f"range ({exc})") from None
+    return replace(entry, name=name, params=kwargs)
 
 
 def catalog_to_json() -> list[dict]:

@@ -20,7 +20,7 @@ from .errors import (
     GammaTypeError, ParameterError, PoleError, UnrepresentableError,
     ValidationError,
 )
-from .forms import moments_equal
+from .forms import IDENTITY_TOL, moments_equal
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -213,8 +213,9 @@ def _cmd_strip(args):
 def _cmd_check_identity(args):
     lhs = parse_identity_spec(args.lhs)
     rhs = parse_identity_spec(args.rhs)
-    equal = moments_equal(lhs, rhs, tol=args.tol)
-    _emit({"lhs": args.lhs, "rhs": args.rhs, "tol": args.tol, "equal": equal},
+    equal = moments_equal(lhs, rhs)
+    _emit({"lhs": args.lhs, "rhs": args.rhs, "tol": IDENTITY_TOL,
+           "equal": equal},
           ("identity holds" if equal else "identity FAILS")
           if args.human else None)
     return EXIT_OK if equal else EXIT_CHECK_FAILED
@@ -362,7 +363,6 @@ def build_parser():
     p = sub.add_parser("check-identity")
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("verify-mc")
     _add_entry_args(p)

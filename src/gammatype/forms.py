@@ -18,6 +18,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,6 +48,9 @@ OFFSET_TOL = 1e-12
 # the walk would merge them; past |s| = 1 its merge radius grows with |s|,
 # so there the resolvable |slope| falls as 1 / |s|
 MAX_SLOPE = 1 / (2 * OFFSET_TOL)
+
+# moments_equal compares log C and l, or log F and log G, within this
+IDENTITY_TOL = 1e-10
 
 # a strip side still undecided after this many pole visits (about 1 s)
 # raises UndecidedStripError
@@ -433,9 +437,11 @@ class GammaTypeForm:
 
     # ------------------------------------------------------ poles and profile
 
+    @cached_property
     def _poles(self) -> tuple[AnalyticityStrip, float | None, list, tuple]:
         """The strip, the zero nearest 0 in it, the (factor, sign) pairs _net
-        leaves and the left edge location (see _edge_and_zero)."""
+        leaves and the left edge location (see _edge_and_zero), walked once
+        per form for strip(), the consistency check and _residue_at."""
         factors = _net(self.num, self.den)
         at_zero, (left, right) = _past_zero(factors)
         if at_zero > 0:
@@ -455,7 +461,7 @@ class GammaTypeForm:
         cannot be the moment function of a positive variable), and
         UndecidedStripError if the pole walk exceeds its visit budget.
         """
-        return self._poles()[0]
+        return self._poles[0]
 
     def check_positive_consistency(self) -> ConsistencyReport:
         """Locate zeros of F inside the open strip of analyticity.
@@ -465,7 +471,7 @@ class GammaTypeForm:
         nearest 0 is reported, the negative one on a tie (distances from 0
         equal within OFFSET_TOL, relative past 1).
         """
-        strip, zero = self._poles()[:2]
+        strip, zero = self._poles[:2]
         return ConsistencyReport(zero is None, strip, zero)
 
     def _residue_at(self, s0: float) -> float:
@@ -474,7 +480,7 @@ class GammaTypeForm:
         multiple pole there, else the product of (-1)^n / (n! a) for each
         pole there, a s + b = -n, and Gamma(a s0 + b) of every other factor.
         """
-        _, _, factors, (_, net, poles) = self._poles()
+        _, _, factors, (_, net, poles) = self._poles
         start = poles[0][0] if poles else math.inf
         if not _merges(min(start, -s0), max(start, -s0)):
             return 0.0 if start > -s0 else math.inf
@@ -542,26 +548,24 @@ def make_form(constant: float, log_scale: float,
     )
 
 
-def moments_equal(f: GammaTypeForm, g: GammaTypeForm,
-                  tol: float = 1e-10) -> bool:
+def moments_equal(f: GammaTypeForm, g: GammaTypeForm) -> bool:
     """Decide whether two forms represent the same function.
 
     F = G iff H = F/G is 1.  If num(F) + den(G) and num(G) + den(F) are
-    equal multisets, H = C exp(l s): C and l are compared within tol.
-    Else a pole or zero of H on the real line, found by the pole walk,
-    means unequal; without one H is entire, zero-free and of order 1, so
-    exp(a s + b), and log F, log G are compared at s = i and 1 + i, where
-    no factor has a pole (modulo 2 pi i, since representations may sit on
-    different branches; relative to max(1, |log F|)).  tol must be finite
-    and >= 0.  Raises UndecidedStripError if the walk exceeds its budget.
+    equal multisets, H = C exp(l s): log C and l are compared within
+    IDENTITY_TOL.  Else a pole or zero of H on the real line, found by the
+    pole walk, means unequal; without one H is entire, zero-free and of
+    order 1, so exp(a s + b), and log F, log G are compared at s = i and
+    1 + i, where no factor has a pole (modulo 2 pi i, since representations
+    may sit on different branches; within IDENTITY_TOL relative to
+    max(1, |log F|)).  Raises UndecidedStripError if the walk exceeds its
+    budget.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     num = Counter(f.num) + Counter(g.den)
     den = Counter(g.num) + Counter(f.den)
     if num == den:
-        return (abs(math.log(f.constant) - math.log(g.constant)) <= tol
-                and abs(f.log_scale - g.log_scale) <= tol)
+        return max(abs(math.log(f.constant) - math.log(g.constant)),
+                   abs(f.log_scale - g.log_scale)) <= IDENTITY_TOL
     at_zero, walks = _past_zero(_net(num, den))
     if at_zero or any(next(walk, None) for walk in walks):
         return False
@@ -570,6 +574,6 @@ def moments_equal(f: GammaTypeForm, g: GammaTypeForm,
         d_re = abs(lf.real - lg.real)
         d_im = abs(lf.imag - lg.imag) % _TWO_PI
         d_im = min(d_im, _TWO_PI - d_im)
-        if (d_re + d_im) / max(1.0, abs(lf)) > tol:
+        if (d_re + d_im) / max(1.0, abs(lf)) > IDENTITY_TOL:
             return False
     return True

@@ -150,24 +150,24 @@ def density_table(entry: DistributionEntry, xs,
     return np.column_stack((xs, fs))
 
 
-def _grid_upper(entry, abscissa):
+def _grid_upper(entry):
     hi = entry.support.hi
     if not math.isinf(hi):
         return hi
     probes = 8.0 * 2.0 ** np.arange(5)
-    small = np.abs(_invert(entry.form, entry.kind, probes, abscissa)) < 1e-9
+    small = np.abs(_invert(entry.form, entry.kind, probes, None)) < 1e-9
     return float(probes[small.argmax()]) if small.any() else 256.0
 
 
-def check_normalization(entry: DistributionEntry,
-                        abscissa: float | None = None) -> float:
-    """Trapezoid integral of the inverted density over a covering grid."""
-    hi = _grid_upper(entry, abscissa)
+def check_normalization(entry: DistributionEntry) -> float:
+    """Trapezoid integral of the inverted density over a covering grid,
+    along the mid-strip contour."""
+    hi = _grid_upper(entry)
     if entry.support.symmetric or entry.support.lo == -math.inf:
         xs = np.linspace(-hi, hi, NORMALIZATION_POINTS)
     else:
         lo = entry.support.lo
         xs = np.linspace(lo + (hi - lo) * 1e-6, hi, NORMALIZATION_POINTS)
-    table = density_table(entry, xs, abscissa)
+    table = density_table(entry, xs)
     return float(np.trapezoid(table[:, 1], table[:, 0]))
 

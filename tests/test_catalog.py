@@ -121,6 +121,32 @@ def test_unknown_and_missing_params():
         catalog.build("gamma", {})
 
 
+SCHEMA = {row["name"]: row["params"] for row in catalog.catalog_to_json()}
+
+
+@pytest.mark.parametrize("name,params", CASES.items())
+def test_build_records_name_and_coerced_params(name, params):
+    entry = catalog.build(name, params)
+    assert entry.name == name
+    assert list(entry.params) == [p["name"] for p in SCHEMA[name]]
+    for p in SCHEMA[name]:
+        kind = int if p["kind"] == "int" else float
+        got = entry.params[p["name"]]
+        assert type(got) is kind and got == params[p["name"]], (name, p)
+
+
+@pytest.mark.parametrize("name,param", [
+    (name, p["name"]) for name, specs in SCHEMA.items()
+    for p in specs if p["kind"] == "int"])
+@pytest.mark.parametrize("value", [2.5, math.nan])
+def test_non_integer_value_names_the_entry(name, param, value):
+    params = dict(CASES[name], **{param: value})
+    with pytest.raises(ParameterError) as info:
+        catalog.build(name, params)
+    assert str(info.value).startswith(f"{name}: ")
+    assert "must be an integer" in str(info.value)
+
+
 def test_integer_params_enforced():
     for n in (2.5, math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterError, match="must be an integer"):

@@ -140,6 +140,7 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
 
 @pytest.mark.parametrize("env, argv, name", [
     ({}, ("sample", "rayleigh", "--n", "abc"), "--n"),
+    # check-identity compares within forms.IDENTITY_TOL and takes no --tol
     ({}, ("check-identity", "rayleigh", "rayleigh", "--tol", "x"), "--tol"),
     ({}, ("density", "logistic", "--x=-1:1:3", "--abscissa", "x"),
      "--abscissa"),

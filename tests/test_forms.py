@@ -276,12 +276,6 @@ def test_shared_factors_compare_without_evaluation(monkeypatch):
     assert moments_equal(f, g) and moments_equal(g, f)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
-def test_tolerance_must_be_finite_and_nonnegative(tol):
-    with pytest.raises(ValidationError, match="tol"):
-        moments_equal(rayleigh_form(), rayleigh_form(), tol)
-
-
 def test_gumbel_symmetrization_is_logistic():
     gum = build("gumbel", {}).form
     assert moments_equal(gum.product(gum.reflect()),

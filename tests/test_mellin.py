@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gammatype import catalog, mellin
+from gammatype import catalog, forms, mellin
 from gammatype.errors import InversionError
 from gammatype.forms import make_form
 from gammatype.mellin import check_normalization, density, density_table
@@ -80,6 +80,22 @@ def test_symmetric_entry_at_zero(name, params):
     entry = catalog.build(name, params)
     table = density_table(entry, [-0.5, 0.0, 0.5])
     assert table[1, 1] == pytest.approx(entry.density(0.0), abs=1e-6)
+
+
+def test_table_with_zero_walks_the_poles_once(monkeypatch):
+    # one walk per side of s = 0 gives both the strip of the inversion and
+    # the residue at -1 behind the value at x = 0
+    calls = []
+    walk = forms._walk
+
+    def counting(*args):
+        calls.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(forms, "_walk", counting)
+    entry = catalog.build("symmetric_stable", {"alpha": 1.5})
+    density_table(entry, [-1.0, 0.0, 1.0])
+    assert sorted(calls) == [-1, 1]
 
 
 def test_symmetric_entry_unbounded_at_zero():
