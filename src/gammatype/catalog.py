@@ -15,6 +15,7 @@ error raised while building.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -51,11 +52,16 @@ class ParamSpec:
     constraint: str    # human-readable condition
 
     def coerce(self, value):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):  # a string, None, a complex number
+            raise ParameterError(None, f"{self.name} must be a real number, "
+                                       f"got {value!r}") from None
         if self.kind == "int":
-            if not float(value).is_integer():
+            if not x.is_integer():
                 raise ParameterError(None, f"{self.name} must be an integer")
-            return int(value)
-        return float(value)
+            return int(value) if isinstance(value, numbers.Integral) else int(x)
+        return x
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 """Sampling determinism, recipe correctness, and the MC harness."""
 
+import hashlib
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +21,13 @@ from gammatype.stochastics import (
     MCEstimate, evaluate_recipe, harmonic_drift, mc_moment, sample,
     verify_entry,
 )
+
+from test_catalog import CASES
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
 
 
 # --------------------------------------------------------------- determinism
@@ -43,6 +55,148 @@ def test_every_leaf_law_has_a_draw():
     for law, arity in rc.LEAF_ARITY.items():
         x = sample(rc.Leaf(law, (0.5,) * arity), 5, seed=1)
         assert x.shape == (5,) and np.isfinite(x).all(), law
+
+
+# ------------------------------------------------------------------- threads
+
+RECIPE_ENTRIES = [name for name, params in CASES.items()
+                  if catalog.build(name, params).recipe is not None]
+
+
+@pytest.mark.parametrize("name", RECIPE_ENTRIES)
+def test_reports_and_draws_do_not_depend_on_the_thread_count(monkeypatch,
+                                                              name):
+    # one CPU draws on the caller's thread; eight draw on two threads
+    entry = catalog.build(name, CASES[name])
+    chunk = stochastics.CHUNK_SIZE
+    runs = []
+    for cpus in (1, 8):
+        _usable_cpus(monkeypatch, cpus)
+        runs.append([(sample(entry.recipe, n, seed=5).tobytes(),
+                      verify_entry(entry, None, n=n, seed=5))
+                     for n in (3, chunk + 1, 3 * chunk + 7)])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("cpus,n,threads", [
+    (1, 5 * stochastics.CHUNK_SIZE, 0), (8, stochastics.CHUNK_SIZE, 0),
+    (8, 5 * stochastics.CHUNK_SIZE, 1),
+])
+def test_threads_only_for_several_chunks_and_cpus(monkeypatch, cpus, n,
+                                                  threads):
+    _usable_cpus(monkeypatch, cpus)
+    start = threading.active_count()
+    parts = stochastics.chunks(rc.exponential(), n, seed=1)
+    assert threading.active_count() == start  # nothing runs before next()
+    next(parts)
+    # the helper holds chunk 1, or draws it, until it is taken
+    assert threading.active_count() == start + threads
+    parts.close()
+    assert threading.active_count() == start
+
+
+def test_chunks_stay_in_order_under_rapid_thread_switches(monkeypatch):
+    # a result handed over or taken out of turn would move a chunk
+    chunk = stochastics.CHUNK_SIZE
+    recipe = rc.Scale(rc.exponential(), 2.0)
+    n = 40 * chunk + 3
+    _usable_cpus(monkeypatch, 1)
+    serial = sample(recipe, n, seed=2)
+    _usable_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        for _ in range(3):
+            assert np.array_equal(sample(recipe, n, seed=2), serial)
+        assert time.monotonic() - start < 60
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+@pytest.mark.parametrize("failing_chunk", [1, 2])
+def test_a_failing_chunk_raises_its_own_error(monkeypatch, cpus,
+                                              failing_chunk):
+    # chunk 1 is drawn by the helper thread, chunk 2 by the caller's
+    _usable_cpus(monkeypatch, cpus)
+    n = failing_chunk * stochastics.CHUNK_SIZE + 5
+
+    def failing(recipe, rngs, size):
+        if size == 5:  # the last chunk, the only short one
+            raise _Boom
+        return evaluate_recipe(recipe, rngs, size)
+
+    monkeypatch.setattr(stochastics, "evaluate_recipe", failing)
+    entry = catalog.build("gamma", {"a": 2.0})
+    start = threading.active_count()
+    with pytest.raises(_Boom):
+        sample(entry.recipe, n, seed=1)
+    assert threading.active_count() == start
+    with pytest.raises(_Boom):
+        verify_entry(entry, [0.5, 1.0], n=n, seed=1)
+    assert threading.active_count() == start
+
+
+# -------------------------------------------------------------- stable draws
+
+def _symmetric_stable_formula(rng, alpha, size):
+    # the draw written out of place, as one expression
+    v = rng.uniform(-np.pi / 2, np.pi / 2, size)
+    if alpha == 1.0:
+        return np.tan(v)
+    w = rng.standard_exponential(size)
+    return (np.sin(alpha * v) / np.cos(v) ** (1 / alpha)
+            * (np.cos((1 - alpha) * v) / w) ** ((1 - alpha) / alpha))
+
+
+def _positive_stable_formula(rng, alpha, size):
+    if alpha == 1.0:
+        return np.ones(size)
+    theta = rng.uniform(0.0, np.pi, size)
+    w = rng.standard_exponential(size)
+    a = (np.sin(alpha * theta) ** (alpha / (1 - alpha))
+         * np.sin((1 - alpha) * theta)
+         / np.sin(theta) ** (1 / (1 - alpha)))
+    return (a / w) ** ((1 - alpha) / alpha)
+
+
+STABLE_DRAWS = (
+    [(stochastics._draw_symmetric_stable, _symmetric_stable_formula, alpha)
+     for alpha in (0.5, 1.0, 1.5, 2.0)]
+    + [(stochastics._draw_positive_stable, _positive_stable_formula, alpha)
+       for alpha in (0.3, 0.7, 1.0)])
+
+
+@pytest.mark.parametrize("draw,formula,alpha", STABLE_DRAWS)
+def test_stable_draws_are_their_formula_bit_for_bit(draw, formula, alpha):
+    # the in-place ufuncs run in the formula's order, with its scalar-power
+    # fast paths (** 0.5 at alpha = 2); both run on this machine's numpy,
+    # whose sin and cos may differ in the last bit from another's
+    digests = set()
+    for f in (draw, formula):
+        for seed in range(3):
+            rng = np.random.default_rng((seed, 0, 0))
+            x = f(rng, alpha, stochastics.CHUNK_SIZE + seed)
+            digests.add((seed, hashlib.sha256(x.tobytes()).hexdigest()))
+    assert len(digests) == 3
+
+
+@pytest.mark.parametrize("draw,formula,alpha", STABLE_DRAWS)
+def test_stable_draws_peak_within_four_chunk_buffers(draw, formula, alpha):
+    # a chunk in flight costs this much on each thread; the formula's
+    # temporaries peak at five buffers of 512 KiB
+    tracemalloc.start()
+    try:
+        draw(np.random.default_rng(1), alpha, stochastics.CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * stochastics.CHUNK_SIZE * 8
 
 
 # ------------------------------------------------------------ leaf anchors
@@ -226,9 +380,10 @@ def test_verify_entry_report(monkeypatch):
 
     monkeypatch.setattr(stochastics, "evaluate_recipe", counting_evaluate)
     report = verify_entry(entry, [0.5, 1.0, 2.0], n=200_000, seed=8)
-    # each chunk is drawn once, for the whole grid
+    # each chunk is drawn once, for the whole grid; the caller's thread and
+    # the helper may start their chunks in either order
     chunk = stochastics.CHUNK_SIZE
-    assert draws == [chunk] * 3 + [200_000 - 3 * chunk]
+    assert sorted(draws, reverse=True) == [chunk] * 3 + [200_000 - 3 * chunk]
     assert report.passed
     data = report.to_json_dict()
     assert data["entry"] == "gamma"
@@ -245,22 +400,24 @@ def test_verify_entry_report(monkeypatch):
 
 @pytest.mark.parametrize("name,params", [("rayleigh", {}),
                                          ("linnik", {"alpha": 1.5})])
-def test_verify_entry_memory_does_not_grow_with_n(name, params):
-    # numpy reports its buffers to tracemalloc; one sample of 1e6 draws
-    # alone would take 7.6 MiB, and 16 MiB at 2**21
+def test_verify_entry_memory_does_not_grow_with_n(monkeypatch, name, params):
+    # numpy reports its buffers to tracemalloc, from every thread; one
+    # sample of 1e6 draws alone would take 7.6 MiB, and 16 MiB at 2**21
     entry = catalog.build(name, params)
     mib = 1 << 20
-    peaks = {}
-    for n in (1 << 17, 10 ** 6, 1 << 21):
-        tracemalloc.start()
-        try:
-            verify_entry(entry, None, n=n, seed=1)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[10 ** 6] < 8 * mib
-    # 2**21 draws held at once would add 14 MiB
-    assert peaks[1 << 21] < peaks[1 << 17] + 4 * mib
+    for cpus in (1, 8):  # one chunk in flight, and two
+        _usable_cpus(monkeypatch, cpus)
+        peaks = {}
+        for n in (1 << 17, 10 ** 6, 1 << 21):
+            tracemalloc.start()
+            try:
+                verify_entry(entry, None, n=n, seed=1)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10 ** 6] < 8 * mib, cpus
+        # 2**21 draws held at once would add 14 MiB
+        assert peaks[1 << 21] < peaks[1 << 17] + 4 * mib, cpus
 
 
 def test_verify_entry_fails_points_without_a_finite_estimate():
