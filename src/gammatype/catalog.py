@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import recipes as rc
 from .errors import ParameterError, UnrepresentableError, ValidationError
 from .forms import GammaFactor, GammaTypeForm, make_form
+from .record import Record
 from .specfun import gamma_real
 
 __all__ = [
@@ -38,18 +38,26 @@ SELBERG_MAX_N = 10 ** 5  # a Selberg form has O(n) factors; refused above
 _SELBERG_N = f"2 <= n <= {SELBERG_MAX_N}"
 
 
-@dataclass(frozen=True)
-class Support:
-    lo: float
-    hi: float
-    symmetric: bool = False  # density lives on all of R, form is E|X|^s
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    kind: str          # "int" or "float"
-    constraint: str    # human-readable condition
+class Support(Record):
+    __slots__ = _fields = ("lo", "hi", "symmetric")
+
+    def __init__(self, lo: float, hi: float, symmetric: bool = False):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        # density lives on all of R, form is E|X|^s
+        _set(self, "symmetric", symmetric)
+
+
+class ParamSpec(Record):
+    __slots__ = _fields = ("name", "kind", "constraint")
+
+    def __init__(self, name: str, kind: str, constraint: str):
+        _set(self, "name", name)
+        _set(self, "kind", kind)              # "int" or "float"
+        _set(self, "constraint", constraint)  # human-readable condition
 
     def coerce(self, value):
         try:
@@ -64,23 +72,34 @@ class ParamSpec:
         return x
 
 
-@dataclass(frozen=True)
-class DistributionEntry:
-    form: GammaTypeForm
-    kind: str                    # "mellin" (E X^s) or "mgf" (E e^{sX})
-    support: Support
-    recipe: Optional[rc.Recipe] = None
-    density: Optional[Callable[[float], float]] = None
-    tabulated: dict = field(default_factory=dict)
-    name: str = ""                                # set by build
-    params: dict = field(default_factory=dict)    # set by build: coerced
+class DistributionEntry(Record):
+    __slots__ = _fields = ("form", "kind", "support", "recipe", "density",
+                           "tabulated", "name", "params")
+
+    def __init__(self, form: GammaTypeForm, kind: str, support: Support,
+                 recipe: Optional[rc.Recipe] = None,
+                 density: Optional[Callable[[float], float]] = None,
+                 tabulated: dict | None = None, name: str = "",
+                 params: dict | None = None):
+        _set(self, "form", form)
+        _set(self, "kind", kind)  # "mellin" (E X^s) or "mgf" (E e^{sX})
+        _set(self, "support", support)
+        _set(self, "recipe", recipe)
+        _set(self, "density", density)
+        _set(self, "tabulated", {} if tabulated is None else tabulated)
+        # set by build: the entry's name and its coerced parameters
+        _set(self, "name", name)
+        _set(self, "params", {} if params is None else params)
 
 
-@dataclass(frozen=True)
-class _EntryDef:
-    label: str
-    params: tuple
-    factory: Callable[..., DistributionEntry]
+class _EntryDef(Record):
+    __slots__ = _fields = ("label", "params", "factory")
+
+    def __init__(self, label: str, params: tuple,
+                 factory: Callable[..., DistributionEntry]):
+        _set(self, "label", label)
+        _set(self, "params", params)
+        _set(self, "factory", factory)
 
 
 _REGISTRY: dict[str, _EntryDef] = {}
@@ -222,7 +241,8 @@ def _cauchy_pair(slope, k):
     of k hyperbolic secant variables at slope 1/pi."""
     pos, neg = GammaFactor(slope, 0.5), GammaFactor(-slope, 0.5)
     # the constant pi^-k, 0 past k = 650, raises before the 2k factors exist
-    return replace(make_form(math.pi ** -k, 0), num=(pos,) * k + (neg,) * k)
+    constant = make_form(math.pi ** -k, 0).constant
+    return GammaTypeForm(constant, 0.0, (pos,) * k + (neg,) * k, ())
 
 
 # |C| of a standard Cauchy C, by E|C|^s = Gamma(s/2 + 1/2) Gamma(-s/2 + 1/2)
@@ -763,7 +783,7 @@ def _gen_exponential(beta):
     _require(beta > 0, "beta > 0")
     form = make_form(1, 0, [(1 / beta, 1 / beta)])  # 1/beta = 0 raises here
     gb = gamma_real(1 / beta)
-    form = replace(form, constant=1.0 / gb)
+    form = GammaTypeForm(1.0 / gb, form.log_scale, form.num, form.den)
     norm = 1.0 / gamma_real(1 + 1 / beta)
     dens = lambda x: norm * math.exp(-x ** beta) if x > 0 else 0.0
     return DistributionEntry(
@@ -832,7 +852,9 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
         # bad form
         raise ParameterError(name, "parameters outside the representable "
                                    f"range ({exc})") from None
-    return replace(entry, name=name, params=kwargs)
+    return DistributionEntry(entry.form, entry.kind, entry.support,
+                             entry.recipe, entry.density, entry.tabulated,
+                             name, kwargs)
 
 
 def catalog_to_json() -> list[dict]:

@@ -225,7 +225,7 @@ def _cmd_verify_mc(args):
     from . import stochastics
     entry = _build(args.name, args.params)
     grid = ([_number("--s-grid", v) for v in args.s_grid.split(",")]
-            if args.s_grid else None)
+            if args.s_grid is not None else None)
     report = stochastics.verify_entry(entry, grid, n=args.n, seed=args.seed)
     _emit(report.to_json_dict(),
           (f"{args.name}: {'pass' if report.passed else 'FAIL'}"

@@ -17,7 +17,6 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -29,6 +28,7 @@ from .errors import (
     UndecidedStripError,
     ValidationError,
 )
+from .record import Record
 from .specfun import OVERFLOW_EXPONENT, gamma_real, log_gamma
 
 __all__ = [
@@ -48,6 +48,7 @@ OFFSET_TOL = 1e-12
 # the walk would merge them; past |s| = 1 its merge radius grows with |s|,
 # so there the resolvable |slope| falls as 1 / |s|
 MAX_SLOPE = 1 / (2 * OFFSET_TOL)
+_MAX_SLOPE_INT = 500_000_000_000  # MAX_SLOPE exactly, for exact comparison
 
 # moments_equal compares log C and l, or log F and log G, within this
 IDENTITY_TOL = 1e-10
@@ -77,58 +78,70 @@ def _as_slope(a) -> Fraction:
     raise ValidationError(f"cannot interpret {a!r} as an exact slope")
 
 
-@dataclass(frozen=True)
-class GammaFactor:
+_set = object.__setattr__
+
+
+class GammaFactor(Record):
     """One factor Gamma(slope * s + offset)."""
 
-    slope: Fraction
-    offset: float
+    __slots__ = _fields = ("slope", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", _as_slope(self.slope))
-        object.__setattr__(self, "offset", float(self.offset))
-        if self.slope == 0:
+    def __init__(self, slope: Fraction, offset: float):
+        slope, offset = _as_slope(slope), float(offset)
+        if slope.numerator == 0:
             raise ValidationError("factor slope must be nonzero")
-        if abs(self.slope) > MAX_SLOPE:
-            raise ValidationError(f"|slope| {float(self.slope)!r} above "
+        # |slope| > MAX_SLOPE in integers: a Fraction-float comparison
+        # costs most of the constructor
+        if abs(slope.numerator) > _MAX_SLOPE_INT * slope.denominator:
+            raise ValidationError(f"|slope| {float(slope)!r} above "
                                   f"{MAX_SLOPE:g}: poles too close to resolve")
-        if not math.isfinite(self.offset):
+        if not math.isfinite(offset):
             raise ValidationError("factor offset must be finite")
+        _set(self, "slope", slope)
+        _set(self, "offset", offset)
 
     def argument(self, s: complex) -> complex:
         return float(self.slope) * s + self.offset
 
 
-@dataclass(frozen=True)
-class AnalyticityStrip:
+class AnalyticityStrip(Record):
     """Open interval (rho_minus, rho_plus) of analyticity around 0."""
 
-    rho_minus: float
-    rho_plus: float
+    __slots__ = _fields = ("rho_minus", "rho_plus")
+
+    def __init__(self, rho_minus: float, rho_plus: float):
+        _set(self, "rho_minus", rho_minus)
+        _set(self, "rho_plus", rho_plus)
 
 
-@dataclass(frozen=True)
-class AsymptoticProfile:
+class AsymptoticProfile(Record):
     """Growth parameters of log F(s): gamma' s log s + kappa s + delta log s + log c1.
 
     ``gamma`` governs the exponential decay exp(-pi gamma |t| / 2) along
     vertical lines.
     """
 
-    gamma: float
-    gamma_prime: float
-    delta: float
-    kappa: float
-    c1: float
+    __slots__ = _fields = ("gamma", "gamma_prime", "delta", "kappa", "c1")
+
+    def __init__(self, gamma: float, gamma_prime: float, delta: float,
+                 kappa: float, c1: float):
+        _set(self, "gamma", gamma)
+        _set(self, "gamma_prime", gamma_prime)
+        _set(self, "delta", delta)
+        _set(self, "kappa", kappa)
+        _set(self, "c1", c1)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     """Outcome of the zero-free-strip check."""
 
-    passed: bool
-    strip: AnalyticityStrip
-    zero_location: float | None = None
+    __slots__ = _fields = ("passed", "strip", "zero_location")
+
+    def __init__(self, passed: bool, strip: AnalyticityStrip,
+                 zero_location: float | None = None):
+        _set(self, "passed", passed)
+        _set(self, "strip", strip)
+        _set(self, "zero_location", zero_location)
 
 
 def _merges(t: float, u: float) -> bool:
@@ -305,21 +318,21 @@ def _edge_and_zero(walk, direction: int) -> tuple[tuple, float]:
     return (direction * math.inf, 0, []), zero
 
 
-@dataclass(frozen=True)
-class GammaTypeForm:
-    constant: float
-    log_scale: float
-    num: tuple[GammaFactor, ...]
-    den: tuple[GammaFactor, ...]
+class GammaTypeForm(Record):
+    # no __slots__: _poles is cached in the instance __dict__
+    _fields = ("constant", "log_scale", "num", "den")
 
-    def __post_init__(self):
-        if not (isinstance(self.constant, (int, float)) and self.constant > 0
-                and math.isfinite(self.constant)):
-            raise ValidationError(f"constant must be a positive real, got {self.constant!r}")
-        if not math.isfinite(self.log_scale):
+    def __init__(self, constant: float, log_scale: float,
+                 num: tuple[GammaFactor, ...], den: tuple[GammaFactor, ...]):
+        if not (isinstance(constant, (int, float)) and constant > 0
+                and math.isfinite(constant)):
+            raise ValidationError(f"constant must be a positive real, got {constant!r}")
+        if not math.isfinite(log_scale):
             raise ValidationError("log_scale must be finite")
-        object.__setattr__(self, "num", tuple(self.num))
-        object.__setattr__(self, "den", tuple(self.den))
+        _set(self, "constant", constant)
+        _set(self, "log_scale", log_scale)
+        _set(self, "num", tuple(num))
+        _set(self, "den", tuple(den))
 
     # ---------------------------------------------------------------- algebra
 

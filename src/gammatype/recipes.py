@@ -7,10 +7,10 @@ the tree data; ``gammatype.stochastics`` draws from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import ValidationError
+from .record import Record
 
 __all__ = [
     "Leaf", "Product", "Power", "Scale", "NegLog", "Abs", "Sum",
@@ -26,62 +26,76 @@ LEAF_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Leaf:
-    kind: str
-    args: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in LEAF_ARITY:
-            raise ValidationError(f"unknown leaf law {self.kind!r}")
-        if len(self.args) != LEAF_ARITY[self.kind]:
-            raise ValidationError(f"leaf {self.kind!r} takes "
-                                  f"{LEAF_ARITY[self.kind]} parameter(s)")
-        object.__setattr__(self, "args", tuple(float(a) for a in self.args))
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Product:
-    parts: tuple
+class Leaf(Record):
+    __slots__ = _fields = ("kind", "args")
+
+    def __init__(self, kind: str, args: tuple = ()):
+        if kind not in LEAF_ARITY:
+            raise ValidationError(f"unknown leaf law {kind!r}")
+        if len(args) != LEAF_ARITY[kind]:
+            raise ValidationError(f"leaf {kind!r} takes "
+                                  f"{LEAF_ARITY[kind]} parameter(s)")
+        _set(self, "kind", kind)
+        _set(self, "args", tuple(float(a) for a in args))
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "Recipe"
-    exponent: float
+class Product(Record):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Scale:
-    base: "Recipe"
-    factor: float
+class Power(Record):
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.factor == 0:
+    def __init__(self, base: "Recipe", exponent: float):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+
+
+class Scale(Record):
+    __slots__ = _fields = ("base", "factor")
+
+    def __init__(self, base: "Recipe", factor: float):
+        if factor == 0:
             raise ValidationError("scale factor must be nonzero")
+        _set(self, "base", base)
+        _set(self, "factor", factor)
 
 
-@dataclass(frozen=True)
-class NegLog:
-    base: "Recipe"
+class NegLog(Record):
+    __slots__ = _fields = ("base",)
+
+    def __init__(self, base: "Recipe"):
+        _set(self, "base", base)
 
 
-@dataclass(frozen=True)
-class Abs:
-    base: "Recipe"
+class Abs(Record):
+    __slots__ = _fields = ("base",)
+
+    def __init__(self, base: "Recipe"):
+        _set(self, "base", base)
 
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
+class Sum(Record):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class Discriminant(Record):
     """Squared Vandermonde determinant of n iid draws from one leaf law."""
 
-    n: int
-    leaf: Leaf
+    __slots__ = _fields = ("n", "leaf")
+
+    def __init__(self, n: int, leaf: Leaf):
+        _set(self, "n", n)
+        _set(self, "leaf", leaf)
 
 
 Recipe = Union[Leaf, Product, Power, Scale, NegLog, Abs, Sum, Discriminant]

@@ -13,13 +13,13 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import recipes as rc
 from .catalog import DistributionEntry
 from .errors import MomentRangeError, ValidationError
+from .record import Record
 
 __all__ = [
     "CHUNK_SIZE", "evaluate_recipe", "recipe_of", "chunks", "sample",
@@ -230,13 +230,19 @@ def sample(recipe: rc.Recipe, n: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: float
-    stderr: float
-    n: int
-    s: float
-    ci_valid: bool
+_set = object.__setattr__
+
+
+class MCEstimate(Record):
+    __slots__ = _fields = ("mean", "stderr", "n", "s", "ci_valid")
+
+    def __init__(self, mean: float, stderr: float, n: int, s: float,
+                 ci_valid: bool):
+        _set(self, "mean", mean)
+        _set(self, "stderr", stderr)
+        _set(self, "n", n)
+        _set(self, "s", s)
+        _set(self, "ci_valid", ci_valid)
 
 
 def _chunk_moments(x, grid, mgf):
@@ -320,28 +326,35 @@ def mc_moment(entry: DistributionEntry, s: float, n: int = 10 ** 6,
     return _estimates(entry, [s], n, seed)[0]
 
 
-@dataclass(frozen=True)
-class VerificationPoint:
-    s: float
-    estimate: float
-    stderr: float
-    exact: float
-    z: float
-    ci_valid: bool
-    passed: bool
+class VerificationPoint(Record):
+    __slots__ = _fields = ("s", "estimate", "stderr", "exact", "z",
+                           "ci_valid", "passed")
+
+    def __init__(self, s: float, estimate: float, stderr: float,
+                 exact: float, z: float, ci_valid: bool, passed: bool):
+        _set(self, "s", s)
+        _set(self, "estimate", estimate)
+        _set(self, "stderr", stderr)
+        _set(self, "exact", exact)
+        _set(self, "z", z)
+        _set(self, "ci_valid", ci_valid)
+        _set(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    entry: str
-    points: tuple
-    passed: bool
+class VerificationReport(Record):
+    __slots__ = _fields = ("entry", "points", "passed")
+
+    def __init__(self, entry: str, points: tuple, passed: bool):
+        _set(self, "entry", entry)
+        _set(self, "points", points)
+        _set(self, "passed", passed)
 
     def to_json_dict(self):
         return {
             "entry": self.entry,
             "passed": self.passed,
-            "points": [asdict(p) for p in self.points],
+            "points": [{name: getattr(p, name) for name in p._fields}
+                       for p in self.points],
         }
 
 

@@ -127,6 +127,9 @@ def test_bad_params_exit_2_with_schema_hint(capsys):
     ("density", "logistic", "--x=-1.7e308:1.7e308:2"),
     ("density", "gamma", "--params", "a=2", "--x=1:2:99999999999"),
     ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"),
+    # an empty grid is not the default grid
+    ("verify-mc", "gamma", "--params", "a=2", "--s-grid=", "--n", "100"),
+    ("verify-mc", "gamma", "--params", "a=2", "--s-grid=,", "--n", "100"),
     ("check-identity", "gamma:a=x", "rayleigh"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
@@ -508,6 +511,31 @@ def test_algebra_commands_load_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_algebra_commands_import_no_dataclasses_inspect_or_numpy():
+    # modules loaded beyond those of a bare interpreter in this environment
+    src = os.path.dirname(os.path.dirname(gammatype.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = [
+        ["list"], ["profile", "rayleigh"],
+        ["check-identity", "scale(power(exponential,0.5),1.4142135623730951)",
+         "rayleigh"],
+    ]
+    code = ("import contextlib, io, sys, gammatype.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert gammatype.cli.main(argv) == 0, argv\n"
+            "print(' '.join(sys.modules))")
+    modules = {}
+    for program in ("import sys; print(' '.join(sys.modules))", code):
+        modules[program] = set(subprocess.run(
+            [sys.executable, "-c", program], env=env, check=True,
+            capture_output=True, text=True).stdout.split())
+    bare, loaded = modules.values()
+    imported = {name.partition(".")[0] for name in loaded - bare}
+    assert "gammatype" in imported
+    assert not imported & {"dataclasses", "inspect", "numpy"}
 
 
 def test_sampling_names_resolve_after_bare_import():

@@ -12,8 +12,8 @@ from gammatype.errors import (
     InvalidFormError, PoleError, UndecidedStripError, ValidationError,
 )
 from gammatype.forms import (
-    MAX_SLOPE, AnalyticityStrip, ConsistencyReport, GammaTypeForm, make_form,
-    moments_equal,
+    MAX_SLOPE, AnalyticityStrip, ConsistencyReport, GammaFactor, GammaTypeForm,
+    make_form, moments_equal,
 )
 
 from oracles import mp_form_log, pole_walk
@@ -51,6 +51,19 @@ def test_rejects_slopes_too_steep_to_resolve():
         make_form(1, 0, [(1, 1)]).power(10 ** 12)
     steepest = make_form(1, 0, [(-MAX_SLOPE, 1)])
     assert steepest.strip().rho_plus == pytest.approx(2e-12, rel=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_slope_bound_is_exact_at_max_slope(sign):
+    # the bound is compared in integers; MAX_SLOPE itself is allowed
+    edge = sign * Fraction(5 * 10 ** 11)
+    assert edge == sign * MAX_SLOPE
+    assert GammaFactor(edge, 1).slope == edge
+    message = (f"|slope| {sign * 500000000000.0!r} above 5e+11: "
+               "poles too close to resolve")
+    with pytest.raises(ValidationError) as exc:
+        GammaFactor(edge + sign * Fraction(1, 10 ** 12), 1)
+    assert str(exc.value) == message
 
 
 def test_rejects_nonpositive_constant():
