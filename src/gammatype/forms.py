@@ -78,6 +78,14 @@ def _as_slope(a) -> Fraction:
     raise ValidationError(f"cannot interpret {a!r} as an exact slope")
 
 
+def _real(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a real number, "
+                              f"got {value!r}") from None
+
+
 _set = object.__setattr__
 
 
@@ -87,7 +95,7 @@ class GammaFactor(Record):
     __slots__ = _fields = ("slope", "offset")
 
     def __init__(self, slope: Fraction, offset: float):
-        slope, offset = _as_slope(slope), float(offset)
+        slope, offset = _as_slope(slope), _real(offset, "factor offset")
         if slope.numerator == 0:
             raise ValidationError("factor slope must be nonzero")
         # |slope| > MAX_SLOPE in integers: a Fraction-float comparison
@@ -554,11 +562,14 @@ def make_form(constant: float, log_scale: float,
 
     Slopes may be ints, Fractions or floats (taken as _as_slope says).
     """
-    return GammaTypeForm(
-        float(constant), float(log_scale),
-        tuple(GammaFactor(_as_slope(a), float(b)) for a, b in num),
-        tuple(GammaFactor(_as_slope(a), float(b)) for a, b in den),
-    )
+    def factor(pair):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ValidationError(f"a factor is a (slope, offset) pair, "
+                                  f"got {pair!r}")
+        return GammaFactor(*pair)
+    return GammaTypeForm(_real(constant, "constant"),
+                         _real(log_scale, "log_scale"),
+                         tuple(map(factor, num)), tuple(map(factor, den)))
 
 
 def moments_equal(f: GammaTypeForm, g: GammaTypeForm) -> bool:

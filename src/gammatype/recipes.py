@@ -7,6 +7,8 @@ the tree data; ``gammatype.stochastics`` draws from it.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
 from typing import Union
 
 from .errors import ValidationError
@@ -29,6 +31,12 @@ LEAF_ARITY = {
 _set = object.__setattr__
 
 
+def _finite(value, what: str) -> float:
+    if not (isinstance(value, Real) and math.isfinite(value)):
+        raise ValidationError(f"{what} must be a finite real, got {value!r}")
+    return float(value)
+
+
 class Leaf(Record):
     __slots__ = _fields = ("kind", "args")
 
@@ -38,6 +46,9 @@ class Leaf(Record):
         if len(args) != LEAF_ARITY[kind]:
             raise ValidationError(f"leaf {kind!r} takes "
                                   f"{LEAF_ARITY[kind]} parameter(s)")
+        if not all(isinstance(a, Real) for a in args):
+            raise ValidationError(f"leaf {kind!r} parameters must be real "
+                                  f"numbers, got {args!r}")
         _set(self, "kind", kind)
         _set(self, "args", tuple(float(a) for a in args))
 
@@ -54,13 +65,14 @@ class Power(Record):
 
     def __init__(self, base: "Recipe", exponent: float):
         _set(self, "base", base)
-        _set(self, "exponent", exponent)
+        _set(self, "exponent", _finite(exponent, "power exponent"))
 
 
 class Scale(Record):
     __slots__ = _fields = ("base", "factor")
 
     def __init__(self, base: "Recipe", factor: float):
+        factor = _finite(factor, "scale factor")
         if factor == 0:
             raise ValidationError("scale factor must be nonzero")
         _set(self, "base", base)
@@ -94,7 +106,13 @@ class Discriminant(Record):
     __slots__ = _fields = ("n", "leaf")
 
     def __init__(self, n: int, leaf: Leaf):
-        _set(self, "n", n)
+        if not (isinstance(n, Integral) and n >= 1):
+            raise ValidationError(f"discriminant needs an integer n >= 1, "
+                                  f"got {n!r}")
+        if not isinstance(leaf, Leaf):
+            raise ValidationError(f"discriminant draws from a Leaf, "
+                                  f"got {leaf!r}")
+        _set(self, "n", int(n))
         _set(self, "leaf", leaf)
 
 

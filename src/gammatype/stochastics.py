@@ -103,36 +103,51 @@ _LEAF_DRAWS = {
 
 
 def evaluate_recipe(recipe: rc.Recipe, rngs, n) -> np.ndarray:
-    """Draw an array of shape n; the leaves, depth-first, take rngs in turn."""
+    """Draw an array of shape n; the leaves, depth-first, take rngs in turn.
+
+    A node works in place in the fresh array of its first child, with the
+    ufuncs of the out-of-place formula in its order (**= keeps the fast
+    paths of **), so every draw is that formula's to the bit.
+    """
     if isinstance(recipe, rc.Leaf):
         return _LEAF_DRAWS[recipe.kind](next(rngs), *recipe.args, n)
     if isinstance(recipe, rc.Discriminant):
         draws = evaluate_recipe(recipe.leaf, rngs, (n, recipe.n))
-        out = np.ones(n)
-        for i, j in itertools.combinations(range(recipe.n), 2):
-            out *= draws[:, j] - draws[:, i]
-        return out ** 2
+        if recipe.n == 1:  # the empty product
+            return np.ones(n)
+        # the product starts at the first difference; one scratch array
+        # holds each of the others in turn
+        pairs = itertools.combinations(range(recipe.n), 2)
+        i, j = next(pairs)
+        out, scratch = draws[:, j] - draws[:, i], None
+        for i, j in pairs:
+            scratch = np.subtract(draws[:, j], draws[:, i], out=scratch)
+            out *= scratch
+        out **= 2
+        return out
     if isinstance(recipe, rc.Product):
-        # no array of ones beside the first part's draw and its temporaries
         out = (evaluate_recipe(recipe.parts[0], rngs, n) if recipe.parts
                else np.ones(n))
         for part in recipe.parts[1:]:
             out *= evaluate_recipe(part, rngs, n)
         return out
     if isinstance(recipe, rc.Sum):
-        out = np.zeros(n)
+        out = np.zeros(n)  # +0.0, so parts of -0.0 sum to +0.0
         for part in recipe.parts:
-            out = out + evaluate_recipe(part, rngs, n)
+            out += evaluate_recipe(part, rngs, n)
         return out
+    if not isinstance(recipe, (rc.Power, rc.Scale, rc.NegLog, rc.Abs)):
+        raise ValidationError(f"unknown recipe node {recipe!r}")
+    out = evaluate_recipe(recipe.base, rngs, n)
     if isinstance(recipe, rc.Power):
-        return evaluate_recipe(recipe.base, rngs, n) ** recipe.exponent
-    if isinstance(recipe, rc.Scale):
-        return recipe.factor * evaluate_recipe(recipe.base, rngs, n)
-    if isinstance(recipe, rc.NegLog):
-        return -np.log(evaluate_recipe(recipe.base, rngs, n))
-    if isinstance(recipe, rc.Abs):
-        return np.abs(evaluate_recipe(recipe.base, rngs, n))
-    raise ValidationError(f"unknown recipe node {recipe!r}")
+        out **= recipe.exponent
+    elif isinstance(recipe, rc.Scale):
+        out *= recipe.factor
+    elif isinstance(recipe, rc.NegLog):
+        np.negative(np.log(out, out=out), out=out)
+    else:
+        np.abs(out, out=out)
+    return out
 
 
 def recipe_of(entry: DistributionEntry) -> rc.Recipe:

@@ -71,6 +71,23 @@ def test_rejects_nonpositive_constant():
         make_form(-2.0, 0, [(1, 1)])
 
 
+@pytest.mark.parametrize("args,bad", [
+    ((1, 0, [(1, 1 + 2j)]), "(1+2j)"),  # complex offsets wait for their strip
+    ((1, 0, [(1, None)]), "None"),
+    ((1, 0, [], [(1, "x")]), "'x'"),
+    ((1 + 2j, 0), "(1+2j)"),
+    ((1, 1j), "1j"),
+    ((None, 0), "None"),
+    ((1, 0, [(1,)]), "(1,)"),
+    ((1, 0, [(1, 2, 3)]), "(1, 2, 3)"),
+    ((1, 0, [], [1]), "got 1"),
+])
+def test_make_form_names_the_value_it_cannot_take(args, bad):
+    with pytest.raises(ValidationError) as exc:
+        make_form(*args)
+    assert bad in str(exc.value)
+
+
 def test_evaluate_matches_mpmath():
     form = build("linnik", {"alpha": 1.5}).form
     for s in (0.3, -0.4, 0.25 + 1.5j, -0.5 - 2j):

@@ -1,6 +1,7 @@
 """Sampling determinism, recipe correctness, and the MC harness."""
 
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -196,6 +197,123 @@ def test_stable_draws_peak_within_four_chunk_buffers(draw, formula, alpha):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * stochastics.CHUNK_SIZE * 8
+
+
+# -------------------------------------------------------------- recipe nodes
+
+def _out_of_place(recipe, rngs, n):
+    # evaluate_recipe with a fresh array for each node's result
+    if isinstance(recipe, rc.Leaf):
+        return stochastics._LEAF_DRAWS[recipe.kind](next(rngs), *recipe.args,
+                                                    n)
+    if isinstance(recipe, rc.Discriminant):
+        draws = _out_of_place(recipe.leaf, rngs, (n, recipe.n))
+        out = np.ones(n)
+        for i, j in itertools.combinations(range(recipe.n), 2):
+            out *= draws[:, j] - draws[:, i]
+        return out ** 2
+    if isinstance(recipe, rc.Product):
+        out = (_out_of_place(recipe.parts[0], rngs, n) if recipe.parts
+               else np.ones(n))
+        for part in recipe.parts[1:]:
+            out *= _out_of_place(part, rngs, n)
+        return out
+    if isinstance(recipe, rc.Sum):
+        out = np.zeros(n)
+        for part in recipe.parts:
+            out = out + _out_of_place(part, rngs, n)
+        return out
+    if isinstance(recipe, rc.Power):
+        return _out_of_place(recipe.base, rngs, n) ** recipe.exponent
+    if isinstance(recipe, rc.Scale):
+        return recipe.factor * _out_of_place(recipe.base, rngs, n)
+    if isinstance(recipe, rc.NegLog):
+        return -np.log(_out_of_place(recipe.base, rngs, n))
+    assert isinstance(recipe, rc.Abs)
+    return np.abs(_out_of_place(recipe.base, rngs, n))
+
+
+# its one part is -0.0 everywhere, and the sum +0.0
+NEGATIVE_ZERO_SUM = rc.Sum((rc.NegLog(rc.Power(rc.uniform(), 0.0)),))
+
+
+@pytest.mark.parametrize("name", RECIPE_ENTRIES + ["negative_zero_sum"])
+def test_in_place_nodes_draw_the_out_of_place_values_bit_for_bit(name):
+    recipe = (NEGATIVE_ZERO_SUM if name == "negative_zero_sum"
+              else catalog.build(name, CASES[name]).recipe)
+    for n in (3, stochastics.CHUNK_SIZE + 1):
+        draws = []
+        for evaluate in (evaluate_recipe, _out_of_place):
+            rngs = (np.random.default_rng((5, 0, i)) for i in itertools.count())
+            with np.errstate(all="ignore"):
+                draws.append(evaluate(recipe, rngs, n).tobytes())
+        assert draws[0] == draws[1], n
+
+
+def test_a_sum_of_negative_zeros_is_positive_zero():
+    x = sample(NEGATIVE_ZERO_SUM, 5, seed=1)
+    assert (x == 0).all() and not np.signbit(x).any()
+
+
+def test_a_discriminant_of_one_draw_is_one():
+    x = sample(rc.Discriminant(1, rc.normal()), 5, seed=1)
+    assert np.array_equal(x, np.ones(5))
+
+
+@pytest.mark.parametrize("name,params,buffers", [
+    ("selberg_beta", {"n": 2, "alpha": 1, "beta": 1}, 3),
+    ("type2_beta", {"alpha": 2, "beta": 3}, 2),
+])
+def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
+    # the draw and the reduction at 3 points, in buffers of 512 KiB: two
+    # leaf draws and the first difference, or a draw and the reduction's
+    # work buffer; out-of-place nodes peak at one buffer more
+    entry = catalog.build(name, params)
+    chunk = stochastics.CHUNK_SIZE
+
+    def draw_and_reduce(c):
+        rngs = (np.random.default_rng((1, c, i)) for i in itertools.count())
+        with np.errstate(all="ignore"):
+            stochastics._chunk_moments(
+                evaluate_recipe(entry.recipe, rngs, chunk), [0.2, 0.4, 0.6],
+                entry.kind == "mgf")
+
+    draw_and_reduce(0)  # allocations of a first call are not a chunk's
+    tracemalloc.start()
+    try:
+        draw_and_reduce(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (buffers + 0.5) * chunk * 8
+
+
+@pytest.mark.parametrize("make,bad", [
+    (lambda: rc.Scale(rc.uniform(), math.nan), "nan"),
+    (lambda: rc.Scale(rc.uniform(), -math.inf), "-inf"),
+    (lambda: rc.Scale(rc.uniform(), 0.0), "nonzero"),
+    (lambda: rc.Scale(rc.uniform(), "2"), "'2'"),
+    (lambda: rc.Power(rc.uniform(), "x"), "'x'"),
+    (lambda: rc.Power(rc.uniform(), math.inf), "inf"),
+    (lambda: rc.Power(rc.uniform(), 0.5j), "0.5j"),
+    (lambda: rc.Leaf("gamma", ("x",)), "'x'"),
+    (lambda: rc.Leaf("beta", (1.0, None)), "None"),
+    (lambda: rc.Discriminant(0, rc.normal()), "got 0"),
+    (lambda: rc.Discriminant(2.0, rc.normal()), "got 2.0"),
+    (lambda: rc.Discriminant(2, rc.Power(rc.normal(), 2.0)), "Power"),
+], ids=["scale-nan", "scale-inf", "scale-zero", "scale-str", "power-str",
+        "power-inf", "power-complex", "leaf-str", "leaf-none",
+        "discriminant-zero", "discriminant-float", "discriminant-node"])
+def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
+    with pytest.raises(ValidationError, match=bad):
+        make()
+
+
+def test_recipe_node_numbers_are_floats():
+    # so every node yields a float64 array to work in
+    assert type(rc.Power(rc.uniform(), 2).exponent) is float
+    assert type(rc.Scale(rc.uniform(), np.int64(3)).factor) is float
+    assert type(rc.Discriminant(np.int64(2), rc.normal()).n) is int
 
 
 # ------------------------------------------------------------ leaf anchors
