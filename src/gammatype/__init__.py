@@ -4,7 +4,7 @@ import importlib
 
 from .errors import (
     GammaTypeError, PoleError, ValidationError, InvalidFormError,
-    ParameterError, UnrepresentableError,
+    ParameterError, UnknownEntryError, UnrepresentableError,
     MomentRangeError, InversionError, UndecidedStripError,
 )
 from .specfun import log_gamma, log_gamma_real, gamma_real
@@ -13,7 +13,7 @@ from .forms import (
     ConsistencyReport, make_form, moments_equal,
 )
 from .catalog import (
-    DistributionEntry, Support, ParamSpec, build, entry_names,
+    DistributionEntry, Support, ParamSpec, build, entry_names, entry_json,
     catalog_to_json, pref_attach_candidate_form,
 )
 from . import recipes

@@ -20,14 +20,16 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import recipes as rc
-from .errors import ParameterError, UnrepresentableError, ValidationError
+from .errors import (ParameterError, UnknownEntryError, UnrepresentableError,
+                     ValidationError)
 from .forms import GammaFactor, GammaTypeForm, make_form
 from .record import Record
 from .specfun import gamma_real
 
 __all__ = [
     "Support", "ParamSpec", "DistributionEntry",
-    "build", "entry_names", "catalog_to_json", "pref_attach_candidate_form",
+    "build", "entry_names", "entry_json", "catalog_to_json",
+    "pref_attach_candidate_form",
 ]
 
 _INF = math.inf
@@ -822,14 +824,20 @@ def entry_names() -> list[str]:
     return list(_REGISTRY)
 
 
+def _definition(name: str) -> _EntryDef:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise UnknownEntryError(f"unknown distribution {name!r}") from None
+
+
 def build(name: str, params: dict | None = None) -> DistributionEntry:
     """Construct a catalog entry, validating the parameter constraints.
 
     The entry's params are the coerced values, in ParamSpec order.
+    UnknownEntryError if no entry has the name.
     """
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown distribution {name!r}")
-    d = _REGISTRY[name]
+    d = _definition(name)
     params = dict(params or {})
     expected = {p.name for p in d.params}
     unknown = set(params) - expected
@@ -857,14 +865,14 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
                              name, kwargs)
 
 
+def entry_json(name: str) -> dict:
+    """Name, label and parameter schema of one entry."""
+    d = _definition(name)
+    return {"name": name, "label": d.label,
+            "params": [{k: getattr(p, k) for k in p._fields}
+                       for p in d.params]}
+
+
 def catalog_to_json() -> list[dict]:
-    """Name, label and parameter schema of every entry, in registry order."""
-    out = []
-    for name, d in _REGISTRY.items():
-        out.append({
-            "name": name,
-            "label": d.label,
-            "params": [{"name": p.name, "kind": p.kind,
-                        "constraint": p.constraint} for p in d.params],
-        })
-    return out
+    """entry_json of every entry, in registry order."""
+    return [entry_json(name) for name in _REGISTRY]

@@ -17,8 +17,8 @@ import sys
 
 from . import catalog
 from .errors import (
-    GammaTypeError, ParameterError, PoleError, UnrepresentableError,
-    ValidationError,
+    GammaTypeError, ParameterError, PoleError, UnknownEntryError,
+    UnrepresentableError, ValidationError,
 )
 from .forms import IDENTITY_TOL, moments_equal
 
@@ -26,6 +26,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_UNKNOWN = 2
 EXIT_DOMAIN = 3
+
+# errors of the invocation; every other GammaTypeError is a domain error
+_USAGE_ERRORS = (ValidationError, ParameterError, UnrepresentableError,
+                 UnknownEntryError)
 
 
 def _jsonable(value):
@@ -73,15 +77,10 @@ def _build(name, param_tokens):
     return catalog.build(name, _parse_params(param_tokens))
 
 
-def _entry_json(name):
-    """The entry's element of catalog_to_json(), or None for an unknown name."""
-    return next((payload for payload in catalog.catalog_to_json()
-                 if payload["name"] == name), None)
-
-
 def _schema_hint(name):
-    payload = _entry_json(name)
-    if payload is None:
+    try:
+        payload = catalog.entry_json(name)
+    except UnknownEntryError:
         return f"unknown entry {name!r}; try `gammatype list`"
     if not payload["params"]:
         return f"{name} takes no parameters"
@@ -165,10 +164,7 @@ def _cmd_list(args):
 
 
 def _cmd_info(args):
-    payload = _entry_json(args.name)
-    if payload is None:
-        _emit({"error": _schema_hint(args.name)})
-        return EXIT_UNKNOWN
+    payload = catalog.entry_json(args.name)
     _emit(payload, f"{args.name}: {payload['label']}" if args.human else None)
     return EXIT_OK
 
@@ -327,13 +323,6 @@ def _cmd_consistency(args):
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _add_entry_args(p, with_params=True):
-    p.add_argument("name")
-    if with_params:
-        p.add_argument("--params", nargs="*", default=[],
-                       help="parameters as k=v[,k=v...]")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValidationError, so they exit 2 with JSON too."""
 
@@ -349,57 +338,46 @@ def build_parser():
                         help="add a readable summary on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list")
+    def command(name, handler, *positionals, params=True):
+        """The subparser of one command, which main runs by handler."""
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        for positional in positionals:
+            p.add_argument(positional)
+        if params:
+            p.add_argument("--params", nargs="*", default=[],
+                           help="parameters as k=v[,k=v...]")
+        return p
 
-    _add_entry_args(sub.add_parser("info"), with_params=False)
+    command("list", _cmd_list, params=False)
+    command("info", _cmd_info, "name", params=False)
 
-    p = sub.add_parser("moment")
-    _add_entry_args(p)
+    p = command("moment", _cmd_moment, "name")
     p.add_argument("--s", required=True, help="moment order: re or re,im")
 
-    _add_entry_args(sub.add_parser("profile"))
-    _add_entry_args(sub.add_parser("strip"))
+    command("profile", _cmd_profile, "name")
+    command("strip", _cmd_strip, "name")
+    command("check-identity", _cmd_check_identity, "lhs", "rhs", params=False)
 
-    p = sub.add_parser("check-identity")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = sub.add_parser("verify-mc")
-    _add_entry_args(p)
+    p = command("verify-mc", _cmd_verify_mc, "name")
     p.add_argument("--s-grid", default=None, help="comma-separated real s")
     p.add_argument("--n", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("sample")
-    _add_entry_args(p)
+    p = command("sample", _cmd_sample, "name")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("density")
-    _add_entry_args(p)
+    p = command("density", _cmd_density, "name")
     p.add_argument("--x", required=True, help="grid as a:b:steps")
     p.add_argument("--abscissa", type=float, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
 
-    _add_entry_args(sub.add_parser("consistency"))
+    command("consistency", _cmd_consistency, "name")
     return parser
-
-
-_COMMANDS = {
-    "list": _cmd_list,
-    "info": _cmd_info,
-    "moment": _cmd_moment,
-    "profile": _cmd_profile,
-    "strip": _cmd_strip,
-    "check-identity": _cmd_check_identity,
-    "verify-mc": _cmd_verify_mc,
-    "sample": _cmd_sample,
-    "density": _cmd_density,
-    "consistency": _cmd_consistency,
-}
 
 
 def main(argv=None) -> int:
@@ -409,7 +387,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _number("GML_SEED", os.environ.get("GML_SEED", "0"),
                                 int)
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # here, so that a closed pipe raises inside main
         return code
     except BrokenPipeError:
@@ -418,23 +396,19 @@ def main(argv=None) -> int:
         # note in the documentation of Python's signal module)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except KeyError as exc:
-        # unknown catalog name raised by catalog.build
-        _emit({"error": str(exc.args[0]) if exc.args else str(exc),
-               "hint": "try `gammatype list`"})
-        return EXIT_UNKNOWN
-    except (ParameterError, UnrepresentableError, ValidationError) as exc:
-        hint = _schema_hint(args.name) if hasattr(args, "name") else None
-        _emit({"error": str(exc), "hint": hint})
-        return EXIT_UNKNOWN
     except GammaTypeError as exc:
-        payload = {"error": str(exc)}
-        if isinstance(exc, PoleError):
+        payload, usage = {"error": str(exc)}, isinstance(exc, _USAGE_ERRORS)
+        if isinstance(exc, UnknownEntryError):
+            payload["hint"] = "try `gammatype list`"
+        elif usage:
+            payload["hint"] = (_schema_hint(args.name)
+                               if hasattr(args, "name") else None)
+        elif isinstance(exc, PoleError):
             loc = exc.location
             payload["location"] = ([loc.real, loc.imag]
                                    if isinstance(loc, complex) else loc)
         _emit(payload)
-        return EXIT_DOMAIN
+        return EXIT_UNKNOWN if usage else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -34,6 +34,12 @@ class ParameterError(GammaTypeError, ValueError):
         super().__init__(message or f"{entry}: violated condition: {condition}")
 
 
+class UnknownEntryError(GammaTypeError, KeyError):
+    """No catalog entry has the requested name."""
+
+    __str__ = BaseException.__str__  # KeyError's would quote the message
+
+
 class UnrepresentableError(GammaTypeError):
     """The requested distribution has no Gamma-type representation."""
 

@@ -326,21 +326,34 @@ def _edge_and_zero(walk, direction: int) -> tuple[tuple, float]:
     return (direction * math.inf, 0, []), zero
 
 
+def _factor(item) -> GammaFactor:
+    if isinstance(item, GammaFactor):
+        return item
+    if not (isinstance(item, (tuple, list)) and len(item) == 2):
+        raise ValidationError(f"a factor is a GammaFactor or a (slope, "
+                              f"offset) pair, got {item!r}")
+    return GammaFactor(*item)
+
+
 class GammaTypeForm(Record):
+    """C exp(l s) prod Gamma(num) / prod Gamma(den), num and den of
+    GammaFactors or (slope, offset) pairs; every argument is checked."""
+
     # no __slots__: _poles is cached in the instance __dict__
     _fields = ("constant", "log_scale", "num", "den")
 
     def __init__(self, constant: float, log_scale: float,
-                 num: tuple[GammaFactor, ...], den: tuple[GammaFactor, ...]):
-        if not (isinstance(constant, (int, float)) and constant > 0
-                and math.isfinite(constant)):
+                 num: Sequence = (), den: Sequence = ()):
+        constant = _real(constant, "constant")
+        if not (constant > 0 and math.isfinite(constant)):
             raise ValidationError(f"constant must be a positive real, got {constant!r}")
+        log_scale = _real(log_scale, "log_scale")
         if not math.isfinite(log_scale):
             raise ValidationError("log_scale must be finite")
         _set(self, "constant", constant)
         _set(self, "log_scale", log_scale)
-        _set(self, "num", tuple(num))
-        _set(self, "den", tuple(den))
+        _set(self, "num", tuple(map(_factor, num)))
+        _set(self, "den", tuple(map(_factor, den)))
 
     # ---------------------------------------------------------------- algebra
 
@@ -549,27 +562,35 @@ class GammaTypeForm(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GammaTypeForm":
-        def unpack(items):
-            return tuple(GammaFactor(Fraction(int(p), int(q)), float(b))
-                         for p, q, b in items)
-        return cls(float(data["constant"]), float(data["log_scale"]),
-                   unpack(data["num"]), unpack(data["den"]))
+        """The form of a to_json_dict() dict, read from outside the program:
+        ValidationError names the key or item it cannot read."""
+        def get(key):
+            try:
+                return data[key]
+            except (KeyError, TypeError):
+                raise ValidationError(f"form JSON has no key {key!r}") from None
+
+        def pair(key, item):
+            try:
+                p, q, offset = item
+                return Fraction(p, q), offset
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValidationError(
+                    f"form JSON {key!r}: a factor is [p, q, offset] with "
+                    f"integers p and q != 0, got {item!r}") from None
+
+        def pairs(key):
+            items = get(key)
+            if not isinstance(items, list):
+                raise ValidationError(f"form JSON {key!r} must be a list of "
+                                      f"factors, got {items!r}")
+            return [pair(key, item) for item in items]
+        return cls(get("constant"), get("log_scale"), pairs("num"),
+                   pairs("den"))
 
 
-def make_form(constant: float, log_scale: float,
-              num: Sequence[tuple] = (), den: Sequence[tuple] = ()) -> GammaTypeForm:
-    """Build a form from (slope, offset) pairs.
-
-    Slopes may be ints, Fractions or floats (taken as _as_slope says).
-    """
-    def factor(pair):
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-            raise ValidationError(f"a factor is a (slope, offset) pair, "
-                                  f"got {pair!r}")
-        return GammaFactor(*pair)
-    return GammaTypeForm(_real(constant, "constant"),
-                         _real(log_scale, "log_scale"),
-                         tuple(map(factor, num)), tuple(map(factor, den)))
+# the constructor under the name the catalog and most callers use
+make_form = GammaTypeForm
 
 
 def moments_equal(f: GammaTypeForm, g: GammaTypeForm) -> bool:

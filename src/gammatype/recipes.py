@@ -37,6 +37,21 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
+def _recipe(value, what: str):
+    if not isinstance(value, _NODES):
+        raise ValidationError(f"{what} must be a recipe, got {value!r}")
+    return value
+
+
+def _recipes(parts, what: str) -> tuple:
+    if not isinstance(parts, tuple):
+        raise ValidationError(f"{what} parts must be a tuple of recipes, "
+                              f"got {parts!r}")
+    for part in parts:
+        _recipe(part, f"{what} part")
+    return parts
+
+
 class Leaf(Record):
     __slots__ = _fields = ("kind", "args")
 
@@ -57,14 +72,14 @@ class Product(Record):
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple):
-        _set(self, "parts", parts)
+        _set(self, "parts", _recipes(parts, "product"))
 
 
 class Power(Record):
     __slots__ = _fields = ("base", "exponent")
 
     def __init__(self, base: "Recipe", exponent: float):
-        _set(self, "base", base)
+        _set(self, "base", _recipe(base, "power base"))
         _set(self, "exponent", _finite(exponent, "power exponent"))
 
 
@@ -75,7 +90,7 @@ class Scale(Record):
         factor = _finite(factor, "scale factor")
         if factor == 0:
             raise ValidationError("scale factor must be nonzero")
-        _set(self, "base", base)
+        _set(self, "base", _recipe(base, "scale base"))
         _set(self, "factor", factor)
 
 
@@ -83,21 +98,21 @@ class NegLog(Record):
     __slots__ = _fields = ("base",)
 
     def __init__(self, base: "Recipe"):
-        _set(self, "base", base)
+        _set(self, "base", _recipe(base, "neglog base"))
 
 
 class Abs(Record):
     __slots__ = _fields = ("base",)
 
     def __init__(self, base: "Recipe"):
-        _set(self, "base", base)
+        _set(self, "base", _recipe(base, "abs base"))
 
 
 class Sum(Record):
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple):
-        _set(self, "parts", parts)
+        _set(self, "parts", _recipes(parts, "sum"))
 
 
 class Discriminant(Record):
@@ -116,7 +131,8 @@ class Discriminant(Record):
         _set(self, "leaf", leaf)
 
 
-Recipe = Union[Leaf, Product, Power, Scale, NegLog, Abs, Sum, Discriminant]
+_NODES = (Leaf, Product, Power, Scale, NegLog, Abs, Sum, Discriminant)
+Recipe = Union[_NODES]
 
 
 # convenience constructors -------------------------------------------------

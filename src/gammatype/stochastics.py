@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import threading
 
@@ -212,12 +213,19 @@ def _in_order(task, count):
         helper.join()
 
 
+def _integer(value, what: str):
+    """value if it is an integer (bool is not one), else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _per_chunk(recipe, n, seed, reduce):
     """reduce(draws) for each chunk of the n draws, in chunk order; n and
     seed are checked at the call, and the chunks are drawn lazily."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValidationError("n must be at least 1")
-    if seed < 0:
+    if _integer(seed, "seed") < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
     # numpy keeps the error state per thread, so each chunk sets its own
@@ -315,7 +323,7 @@ def _estimates(entry, s_grid, n, seed):
     the estimator exists, i.e. when 2s also lies in the strip; otherwise
     the estimate is still returned but flagged ``ci_valid=False``.
     """
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise ValidationError(f"n must be at least 2 for a standard error, "
                               f"got {n}")
     recipe = recipe_of(entry)
@@ -410,7 +418,7 @@ def harmonic_drift(n_max: int) -> np.ndarray:
 
     The drift decreases to Euler's constant 0.5772156649...
     """
-    if n_max < 1:
+    if _integer(n_max, "n_max") < 1:
         raise ValidationError("n_max must be at least 1")
     n = np.arange(1, n_max + 1, dtype=np.float64)
     drift = np.cumsum(1.0 / n) - np.log(n)

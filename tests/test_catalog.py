@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from gammatype import catalog
-from gammatype.errors import ParameterError, UnrepresentableError
+from gammatype.errors import (
+    GammaTypeError, ParameterError, UnknownEntryError, UnrepresentableError,
+)
 from gammatype.forms import make_form, moments_equal
 
 from oracles import fit_profile, moment_by_quadrature
@@ -110,8 +112,11 @@ def test_closed_form_density_reproduces_moments(name, entry):
 # ------------------------------------------------------- parameter validation
 
 def test_unknown_entry():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as exc:
         catalog.build("no_such_law")
+    assert isinstance(exc.value, UnknownEntryError)
+    assert isinstance(exc.value, GammaTypeError)
+    assert str(exc.value) == "unknown distribution 'no_such_law'"
 
 
 def test_unknown_and_missing_params():

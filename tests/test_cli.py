@@ -104,10 +104,21 @@ def test_identity_spec_grammar():
     assert moments_equal(lhs, rhs)
 
 
+UNKNOWN_NAME_PAYLOAD = {"error": "unknown distribution 'zeta_magic'",
+                        "hint": "try `gammatype list`"}
+
+
 def test_unknown_entry_exits_2(capsys):
-    code, out, _ = run(capsys, "profile", "zeta_magic")
+    # every command that takes a name prints the one payload
+    for argv in (["info"], ["moment", "--s=1"], ["profile"], ["strip"],
+                 ["verify-mc"], ["sample"], ["density", "--x=1:2:3"],
+                 ["consistency"]):
+        code, out, _ = run(capsys, argv[0], "zeta_magic", *argv[1:])
+        assert code == 2, argv
+        assert json.loads(out) == UNKNOWN_NAME_PAYLOAD, argv
+    code, out, _ = run(capsys, "check-identity", "zeta_magic", "rayleigh")
     assert code == 2
-    assert "hint" in json.loads(out)
+    assert json.loads(out) == UNKNOWN_NAME_PAYLOAD
 
 
 def test_bad_params_exit_2_with_schema_hint(capsys):

@@ -83,9 +83,21 @@ def test_rejects_nonpositive_constant():
     ((1, 0, [], [1]), "got 1"),
 ])
 def test_make_form_names_the_value_it_cannot_take(args, bad):
-    with pytest.raises(ValidationError) as exc:
-        make_form(*args)
-    assert bad in str(exc.value)
+    assert make_form is GammaTypeForm  # one constructor under two names
+    for construct in (make_form, GammaTypeForm):
+        with pytest.raises(ValidationError) as exc:
+            construct(*args)
+        assert bad in str(exc.value)
+
+
+def test_raw_pairs_build_a_checked_form():
+    form = GammaTypeForm(1, 0, ((1, 1),), ())
+    assert form.num == (GammaFactor(1, 1.0),)
+    assert type(form.constant) is float
+    assert form.strip() == AnalyticityStrip(-1.0, math.inf)
+    assert form == GammaTypeForm(1.0, 0.0, (GammaFactor(1, 1),))
+    with pytest.raises(ValidationError, match=r"\(1,\)"):
+        GammaTypeForm(1, 0, ((1,),), ())
 
 
 def test_evaluate_matches_mpmath():
@@ -277,6 +289,26 @@ def test_json_round_trip_bit_exact():
     assert back.constant == form.constant
     assert back.log_scale == form.log_scale
     assert back.num == form.num and back.den == form.den
+
+
+@pytest.mark.parametrize("name,params", CASES.items())
+def test_every_catalog_form_round_trips_through_json(name, params):
+    form = build(name, params).form
+    assert GammaTypeForm.from_json_dict(
+        json.loads(json.dumps(form.to_json_dict()))) == form
+
+
+@pytest.mark.parametrize("data,named", [
+    ({}, "'constant'"),
+    ({"constant": 1, "log_scale": 0, "num": [[1, 0, 1]], "den": []},
+     "[1, 0, 1]"),
+    ({"constant": 1, "log_scale": 0, "num": [], "den": [["x", 1, 0.5]]},
+     "['x', 1, 0.5]"),
+], ids=["no-keys", "zero-denominator", "non-numeric"])
+def test_malformed_form_json_is_a_validation_error(data, named):
+    with pytest.raises(ValidationError) as exc:
+        GammaTypeForm.from_json_dict(data)
+    assert named in str(exc.value)
 
 
 # ------------------------------------------------------------- moments_equal

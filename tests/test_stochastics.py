@@ -301,12 +301,43 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
     (lambda: rc.Discriminant(0, rc.normal()), "got 0"),
     (lambda: rc.Discriminant(2.0, rc.normal()), "got 2.0"),
     (lambda: rc.Discriminant(2, rc.Power(rc.normal(), 2.0)), "Power"),
+    (lambda: rc.Product(3), "got 3"),
+    (lambda: rc.Product([rc.uniform()]), r"got \[Leaf"),
+    (lambda: rc.Sum((1,)), "got 1"),
+    (lambda: rc.Power("x", 1.0), "got 'x'"),
+    (lambda: rc.Scale(None, 2.0), "got None"),
+    (lambda: rc.NegLog(2.0), "got 2.0"),
+    (lambda: rc.Abs((rc.normal(),)), r"got \(Leaf"),
 ], ids=["scale-nan", "scale-inf", "scale-zero", "scale-str", "power-str",
         "power-inf", "power-complex", "leaf-str", "leaf-none",
-        "discriminant-zero", "discriminant-float", "discriminant-node"])
+        "discriminant-zero", "discriminant-float", "discriminant-node",
+        "product-int", "product-list", "sum-int-part", "power-str-base",
+        "scale-none-base", "neglog-float-base", "abs-tuple-base"])
 def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
     with pytest.raises(ValidationError, match=bad):
         make()
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: sample(rc.uniform(), 2.5), "n must be an integer, got 2.5"),
+    (lambda: sample(rc.uniform(), True), "n must be an integer, got True"),
+    (lambda: sample(rc.uniform(), 3, None), "seed must be an integer, got None"),
+    (lambda: verify_entry(catalog.build("rayleigh"), n=10, seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: verify_entry(catalog.build("rayleigh"), n=10.0),
+     "n must be an integer, got 10.0"),
+    (lambda: harmonic_drift(2.5), "n_max must be an integer, got 2.5"),
+], ids=["sample-n-float", "sample-n-bool", "sample-seed-none",
+        "verify-seed-float", "verify-n-float", "harmonic-float"])
+def test_draw_counts_and_seeds_must_be_integers(call, bad):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == bad
+
+
+def test_numpy_integers_count_as_integers():
+    assert len(sample(rc.uniform(), np.int64(3), np.uint8(2))) == 3
+    assert harmonic_drift(np.int32(2)).shape == (2, 2)
 
 
 def test_recipe_node_numbers_are_floats():
