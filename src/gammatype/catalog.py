@@ -44,22 +44,14 @@ _set = object.__setattr__
 
 
 class Support(Record):
+    # symmetric: the density lives on all of R, the form is E|X|^s
     __slots__ = _fields = ("lo", "hi", "symmetric")
-
-    def __init__(self, lo: float, hi: float, symmetric: bool = False):
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        # density lives on all of R, form is E|X|^s
-        _set(self, "symmetric", symmetric)
+    _defaults = (False,)
 
 
 class ParamSpec(Record):
+    # kind is "int" or "float"; constraint is a human-readable condition
     __slots__ = _fields = ("name", "kind", "constraint")
-
-    def __init__(self, name: str, kind: str, constraint: str):
-        _set(self, "name", name)
-        _set(self, "kind", kind)              # "int" or "float"
-        _set(self, "constraint", constraint)  # human-readable condition
 
     def coerce(self, value):
         try:
@@ -95,13 +87,8 @@ class DistributionEntry(Record):
 
 
 class _EntryDef(Record):
+    # factory(**params) -> DistributionEntry
     __slots__ = _fields = ("label", "params", "factory")
-
-    def __init__(self, label: str, params: tuple,
-                 factory: Callable[..., DistributionEntry]):
-        _set(self, "label", label)
-        _set(self, "params", params)
-        _set(self, "factory", factory)
 
 
 _REGISTRY: dict[str, _EntryDef] = {}

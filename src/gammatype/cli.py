@@ -81,7 +81,7 @@ def _schema_hint(name):
     try:
         payload = catalog.entry_json(name)
     except UnknownEntryError:
-        return f"unknown entry {name!r}; try `gammatype list`"
+        return "try `gammatype list`"
     if not payload["params"]:
         return f"{name} takes no parameters"
     return (name + " parameters: "

@@ -117,10 +117,6 @@ class AnalyticityStrip(Record):
 
     __slots__ = _fields = ("rho_minus", "rho_plus")
 
-    def __init__(self, rho_minus: float, rho_plus: float):
-        _set(self, "rho_minus", rho_minus)
-        _set(self, "rho_plus", rho_plus)
-
 
 class AsymptoticProfile(Record):
     """Growth parameters of log F(s): gamma' s log s + kappa s + delta log s + log c1.
@@ -131,25 +127,12 @@ class AsymptoticProfile(Record):
 
     __slots__ = _fields = ("gamma", "gamma_prime", "delta", "kappa", "c1")
 
-    def __init__(self, gamma: float, gamma_prime: float, delta: float,
-                 kappa: float, c1: float):
-        _set(self, "gamma", gamma)
-        _set(self, "gamma_prime", gamma_prime)
-        _set(self, "delta", delta)
-        _set(self, "kappa", kappa)
-        _set(self, "c1", c1)
-
 
 class ConsistencyReport(Record):
     """Outcome of the zero-free-strip check."""
 
     __slots__ = _fields = ("passed", "strip", "zero_location")
-
-    def __init__(self, passed: bool, strip: AnalyticityStrip,
-                 zero_location: float | None = None):
-        _set(self, "passed", passed)
-        _set(self, "strip", strip)
-        _set(self, "zero_location", zero_location)
+    _defaults = (None,)
 
 
 def _merges(t: float, u: float) -> bool:

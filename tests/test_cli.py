@@ -168,6 +168,8 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
      "tol"),
     ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "0.5",
           "--n", "1"), "n must be at least 2"),
+    # the seed is read before the name is looked up
+    ({"GML_SEED": "abc"}, ("sample", "nope"), "GML_SEED"),
 ])
 def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     for key, value in env.items():
@@ -175,7 +177,10 @@ def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert len(out.splitlines()) == 1
-    assert name in json.loads(out)["error"]
+    payload = json.loads(out)
+    assert name in payload["error"]
+    if "nope" in argv:  # an unknown name gets its one hint
+        assert payload["hint"] == UNKNOWN_NAME_PAYLOAD["hint"]
 
 
 @pytest.mark.parametrize("name, params", [

@@ -97,3 +97,24 @@ def test_defaults_and_the_cached_walk():
     form = GammaTypeForm(1.0, 0.5, (FACTOR,), ())
     assert form._poles is form._poles  # walked once per form
     assert form == FORM and hash(form) == hash(FORM)
+
+
+# a store-only record, and one whose last field has a default
+@pytest.mark.parametrize("cls, args, kwargs", [
+    pytest.param(AnalyticityStrip, (-2.0,), {}, id="strip-missing"),
+    pytest.param(AnalyticityStrip, (-2.0, 1.0), {"other": 1},
+                 id="strip-unknown"),
+    pytest.param(AnalyticityStrip, (-2.0, 1.0), {"rho_minus": -2.0},
+                 id="strip-repeated"),
+    pytest.param(AnalyticityStrip, (-2.0, 1.0, 3.0), {}, id="strip-extra"),
+    pytest.param(ConsistencyReport, (True,), {}, id="report-missing"),
+    pytest.param(ConsistencyReport, (True, STRIP), {"other": 1},
+                 id="report-unknown"),
+    pytest.param(ConsistencyReport, (True, STRIP), {"passed": True},
+                 id="report-repeated"),
+    pytest.param(ConsistencyReport, (True, STRIP, None, 1.0), {},
+                 id="report-extra"),
+])
+def test_the_shared_constructor_names_the_class(cls, args, kwargs):
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\)"):
+        cls(*args, **kwargs)

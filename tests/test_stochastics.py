@@ -142,6 +142,30 @@ def test_a_failing_chunk_raises_its_own_error(monkeypatch, cpus,
     assert threading.active_count() == start
 
 
+def test_a_failing_chunk_on_the_caller_waits_for_the_helpers_chunk(
+        monkeypatch):
+    # chunk 0 fails on the caller's thread while the helper draws chunk 1
+    _usable_cpus(monkeypatch, 8)
+    caller_failed, helper_done = threading.Event(), threading.Event()
+
+    def failing(recipe, rngs, size):
+        if threading.current_thread() is threading.main_thread():
+            caller_failed.set()
+            raise _Boom
+        caller_failed.wait(timeout=30)
+        time.sleep(0.1)  # still drawing while the caller's error unwinds
+        draws = evaluate_recipe(recipe, rngs, size)
+        helper_done.set()
+        return draws
+
+    monkeypatch.setattr(stochastics, "evaluate_recipe", failing)
+    start = threading.active_count()
+    with pytest.raises(_Boom):
+        sample(rc.exponential(), 2 * stochastics.CHUNK_SIZE, seed=1)
+    assert helper_done.is_set()  # the helper ended its chunk and was joined
+    assert threading.active_count() == start
+
+
 # -------------------------------------------------------------- stable draws
 
 def _symmetric_stable_formula(rng, alpha, size):
