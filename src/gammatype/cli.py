@@ -60,6 +60,14 @@ def _number(flag, text, kind=float):
         raise ValidationError(f"{flag}: not a number: {text!r}") from None
 
 
+def _finite(flag, text):
+    """_number(flag, text), or a ValidationError if it is inf or nan."""
+    value = _number(flag, text)
+    if not math.isfinite(value):
+        raise ValidationError(f"{flag}: not a finite number: {text!r}")
+    return value
+
+
 def _parse_params(tokens, flag="--params"):
     params = {}
     for token in tokens or []:
@@ -69,7 +77,10 @@ def _parse_params(tokens, flag="--params"):
             if "=" not in piece:
                 raise ParameterError("<cli>", f"expected k=v, got {piece!r}")
             key, _, raw = piece.partition("=")
-            params[key.strip()] = _number(flag, raw)
+            key = key.strip()
+            if key in params:
+                raise ParameterError("<cli>", f"parameter {key!r} given twice")
+            params[key] = _number(flag, raw)
     return params
 
 
@@ -90,7 +101,7 @@ def _schema_hint(name):
 
 
 def _parse_s(text):
-    parts = [_number("--s", part) for part in text.split(",")]
+    parts = [_finite("--s", part) for part in text.split(",")]
     if len(parts) > 2:
         raise ValidationError(
             f"moment order must be 're' or 're,im', got {text!r}")
@@ -220,7 +231,7 @@ def _cmd_check_identity(args):
 def _cmd_verify_mc(args):
     from . import stochastics
     entry = _build(args.name, args.params)
-    grid = ([_number("--s-grid", v) for v in args.s_grid.split(",")]
+    grid = ([_finite("--s-grid", v) for v in args.s_grid.split(",")]
             if args.s_grid is not None else None)
     report = stochastics.verify_entry(entry, grid, n=args.n, seed=args.seed)
     _emit(report.to_json_dict(),
@@ -345,8 +356,8 @@ def build_parser():
         for positional in positionals:
             p.add_argument(positional)
         if params:
-            p.add_argument("--params", nargs="*", default=[],
-                           help="parameters as k=v[,k=v...]")
+            p.add_argument("--params", nargs="*", default=[], action="extend",
+                           help="parameters as k=v[,k=v...]; may repeat")
         return p
 
     command("list", _cmd_list, params=False)

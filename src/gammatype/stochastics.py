@@ -295,12 +295,14 @@ def _merge(parts, size):
     return stats
 
 
-def _estimates(entry, s_grid, n, seed):
+def _estimates(entry, s_grid, n, seed, verdict=False):
     """MCEstimates at every s of s_grid (default if None) from one sample.
 
     The confidence interval is only meaningful when the second moment of
     the estimator exists, i.e. when 2s also lies in the strip; otherwise
-    the estimate is still returned but flagged ``ci_valid=False``.
+    the estimate is still returned but flagged ``ci_valid=False``.  With
+    ``verdict``, a grid without such an s is a MomentRangeError, raised
+    before anything is drawn.
     """
     if _integer(n, "n") < 2:
         raise ValidationError(f"n must be at least 2 for a standard error, "
@@ -313,13 +315,18 @@ def _estimates(entry, s_grid, n, seed):
             raise MomentRangeError(
                 f"{entry.name}: s={s} outside the open strip "
                 f"({strip.rho_minus}, {strip.rho_plus})")
+    valid = [strip.rho_minus < 2 * s < strip.rho_plus for s in grid]
+    if verdict and not any(valid):
+        raise MomentRangeError(
+            f"{entry.name}: no s in the grid has 2s inside the open strip "
+            f"({strip.rho_minus}, {strip.rho_plus}), so no point has a "
+            f"confidence interval to decide the verdict")
     mgf = entry.kind == "mgf"
     stats = _merge(_per_chunk(recipe, n, seed,
                               lambda x: _chunk_moments(x, grid, mgf)),
                    len(grid))
-    return [MCEstimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, s,
-                       strip.rho_minus < 2 * s < strip.rho_plus)
-            for s, (mean, m2) in zip(grid, stats)]
+    return [MCEstimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, s, ok)
+            for s, ok, (mean, m2) in zip(grid, valid, stats)]
 
 
 def mc_moment(entry: DistributionEntry, s: float, n: int = 10 ** 6,
@@ -357,12 +364,13 @@ def verify_entry(entry: DistributionEntry, s_grid=None, n: int = 10 ** 6,
 
     Points whose estimator has infinite variance (2s outside the strip)
     are reported for inspection but excluded from the overall verdict,
-    since a z-score against an invalid stderr means nothing.  A point
-    passes when |z| <= Z_PASS; one whose estimate or stderr is not finite
-    gets z = nan and fails.
+    since a z-score against an invalid stderr means nothing; a grid of
+    such points only is a MomentRangeError.  A point passes when
+    |z| <= Z_PASS; one whose estimate or stderr is not finite gets z = nan
+    and fails.
     """
     points = []
-    for est in _estimates(entry, s_grid, n, seed):
+    for est in _estimates(entry, s_grid, n, seed, verdict=True):
         exact = float(entry.form.evaluate(est.s).real)
         if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
             zscore = math.nan

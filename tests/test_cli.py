@@ -121,6 +121,18 @@ def test_unknown_entry_exits_2(capsys):
     assert json.loads(out) == UNKNOWN_NAME_PAYLOAD
 
 
+def test_params_may_repeat_the_flag_but_not_a_key(capsys):
+    want = run(capsys, "profile", "beta", "--params", "a=2,b=3")
+    assert want[0] == 0
+    assert run(capsys, "profile", "beta", "--params", "a=2",
+               "--params", "b=3") == want
+    for argv in (("profile", "beta", "--params", "a=2,b=3,a=4"),
+                 ("check-identity", "gamma:a=2,a=3", "gamma:a=2")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert "parameter 'a' given twice" in json.loads(out)["error"]
+
+
 def test_bad_params_exit_2_with_schema_hint(capsys):
     code, out, _ = run(capsys, "profile", "gamma", "--params", "q=2")
     assert code == 2
@@ -170,6 +182,12 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
           "--n", "1"), "n must be at least 2"),
     # the seed is read before the name is looked up
     ({"GML_SEED": "abc"}, ("sample", "nope"), "GML_SEED"),
+    # a moment order or grid point that is not finite names its flag
+    ({}, ("moment", "rayleigh", "--s=inf"), "--s"),
+    ({}, ("moment", "rayleigh", "--s=1,nan"), "--s"),
+    ({}, ("moment", "rayleigh", "--s=0.5,inf"), "--s"),
+    ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid=nan"),
+     "--s-grid"),
 ])
 def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     for key, value in env.items():

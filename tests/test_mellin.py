@@ -1,6 +1,7 @@
 """Density inversion: reference values, invariants, error paths."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -156,6 +157,70 @@ def test_abscissa_must_sit_in_strip():
 def test_node_count_is_bounded(name, params, x):
     with pytest.raises(InversionError, match="nodes"):
         density_table(catalog.build(name, params), [x])
+
+
+def _spy_on_evaluate(monkeypatch):
+    """The list that each GammaTypeForm.evaluate call appends (s, F(s)) to."""
+    calls = []
+    evaluate = forms.GammaTypeForm.evaluate
+
+    def spy(self, s):
+        value = evaluate(self, s)
+        calls.append((s, value))
+        return value
+
+    monkeypatch.setattr(forms.GammaTypeForm, "evaluate", spy)
+    return calls
+
+
+TABLES = [("logistic", {}, -4.0, 4.0), ("ise_density_zero", {}, 0.05, 3.0),
+          ("linnik", {"alpha": 1.5}, -4.0, 4.0), ("rayleigh", {}, 0.05, 3.5)]
+
+
+@pytest.mark.parametrize("name, params, xs", [
+    pytest.param(name, params, np.linspace(lo, hi, points),
+                 id=f"{name}-{points}")
+    for name, params, lo, hi in TABLES for points in (1, 81, 1200)
+] + [pytest.param("logistic", {}, [3e4], id="logistic-3e4")])  # 95 625 nodes
+def test_table_is_the_direct_contour_sum(monkeypatch, name, params, xs):
+    # Re sum_k F(s_k) w_k(x) h / pi, with w_k = x^(-s_k-1) (Mellin kind) or
+    # e^(-s_k x) (MGF kind), as one dense sum per x, within the rounding
+    # bound that _invert states for its Horner sum
+    entry = catalog.build(name, params)
+    calls = _spy_on_evaluate(monkeypatch)
+    table = density_table(entry, xs)
+    s = np.array([s for s, _ in calls])
+    values = np.array([value for _, value in calls])
+    h = 2 * s[0].imag
+    assert np.allclose(s.imag, (np.arange(s.size) + 0.5) * h, rtol=1e-15)
+    half = 0.5 if entry.support.symmetric else 1.0
+    x = np.abs(table[:, 0]) if entry.support.symmetric else table[:, 0]
+    inverted = x != 0.0  # a symmetric entry's x = 0 is a residue
+    x, got = x[inverted], table[inverted, 1]
+    if entry.kind == "mellin":
+        weights = np.exp(np.outer(np.log(x), -s - 1))
+        scale = x ** (-s[0].real - 1)
+    else:
+        weights = np.exp(np.outer(x, -s))
+        scale = np.exp(-s[0].real * x)
+    want = half * (weights @ values).real * h / math.pi
+    bound = ((3 * s.size + 2) * np.finfo(float).eps * np.abs(values).sum()
+             * half * scale * h / math.pi)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_a_large_table_holds_no_node_by_x_array():
+    # 200 000 x and 145 nodes: a complex (x, node) array would take 442 MiB,
+    # and one built in blocks of 16 MiB peaks near 40 MiB
+    entry = catalog.build("logistic", {})
+    xs = np.linspace(-4, 4, 200_000)
+    tracemalloc.start()
+    try:
+        density_table(entry, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (1 << 20)
 
 
 def test_outside_support_is_zero():

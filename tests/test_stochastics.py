@@ -639,6 +639,24 @@ def test_verify_entry_excludes_invalid_ci_from_verdict():
     assert report.passed
 
 
+def test_verify_entry_refuses_a_grid_without_a_valid_point(monkeypatch):
+    # 2s = -3.8 lies outside gamma(2)'s strip (-2, inf): no point could
+    # decide the verdict, which all() over no points would pass
+    entry = catalog.build("gamma", {"a": 2.0})
+    draws = []
+
+    def counting_evaluate(recipe, rngs, n):
+        draws.append(n)
+        return evaluate_recipe(recipe, rngs, n)
+
+    monkeypatch.setattr(stochastics, "evaluate_recipe", counting_evaluate)
+    with pytest.raises(MomentRangeError, match="no s in the grid has 2s"):
+        verify_entry(entry, [-1.9], n=100_000, seed=0)
+    assert draws == []
+    # a single estimate still reports such a point
+    assert not mc_moment(entry, -1.9, n=1000).ci_valid
+
+
 # --------------------------------------------------------------- Euler drift
 
 def test_harmonic_drift_start_and_limit():
