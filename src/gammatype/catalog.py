@@ -445,18 +445,7 @@ def _pref_attach(alpha):
 @_register("max_exp", "maximum of n iid standard exponentials (MGF kind)",
            (ParamSpec("n", "int", "n >= 1"),))
 def _max_exp(n):
-    _require(n >= 1, "n >= 1")
-    form = make_form(gamma_real(n + 1), 0, [(-1, 1)], [(-1, n + 1)])
-    recipe = rc.Sum(tuple(rc.Scale(rc.exponential(), 1.0 / j)
-                          for j in range(1, n + 1)))
-    dens = (lambda x: n * math.exp(-x) * (1 - math.exp(-x)) ** (n - 1)
-            if x > 0 else 0.0)
-    return DistributionEntry(
-        form, "mgf", Support(0, _INF),
-        recipe=recipe, density=dens,
-        tabulated=dict(rho_minus=-_INF, rho_plus=1.0, gamma=0.0,
-                       gamma_prime=0.0, delta=float(-n), kappa=0.0,
-                       c1=gamma_real(n + 1)))
+    return _mth_max_exp(n, 1)
 
 
 @_register("mth_max_exp", "m-th largest of n iid standard exponentials (MGF kind)",
@@ -469,7 +458,7 @@ def _mth_max_exp(n, m):
                      [(-1, m)], [(-1, n + 1)])
     recipe = rc.Sum(tuple(rc.Scale(rc.exponential(), 1.0 / j)
                           for j in range(m, n + 1)))
-    binom = gamma_real(n + 1) / (gamma_real(m) * gamma_real(n - m + 1))
+    binom = n * math.comb(n - 1, m - 1)  # exact; the form keeps n <= 170
     dens = (lambda x: binom * math.exp(-m * x) * (1 - math.exp(-x)) ** (n - m)
             if x > 0 else 0.0)
     return DistributionEntry(
@@ -691,20 +680,7 @@ def _hyperbolic_secant(t):
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _lamperti(alpha):
     _require(0 < alpha < 1, "0 < alpha < 1")
-    form = make_form(1, 0, [(1 / alpha, 1), (-1 / alpha, 1)],
-                     [(1, 1), (-1, 1)])
-    sin_a, cos_a = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
-    dens = (lambda x: sin_a / math.pi * x ** (alpha - 1)
-            / (x ** (2 * alpha) + 2 * cos_a * x ** alpha + 1)
-            if x > 0 else 0.0)
-    recipe = rc.Product((rc.positive_stable(alpha),
-                         rc.Power(rc.positive_stable(alpha), -1.0)))
-    return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=recipe, density=dens,
-        tabulated=dict(rho_minus=-alpha, rho_plus=alpha,
-                       gamma=2 / alpha - 2, gamma_prime=0.0, delta=0.0,
-                       kappa=0.0, c1=1 / alpha))
+    return _kotz_ostrovskii(alpha, 1.0)
 
 
 @_register("lamperti_power", "Lamperti ratio raised to its own index",

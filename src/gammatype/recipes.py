@@ -24,7 +24,7 @@ __all__ = [
 # law -> parameter count; stochastics holds a draw for each of these laws
 LEAF_ARITY = {
     "uniform": 0, "exponential": 0, "gamma": 1, "beta": 2, "normal": 0,
-    "positive_stable": 1, "symmetric_stable": 1, "gumbel": 0, "cauchy": 0,
+    "positive_stable": 1, "symmetric_stable": 1,
 }
 
 
@@ -165,12 +165,14 @@ def symmetric_stable(alpha: float) -> Leaf:
     return Leaf("symmetric_stable", (alpha,))
 
 
-def gumbel() -> Leaf:
-    return Leaf("gumbel")
+def gumbel() -> NegLog:
+    """-log of a standard exponential."""
+    return NegLog(exponential())
 
 
 def cauchy() -> Leaf:
-    return Leaf("cauchy")
+    """The standard Cauchy law, symmetric stable of index 1."""
+    return symmetric_stable(1.0)
 
 
 def leaf_count(recipe: Recipe) -> int:

@@ -35,59 +35,47 @@ CHUNK_SIZE = 1 << 16
 Z_PASS = 5.0
 
 
-def _draw_positive_stable(rng, alpha, size):
-    """One-sided stable S_alpha with Laplace transform exp(-t^alpha).
+def _draw_stable(rng, alpha, size, lo, trig):
+    """Chambers-Mallows-Stuck: sin(alpha v) ((trig((1-alpha) v) / w)^(1-alpha)
+    / trig(v))^(1/alpha), v uniform on (lo, lo + pi), w standard exponential.
 
-    Kanter's representation via Zolotarev's integral, exact for
-    0 < alpha < 1; alpha = 1 is the unit point mass.
+    lo = -pi/2 with cos is the symmetric law, lo = 0 with sin the one-sided
+    one (Kanter's representation).  No power grows as alpha nears 1, and
+    the one that grows as alpha nears 0, 1/alpha, comes after the factors
+    are combined, so no factor overflows or underflows on its own.
     """
+    # in place, each ufunc in the order of the formula (**= keeps the
+    # scalar-power fast paths of **); sin(alpha v) goes into w's buffer
+    # once w is used up
+    v = rng.uniform(lo, lo + np.pi, size)
+    b = np.multiply(1 - alpha, v)
+    trig(b, out=b)
+    a = rng.standard_exponential(size)
+    b /= a
+    b **= 1 - alpha
+    np.multiply(alpha, v, out=a)
+    np.sin(a, out=a)
+    trig(v, out=v)
+    b /= v
+    b **= 1 / alpha
+    a *= b
+    return a
+
+
+def _draw_positive_stable(rng, alpha, size):
+    """Laplace transform exp(-t^alpha); alpha = 1 is the unit point mass."""
     if not 0 < alpha <= 1:
         raise ValidationError("positive_stable requires 0 < alpha <= 1")
     if alpha == 1.0:
         return np.ones(size)
-    # in place, each ufunc in the order of the formula
-    # (sin(alpha t)^(alpha/(1-alpha)) sin((1-alpha) t) / sin(t)^(1/(1-alpha))
-    # / w)^((1-alpha)/alpha); w is drawn once theta's buffer is free, and
-    # **= keeps the scalar-power fast paths of **
-    theta = rng.uniform(0.0, np.pi, size)
-    a = np.multiply(alpha, theta)
-    np.sin(a, out=a)
-    a **= alpha / (1 - alpha)
-    b = np.multiply(1 - alpha, theta)
-    np.sin(b, out=b)
-    a *= b
-    np.sin(theta, out=theta)
-    theta **= 1 / (1 - alpha)
-    a /= theta
-    a /= rng.standard_exponential(size, out=b)
-    a **= (1 - alpha) / alpha
-    return a
+    return _draw_stable(rng, alpha, size, 0.0, np.sin)
 
 
 def _draw_symmetric_stable(rng, alpha, size):
-    """Symmetric stable with characteristic function exp(-|t|^alpha).
-
-    Chambers-Mallows-Stuck construction; exact for 0 < alpha <= 2.
-    """
+    """Characteristic function exp(-|t|^alpha); alpha = 1 is Cauchy's law."""
     if not 0 < alpha <= 2:
         raise ValidationError("symmetric_stable requires 0 < alpha <= 2")
-    v = rng.uniform(-np.pi / 2, np.pi / 2, size)
-    if alpha == 1.0:
-        return np.tan(v)
-    # in place, each ufunc in the order of the formula
-    # sin(alpha v) / cos(v)^(1/alpha) * (cos((1-alpha) v) / w)^((1-alpha)/alpha);
-    # w is drawn into v's buffer once v is used up
-    a = np.multiply(alpha, v)
-    np.sin(a, out=a)
-    b = np.cos(v)
-    b **= 1 / alpha
-    a /= b
-    np.multiply(1 - alpha, v, out=b)
-    np.cos(b, out=b)
-    b /= rng.standard_exponential(size, out=v)
-    b **= (1 - alpha) / alpha
-    a *= b
-    return a
+    return _draw_stable(rng, alpha, size, -np.pi / 2, np.cos)
 
 
 # law -> draw(rng, *args, size), one for each law of recipes.LEAF_ARITY
@@ -99,8 +87,6 @@ _LEAF_DRAWS = {
     "normal": lambda rng, size: rng.standard_normal(size),
     "positive_stable": _draw_positive_stable,
     "symmetric_stable": _draw_symmetric_stable,
-    "gumbel": lambda rng, size: -np.log(rng.standard_exponential(size)),
-    "cauchy": lambda rng, size: rng.standard_cauchy(size),
 }
 
 

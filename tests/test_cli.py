@@ -52,6 +52,10 @@ def test_moment_trivial_value(capsys):
     data = json.loads(out)
     assert data["value"][0] == pytest.approx(1.0, abs=1e-12)
     assert data["value"][1] == pytest.approx(0.0, abs=1e-12)
+    # a value past the float range saturates to inf with exit 0
+    assert run(capsys, "moment", "gamma", "--params", "a=2", "--s=800")[:2] == (
+        0, '{"name": "gamma", "kind": "mellin", "s": [800.0, 0.0], '
+           '"value": ["inf", 0.0]}\n')
 
 
 def test_moment_complex_order(capsys):
@@ -188,6 +192,16 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
     ({}, ("moment", "rayleigh", "--s=0.5,inf"), "--s"),
     ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid=nan"),
      "--s-grid"),
+    # a malformed --params word, --s, --x or identity expression names
+    # what it expected
+    ({}, ("profile", "beta", "--params", "a"), "expected k=v, got 'a'"),
+    ({}, ("moment", "rayleigh", "--s=1,2,3"), "'re' or 're,im'"),
+    ({}, ("density", "logistic", "--x=1:2"), "a:b:steps"),
+    ({}, ("check-identity", "product()", "rayleigh"), "at least one term"),
+    ({}, ("check-identity", "recip(rayleigh,gamma:a=2)", "rayleigh"),
+     "recip() takes one expression"),
+    ({}, ("check-identity", "power(rayleigh)", "rayleigh"),
+     "power() takes (expression, number)"),
 ])
 def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     for key, value in env.items():

@@ -168,19 +168,44 @@ def test_a_failing_chunk_on_the_caller_waits_for_the_helpers_chunk(
 
 # -------------------------------------------------------------- stable draws
 
-def _symmetric_stable_formula(rng, alpha, size):
+def _stable_formula(rng, alpha, size, lo, trig):
     # the draw written out of place, as one expression
-    v = rng.uniform(-np.pi / 2, np.pi / 2, size)
-    if alpha == 1.0:
-        return np.tan(v)
+    v = rng.uniform(lo, lo + np.pi, size)
     w = rng.standard_exponential(size)
-    return (np.sin(alpha * v) / np.cos(v) ** (1 / alpha)
-            * (np.cos((1 - alpha) * v) / w) ** ((1 - alpha) / alpha))
+    return (np.sin(alpha * v)
+            * ((trig((1 - alpha) * v) / w) ** (1 - alpha) / trig(v))
+            ** (1 / alpha))
+
+
+def _symmetric_stable_formula(rng, alpha, size):
+    return _stable_formula(rng, alpha, size, -np.pi / 2, np.cos)
 
 
 def _positive_stable_formula(rng, alpha, size):
     if alpha == 1.0:
         return np.ones(size)
+    return _stable_formula(rng, alpha, size, 0.0, np.sin)
+
+
+STABLE_DRAWS = (
+    [(stochastics._draw_symmetric_stable, _symmetric_stable_formula, alpha)
+     for alpha in (0.5, 1.0, 1.5, 2.0)]
+    + [(stochastics._draw_positive_stable, _positive_stable_formula, alpha)
+       for alpha in (0.3, 0.7, 1.0)])
+
+
+def _cms_reference(rng, alpha, size):
+    # Chambers, Mallows & Stuck (1976) in their order of operations, which
+    # raises cos(v) to 1/alpha on its own
+    v = rng.uniform(-np.pi / 2, np.pi / 2, size)
+    w = rng.standard_exponential(size)
+    return (np.sin(alpha * v) / np.cos(v) ** (1 / alpha)
+            * (np.cos((1 - alpha) * v) / w) ** ((1 - alpha) / alpha))
+
+
+def _kanter_reference(rng, alpha, size):
+    # Kanter (1975) in his order of operations, which raises the sines to
+    # alpha/(1-alpha) and 1/(1-alpha) before it combines them
     theta = rng.uniform(0.0, np.pi, size)
     w = rng.standard_exponential(size)
     a = (np.sin(alpha * theta) ** (alpha / (1 - alpha))
@@ -189,11 +214,41 @@ def _positive_stable_formula(rng, alpha, size):
     return (a / w) ** ((1 - alpha) / alpha)
 
 
-STABLE_DRAWS = (
-    [(stochastics._draw_symmetric_stable, _symmetric_stable_formula, alpha)
-     for alpha in (0.5, 1.0, 1.5, 2.0)]
-    + [(stochastics._draw_positive_stable, _positive_stable_formula, alpha)
-       for alpha in (0.3, 0.7, 1.0)])
+@pytest.mark.parametrize("draw,reference,alpha", (
+    [(stochastics._draw_symmetric_stable, _cms_reference, alpha)
+     for alpha in (0.05, 0.5, 1.5, 2.0)]
+    + [(stochastics._draw_positive_stable, _kanter_reference, alpha)
+       for alpha in (0.05, 0.3, 0.7, 0.95)]))
+def test_stable_draws_are_the_published_constructions(draw, reference,
+                                                      alpha):
+    # the same law from the same uniform and exponential: the draws agree
+    # wherever the published order of operations stays finite
+    for seed in range(3):
+        with np.errstate(all="ignore"):
+            x = draw(np.random.default_rng((seed, 0, 0)), alpha,
+                     stochastics.CHUNK_SIZE)
+            ref = reference(np.random.default_rng((seed, 0, 0)), alpha,
+                            stochastics.CHUNK_SIZE)
+        finite = np.isfinite(ref)
+        assert finite.mean() > 0.99
+        assert np.allclose(x[finite], ref[finite], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.999, 0.99999])
+def test_one_sided_draws_near_alpha_one_are_positive_and_finite(alpha):
+    # _kanter_reference gives nan, inf or 0 here: its sines, raised to
+    # alpha/(1-alpha) and 1/(1-alpha) on their own, underflow or overflow
+    x = sample(rc.positive_stable(alpha), 10 ** 6, seed=1)
+    assert np.isfinite(x).all() and (x > 0).all()
+
+
+@pytest.mark.parametrize("name,params", [
+    ("positive_stable", {"alpha": 0.999}),
+    ("lamperti", {"alpha": 0.995}),
+    ("kotz_ostrovskii", {"alpha": 1.99, "beta": 2.0}),
+])
+def test_one_sided_laws_near_alpha_one_pass_verification(name, params):
+    assert verify_entry(catalog.build(name, params), n=10 ** 6, seed=1).passed
 
 
 @pytest.mark.parametrize("draw,formula,alpha", STABLE_DRAWS)
@@ -400,6 +455,12 @@ def test_symmetric_stable_char_function():
         vals = np.cos(t * x)
         target = math.exp(-abs(t) ** 1.5)
         assert abs(vals.mean() - target) < 5 * vals.std() / math.sqrt(len(x))
+
+
+def test_cauchy_recipe_is_cauchys_law():
+    # symmetric stable at alpha = 1, through the general formula
+    x = sample(rc.cauchy(), 100_000, seed=5)
+    assert stats.kstest(x, stats.cauchy.cdf).pvalue > 0.01
 
 
 def test_abs_node_does_not_overflow():
