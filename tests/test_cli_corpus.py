@@ -1,0 +1,207 @@
+"""CLI outputs, byte for byte, against the checked-in corpus cli_corpus.jsonl.
+
+Each line of the corpus holds one invocation: its argv, the environment it
+sets (GML_SEED only), its exit code, its stdout and, under --human, its
+stderr.  The invocations are the commands whose output is pure Python
+(the README's numpy-free commands; info, strip, profile, consistency and
+moment of every test_catalog.CASES entry; --human on each of them) and
+the error payloads of all ten commands and of argparse.  Every other
+invocation leaves stderr empty.
+
+Run this module as a script (with src on the path) to rewrite the corpus
+from the current code; an intended output change then shows as a diff of
+the corpus.  argparse's messages are those of the Python version the
+corpus was written with (3.11).
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from gammatype.cli import main
+
+from test_catalog import CASES
+
+CORPUS = Path(__file__).with_name("cli_corpus.jsonl")
+
+IDENTITY = "scale(power(exponential,0.5),1.4142135623730951)"
+
+# the README commands that load no numpy
+README = [
+    ["list"],
+    ["profile", "rayleigh"],
+    ["moment", "half_cauchy", "--s", "0"],
+    ["strip", "pref_attach", "--params", "alpha=0.5"],
+    ["check-identity", IDENTITY, "rayleigh"],
+    ["consistency", "half_cauchy"],
+]
+
+HUMAN = [
+    ["--human", *argv] for argv in README + [
+        ["info", "beta"],
+        ["check-identity", IDENTITY, "maxwell"],
+        ["profile", "nope"],
+    ]
+]
+
+ERRORS = [
+    # an unknown name, given to each command that takes one
+    ["info", "nope"],
+    ["moment", "nope", "--s=1"],
+    ["profile", "nope"],
+    ["strip", "nope"],
+    ["check-identity", "nope", "rayleigh"],
+    ["check-identity", "rayleigh", "nope"],
+    ["verify-mc", "nope"],
+    ["sample", "nope"],
+    ["density", "nope", "--x=1:2:3"],
+    ["consistency", "nope"],
+    # bad --params
+    ["profile", "gamma", "--params", "q=2"],
+    ["profile", "gamma", "--params", "a=abc"],
+    ["profile", "beta", "--params", "a"],
+    ["profile", "beta", "--params", "a=2,b=3,a=4"],
+    ["profile", "stirling_blocks", "--params", "k=2.5"],
+    ["profile", "selberg_gamma", "--params", "n=6000,alpha=1.5"],
+    ["strip", "positive_stable", "--params", "alpha=1e-13"],
+    ["moment", "gamma", "--params", "a=-1", "--s=1"],
+    ["consistency", "beta", "--params", "a=0,b=1"],
+    ["verify-mc", "gamma", "--params", "a=-1"],
+    ["sample", "gamma", "--params", "a=0"],
+    ["density", "gamma", "--params", "a=0", "--x=1:2:3"],
+    ["check-identity", "gamma:a=x", "rayleigh"],
+    ["check-identity", "gamma:a=2,a=3", "gamma:a=2"],
+    # moment orders
+    ["moment", "rayleigh", "--s=1,2,3"],
+    ["moment", "rayleigh", "--s=abc"],
+    ["moment", "rayleigh", "--s=inf"],
+    ["moment", "rayleigh", "--s=1,nan"],
+    ["moment", "gumbel", "--s", "1"],
+    ["moment", "rayleigh", "--s=1,1e306"],
+    # identity expressions
+    ["check-identity", "product()", "rayleigh"],
+    ["check-identity", "recip(rayleigh,gamma:a=2)", "rayleigh"],
+    ["check-identity", "power(rayleigh)", "rayleigh"],
+    # density grids, contours and forms
+    ["density", "logistic", "--x=1:2"],
+    ["density", "logistic", "--x=a:b:c"],
+    ["density", "logistic", "--x=1:2:0"],
+    ["density", "logistic", "--x=nan:1:3"],
+    ["density", "logistic", "--x=-1.7e308:1.7e308:2"],
+    ["density", "logistic", "--x=0:1:3", "--abscissa", "nan"],
+    ["density", "logistic", "--x=0:1:3", "--abscissa", "inf"],
+    ["density", "logistic", "--x=0:1:3", "--abscissa", "5"],
+    ["density", "beta", "--params", "a=2,b=3", "--x=0.1:0.9:3"],
+    # no sampling recipe, and bad draw counts, seeds and grids
+    ["sample", "tilted_stable", "--params", "alpha=0.5,theta=1"],
+    ["verify-mc", "tilted_stable", "--params", "alpha=0.5,theta=1"],
+    ["sample", "rayleigh", "--seed", "-1"],
+    ["sample", "rayleigh", "--n", "0"],
+    ["verify-mc", "rayleigh", "--n", "1000", "--seed", "-3"],
+    ["verify-mc", "gamma", "--params", "a=2", "--s-grid=nan"],
+    ["verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"],
+    ["verify-mc", "gamma", "--params", "a=2", "--s-grid="],
+    ["verify-mc", "gamma", "--params", "a=2", "--s-grid", "0.5", "--n", "1"],
+    ["verify-mc", "gamma", "--params", "a=2", "--s-grid=-1.9", "--n", "1000"],
+    # argparse's usage errors
+    [],
+    ["nope"],
+    ["--bogus", "list"],
+    ["list", "extra"],
+    ["info"],
+    ["info", "beta", "--params", "a=2"],
+    ["moment", "rayleigh"],
+    ["check-identity", "rayleigh"],
+    ["check-identity", "rayleigh", "rayleigh", "--tol", "x"],
+    ["sample", "rayleigh", "--n", "abc"],
+    ["sample", "rayleigh", "--format", "xml"],
+    ["verify-mc", "rayleigh", "--seed", "1.5"],
+    ["density", "logistic"],
+    ["density", "logistic", "--x=-1:1:3", "--abscissa", "x"],
+]
+
+# GML_SEED is read before the entry is built
+SEEDED = [
+    ({"GML_SEED": "abc"}, ["sample", "nope"]),
+    ({"GML_SEED": "abc"}, ["sample", "rayleigh"]),
+    ({"GML_SEED": "-2"}, ["sample", "rayleigh"]),
+    ({"GML_SEED": "abc"}, ["verify-mc", "gamma", "--params", "a=-1"]),
+]
+
+
+def _entry_commands():
+    for name, params in CASES.items():
+        words = ["--params", ",".join(f"{k}={v!r}" for k, v in params.items())]
+        extra = words if params else []
+        yield ["info", name]
+        for command in ("strip", "profile", "consistency"):
+            yield [command, name, *extra]
+        yield ["moment", name, *extra, "--s=0.25"]
+
+
+def invocations():
+    """(env, argv) of every corpus line, in file order."""
+    seen = []
+    for argv in README + list(_entry_commands()) + HUMAN + ERRORS:
+        if argv not in seen:  # the README repeats two entry commands
+            seen.append(argv)
+            yield {}, argv
+    yield from SEEDED
+
+
+def run(argv):
+    """Exit code, stdout and stderr of cli.main(argv), in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _load():
+    """The corpus cases; none before the file is first written."""
+    if not CORPUS.exists():
+        return []
+    return [json.loads(line) for line in CORPUS.read_text().splitlines()]
+
+
+def _case_id(case):
+    env = " ".join(f"{k}={v}" for k, v in case["env"].items())
+    return " ".join([env, *case["argv"]]).strip() or "<no arguments>"
+
+
+@pytest.mark.parametrize("case", _load(), ids=_case_id)
+def test_cli_output_matches_corpus(monkeypatch, case):
+    monkeypatch.delenv("GML_SEED", raising=False)
+    for key, value in case["env"].items():
+        monkeypatch.setenv(key, value)
+    assert run(case["argv"]) == (case["exit"], case["stdout"],
+                                 case.get("stderr", ""))
+
+
+def test_corpus_holds_every_invocation():
+    assert [(case["env"], case["argv"]) for case in _load()] == list(
+        invocations())
+
+
+def _write():
+    lines = []
+    for env, argv in invocations():
+        os.environ.pop("GML_SEED", None)
+        os.environ.update(env)
+        code, out, err = run(argv)
+        case = {"argv": argv, "env": env, "exit": code, "stdout": out}
+        if "--human" in argv:
+            case["stderr"] = err
+        elif err:
+            raise SystemExit(f"stderr without --human: {argv}: {err!r}")
+        lines.append(json.dumps(case) + "\n")
+    CORPUS.write_text("".join(lines))
+    print(f"wrote {len(lines)} cases to {CORPUS}")
+
+
+if __name__ == "__main__":
+    _write()
