@@ -84,10 +84,6 @@ def _parse_params(tokens, flag="--params"):
     return params
 
 
-def _build(name, param_tokens):
-    return catalog.build(name, _parse_params(param_tokens))
-
-
 def _schema_hint(name):
     try:
         payload = catalog.entry_json(name)
@@ -167,34 +163,31 @@ def parse_identity_spec(text):
 
 
 # ------------------------------------------------------------------ commands
+# Each command takes the parsed args and its entry (None for the commands
+# without --params) and returns (payload, summary, passed).  main writes
+# the payload as one JSON line (None: the command wrote its own lines),
+# the summary on stderr under --human (None: no summary), and exits 0 if
+# passed, else 1.
 
-def _cmd_list(args):
-    _emit(catalog.catalog_to_json(),
-          f"{len(catalog.entry_names())} catalog entries" if args.human else None)
-    return EXIT_OK
+def _cmd_list(args, entry):
+    payload = catalog.catalog_to_json()
+    return payload, f"{len(payload)} catalog entries", True
 
 
-def _cmd_info(args):
+def _cmd_info(args, entry):
     payload = catalog.entry_json(args.name)
-    _emit(payload, f"{args.name}: {payload['label']}" if args.human else None)
-    return EXIT_OK
+    return payload, f"{args.name}: {payload['label']}", True
 
 
-def _cmd_moment(args):
-    entry = _build(args.name, args.params)
+def _cmd_moment(args, entry):
     s = _parse_s(args.s)
     value = entry.form.evaluate(s)
-    payload = {
-        "name": args.name, "kind": entry.kind,
-        "s": [s.real, s.imag],
-        "value": [value.real, value.imag],
-    }
-    _emit(payload, f"F({args.s}) = {value}" if args.human else None)
-    return EXIT_OK
+    return ({"name": args.name, "kind": entry.kind, "s": [s.real, s.imag],
+             "value": [value.real, value.imag]},
+            f"F({args.s}) = {value}", True)
 
 
-def _cmd_profile(args):
-    entry = _build(args.name, args.params)
+def _cmd_profile(args, entry):
     strip = entry.form.strip()
     prof = entry.form.asymptotic_profile()
     payload = {
@@ -203,41 +196,33 @@ def _cmd_profile(args):
         "gamma": float(prof.gamma), "gamma_prime": float(prof.gamma_prime),
         "delta": prof.delta, "kappa": prof.kappa, "c1": prof.c1,
     }
-    _emit(payload, f"{args.name}: gamma={payload['gamma']}"
-          if args.human else None)
-    return EXIT_OK
+    return payload, f"{args.name}: gamma={payload['gamma']}", True
 
 
-def _cmd_strip(args):
-    entry = _build(args.name, args.params)
+def _cmd_strip(args, entry):
     strip = entry.form.strip()
-    _emit({"name": args.name, "rho_minus": strip.rho_minus,
-           "rho_plus": strip.rho_plus},
-          f"({strip.rho_minus}, {strip.rho_plus})" if args.human else None)
-    return EXIT_OK
+    return ({"name": args.name, "rho_minus": strip.rho_minus,
+             "rho_plus": strip.rho_plus},
+            f"({strip.rho_minus}, {strip.rho_plus})", True)
 
 
-def _cmd_check_identity(args):
+def _cmd_check_identity(args, entry):
     lhs = parse_identity_spec(args.lhs)
     rhs = parse_identity_spec(args.rhs)
     equal = moments_equal(lhs, rhs)
-    _emit({"lhs": args.lhs, "rhs": args.rhs, "tol": IDENTITY_TOL,
-           "equal": equal},
-          ("identity holds" if equal else "identity FAILS")
-          if args.human else None)
-    return EXIT_OK if equal else EXIT_CHECK_FAILED
+    return ({"lhs": args.lhs, "rhs": args.rhs, "tol": IDENTITY_TOL,
+             "equal": equal},
+            "identity holds" if equal else "identity FAILS", equal)
 
 
-def _cmd_verify_mc(args):
+def _cmd_verify_mc(args, entry):
     from . import stochastics
-    entry = _build(args.name, args.params)
     grid = ([_finite("--s-grid", v) for v in args.s_grid.split(",")]
             if args.s_grid is not None else None)
     report = stochastics.verify_entry(entry, grid, n=args.n, seed=args.seed)
-    _emit(report.to_json_dict(),
-          (f"{args.name}: {'pass' if report.passed else 'FAIL'}"
-           if args.human else None))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return (report.to_json_dict(),
+            f"{args.name}: {'pass' if report.passed else 'FAIL'}",
+            report.passed)
 
 
 @contextlib.contextmanager
@@ -265,9 +250,8 @@ def _sink(path):
         yield write
 
 
-def _cmd_sample(args):
+def _cmd_sample(args, entry):
     from . import stochastics
-    entry = _build(args.name, args.params)
     chunks = stochastics.chunks(stochastics.recipe_of(entry), args.n,
                                 args.seed)
     line = ((lambda i, x: json.dumps({"i": i, "x": x}))
@@ -278,10 +262,10 @@ def _cmd_sample(args):
             write("".join(line(i, x) + "\n"
                           for i, x in enumerate(part.tolist(), start)))
             start += len(part)
-    if args.output:
-        _emit({"name": args.name, "n": args.n, "seed": args.seed,
-               "path": args.output, "format": args.format})
-    return EXIT_OK
+    receipt = ({"name": args.name, "n": args.n, "seed": args.seed,
+                "path": args.output, "format": args.format}
+               if args.output else None)
+    return receipt, None, True
 
 
 def _parse_grid(text):
@@ -300,38 +284,30 @@ def _parse_grid(text):
     return np.linspace(lo, hi, count)
 
 
-def _cmd_density(args):
+def _cmd_density(args, entry):
     from . import mellin
-    entry = _build(args.name, args.params)
     xs = _parse_grid(args.x)
     with _sink(args.output) as write:
         rows = [{"x": float(x), "density": float(f)}
                 for x, f in mellin.density_table(entry, xs, args.abscissa)]
         if args.output is None:
-            _emit({"name": args.name, "table": rows},
-                  f"{len(rows)} density points" if args.human else None)
-        elif args.format == "csv":
+            return ({"name": args.name, "table": rows},
+                    f"{len(rows)} density points", True)
+        if args.format == "csv":
             write("x,density\n" + "".join(
                 f"{row['x']!r},{row['density']!r}\n" for row in rows))
         else:
             write(json.dumps(rows, indent=2) + "\n")
-    if args.output:
-        _emit({"name": args.name, "path": args.output,
-               "format": args.format, "points": len(rows)})
-    return EXIT_OK
+    return ({"name": args.name, "path": args.output, "format": args.format,
+             "points": len(rows)}, None, True)
 
 
-def _cmd_consistency(args):
-    entry = _build(args.name, args.params)
+def _cmd_consistency(args, entry):
     report = entry.form.check_positive_consistency()
-    payload = {
-        "name": args.name, "passed": report.passed,
-        "zero_location": report.zero_location,
-    }
-    _emit(payload, ("consistent" if report.passed else
-                    f"zero inside strip at {report.zero_location}")
-          if args.human else None)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return ({"name": args.name, "passed": report.passed,
+             "zero_location": report.zero_location},
+            "consistent" if report.passed else
+            f"zero inside strip at {report.zero_location}", report.passed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,9 +374,13 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _number("GML_SEED", os.environ.get("GML_SEED", "0"),
                                 int)
-        code = args.handler(args)
+        entry = (catalog.build(args.name, _parse_params(args.params))
+                 if hasattr(args, "params") else None)
+        payload, summary, passed = args.handler(args, entry)
+        if payload is not None:
+            _emit(payload, summary if args.human else None)
         sys.stdout.flush()  # here, so that a closed pipe raises inside main
-        return code
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except BrokenPipeError:
         # the reader stopped, and nothing failed; stdout goes to devnull so
         # that the interpreter's last flush does not fail again (the SIGPIPE
