@@ -287,6 +287,8 @@ def _parse_grid(text):
 def _cmd_density(args, entry):
     from . import mellin
     xs = _parse_grid(args.x)
+    if args.abscissa is not None:
+        _finite("--abscissa", args.abscissa)
     with _sink(args.output) as write:
         rows = [{"x": float(x), "density": float(f)}
                 for x, f in mellin.density_table(entry, xs, args.abscissa)]

@@ -27,6 +27,14 @@ LEAF_ARITY = {
     "positive_stable": 1, "symmetric_stable": 1,
 }
 
+# law -> the range of its finite parameters, as text and as a test
+_LEAF_RANGES = {
+    "gamma": ("a > 0", lambda a: a > 0),
+    "beta": ("a, b > 0", lambda a, b: a > 0 and b > 0),
+    "positive_stable": ("0 < alpha <= 1", lambda alpha: 0 < alpha <= 1),
+    "symmetric_stable": ("0 < alpha <= 2", lambda alpha: 0 < alpha <= 2),
+}
+
 
 _set = object.__setattr__
 
@@ -61,11 +69,14 @@ class Leaf(Record):
         if len(args) != LEAF_ARITY[kind]:
             raise ValidationError(f"leaf {kind!r} takes "
                                   f"{LEAF_ARITY[kind]} parameter(s)")
-        if not all(isinstance(a, Real) for a in args):
-            raise ValidationError(f"leaf {kind!r} parameters must be real "
-                                  f"numbers, got {args!r}")
+        args = tuple(_finite(a, f"leaf {kind!r} parameter") for a in args)
+        if kind in _LEAF_RANGES:
+            condition, holds = _LEAF_RANGES[kind]
+            if not holds(*args):
+                raise ValidationError(f"leaf {kind!r} requires {condition}, "
+                                      f"got {args!r}")
         _set(self, "kind", kind)
-        _set(self, "args", tuple(float(a) for a in args))
+        _set(self, "args", args)
 
 
 class Product(Record):

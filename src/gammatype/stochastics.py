@@ -64,8 +64,6 @@ def _draw_stable(rng, alpha, size, lo, trig):
 
 def _draw_positive_stable(rng, alpha, size):
     """Laplace transform exp(-t^alpha); alpha = 1 is the unit point mass."""
-    if not 0 < alpha <= 1:
-        raise ValidationError("positive_stable requires 0 < alpha <= 1")
     if alpha == 1.0:
         return np.ones(size)
     return _draw_stable(rng, alpha, size, 0.0, np.sin)
@@ -73,8 +71,6 @@ def _draw_positive_stable(rng, alpha, size):
 
 def _draw_symmetric_stable(rng, alpha, size):
     """Characteristic function exp(-|t|^alpha); alpha = 1 is Cauchy's law."""
-    if not 0 < alpha <= 2:
-        raise ValidationError("symmetric_stable requires 0 < alpha <= 2")
     return _draw_stable(rng, alpha, size, -np.pi / 2, np.cos)
 
 

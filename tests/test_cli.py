@@ -186,12 +186,19 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
           "--n", "1"), "n must be at least 2"),
     # the seed is read before the name is looked up
     ({"GML_SEED": "abc"}, ("sample", "nope"), "GML_SEED"),
-    # a moment order or grid point that is not finite names its flag
+    # a moment order, grid point or abscissa that is not finite names its
+    # flag
     ({}, ("moment", "rayleigh", "--s=inf"), "--s"),
     ({}, ("moment", "rayleigh", "--s=1,nan"), "--s"),
     ({}, ("moment", "rayleigh", "--s=0.5,inf"), "--s"),
     ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid=nan"),
      "--s-grid"),
+    ({}, ("density", "logistic", "--x=0:1:3", "--abscissa", "nan"),
+     "--abscissa: not a finite number"),
+    ({}, ("density", "logistic", "--x=0:1:3", "--abscissa", "inf"),
+     "--abscissa: not a finite number"),
+    ({}, ("density", "logistic", "--x=0:1:3", "--abscissa=-inf"),
+     "--abscissa: not a finite number"),
     # a malformed --params word, --s, --x or identity expression names
     # what it expected
     ({}, ("profile", "beta", "--params", "a"), "expected k=v, got 'a'"),

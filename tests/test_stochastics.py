@@ -387,11 +387,32 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
     (lambda: rc.Scale(None, 2.0), "got None"),
     (lambda: rc.NegLog(2.0), "got 2.0"),
     (lambda: rc.Abs((rc.normal(),)), r"got \(Leaf"),
+    # each leaf law's parameter range
+    (lambda: rc.gamma(-1.0), "requires a > 0"),
+    (lambda: rc.gamma(0.0), "requires a > 0"),
+    (lambda: rc.gamma(math.nan), "finite real, got nan"),
+    (lambda: rc.gamma(math.inf), "finite real, got inf"),
+    (lambda: rc.beta(0.0, 1.0), "requires a, b > 0"),
+    (lambda: rc.beta(1.0, -2.0), "requires a, b > 0"),
+    (lambda: rc.beta(1.0, math.nan), "finite real, got nan"),
+    (lambda: rc.positive_stable(0.0), r"requires 0 < alpha <= 1"),
+    (lambda: rc.positive_stable(1.0000001), r"requires 0 < alpha <= 1"),
+    (lambda: rc.positive_stable(math.nan), "finite real, got nan"),
+    (lambda: rc.symmetric_stable(-0.5), r"requires 0 < alpha <= 2"),
+    (lambda: rc.symmetric_stable(2.0000001), r"requires 0 < alpha <= 2"),
+    (lambda: rc.symmetric_stable(-math.inf), "finite real, got -inf"),
+    (lambda: rc.Discriminant(2, rc.beta(0.5, 0.0)), "requires a, b > 0"),
 ], ids=["scale-nan", "scale-inf", "scale-zero", "scale-str", "power-str",
         "power-inf", "power-complex", "leaf-str", "leaf-none",
         "discriminant-zero", "discriminant-float", "discriminant-node",
         "product-int", "product-list", "sum-int-part", "power-str-base",
-        "scale-none-base", "neglog-float-base", "abs-tuple-base"])
+        "scale-none-base", "neglog-float-base", "abs-tuple-base",
+        "gamma-negative", "gamma-zero", "gamma-nan", "gamma-inf",
+        "beta-a-zero", "beta-b-negative", "beta-b-nan",
+        "positive-stable-zero", "positive-stable-above-1",
+        "positive-stable-nan", "symmetric-stable-negative",
+        "symmetric-stable-above-2", "symmetric-stable-minus-inf",
+        "discriminant-beta-b-zero"])
 def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
     with pytest.raises(ValidationError, match=bad):
         make()
