@@ -7,9 +7,10 @@ where one exists.  Most forms are written out factor by factor with
 make_form; the recipes follow the factorization into primitive draws, so
 Monte Carlo checks each form against an independent construction.
 
-A factory takes only its parameters and states the mathematics.  build
-gives the entry its name and coerced parameters, and names it in every
-error raised while building.
+A factory takes only its parameters and states the mathematics; a special
+case returns its general law's entry with replace changing what differs.
+build gives the entry its name and coerced parameters, and names it in
+every error raised while building.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import recipes as rc
 from .errors import (ParameterError, UnknownEntryError, UnrepresentableError,
@@ -38,9 +38,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 STIRLING_RECIPE_MAX_K = 1000  # its recipe has k leaves; none above this
 SELBERG_MAX_N = 10 ** 5  # a Selberg form has O(n) factors; refused above
 _SELBERG_N = f"2 <= n <= {SELBERG_MAX_N}"
-
-
-_set = object.__setattr__
 
 
 class Support(Record):
@@ -67,23 +64,16 @@ class ParamSpec(Record):
 
 
 class DistributionEntry(Record):
+    # kind is "mellin" (E X^s) or "mgf" (E e^{sX}); build sets the entry's
+    # name and its coerced parameters
     __slots__ = _fields = ("form", "kind", "support", "recipe", "density",
                            "tabulated", "name", "params")
+    _defaults = (None, None, {}, "", {})
 
-    def __init__(self, form: GammaTypeForm, kind: str, support: Support,
-                 recipe: Optional[rc.Recipe] = None,
-                 density: Optional[Callable[[float], float]] = None,
-                 tabulated: dict | None = None, name: str = "",
-                 params: dict | None = None):
-        _set(self, "form", form)
-        _set(self, "kind", kind)  # "mellin" (E X^s) or "mgf" (E e^{sX})
-        _set(self, "support", support)
-        _set(self, "recipe", recipe)
-        _set(self, "density", density)
-        _set(self, "tabulated", {} if tabulated is None else tabulated)
-        # set by build: the entry's name and its coerced parameters
-        _set(self, "name", name)
-        _set(self, "params", {} if params is None else params)
+    def replace(self, **changes):
+        """A copy with the named fields changed and the others kept."""
+        return type(self)(**{**dict(zip(self._fields, self._values(self))),
+                             **changes})
 
 
 class _EntryDef(Record):
@@ -111,13 +101,7 @@ def _require(ok, condition):
 
 @_register("exponential", "standard exponential", ())
 def _exponential():
-    form = make_form(1, 0, [(1, 1)])
-    dens = lambda x: math.exp(-x) if x > 0 else 0.0
-    return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=rc.exponential(), density=dens,
-        tabulated=dict(rho_minus=-1.0, rho_plus=_INF, gamma=1.0,
-                       gamma_prime=1.0, delta=0.5, kappa=0.0, c1=_SQRT_2PI))
+    return _gamma(1.0).replace(recipe=rc.exponential())
 
 
 @_register("gamma", "gamma distribution", (ParamSpec("a", "float", "a > 0"),))
@@ -153,18 +137,12 @@ def _beta(a, b):
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _positive_stable(alpha):
     _require(0 < alpha < 1, "0 < alpha < 1")
-    form = make_form(1, 0, [(-1 / alpha, 1)], [(-1, 1)])
     dens = None
     if alpha == 0.5:
         dens = (lambda x: 0.5 / math.sqrt(math.pi) * x ** -1.5
                 * math.exp(-0.25 / x) if x > 0 else 0.0)
-    return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=rc.positive_stable(alpha), density=dens,
-        tabulated=dict(rho_minus=-_INF, rho_plus=alpha,
-                       gamma=1 / alpha - 1, gamma_prime=1 - 1 / alpha,
-                       delta=0.0, kappa=math.log(alpha) / alpha,
-                       c1=1 / math.sqrt(alpha)))
+    return _tilted_stable(alpha, 0.0).replace(
+        recipe=rc.positive_stable(alpha), density=dens)
 
 
 def _exp_cap(x):
@@ -243,11 +221,8 @@ _HALF_CAUCHY = rc.Power(rc.Product((rc.gamma(0.5),
 @_register("half_cauchy", "absolute value of a standard Cauchy variable", ())
 def _half_cauchy():
     dens = lambda x: 2 / (math.pi * (1 + x * x)) if x > 0 else 0.0
-    return DistributionEntry(
-        _cauchy_pair(Fraction(1, 2), 1), "mellin", Support(0, _INF),
-        recipe=_HALF_CAUCHY, density=dens,
-        tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=1.0,
-                       gamma_prime=0.0, delta=0.0, kappa=0.0, c1=2.0))
+    return _cauchy_product(1).replace(support=Support(0, _INF),
+                                      recipe=_HALF_CAUCHY, density=dens)
 
 
 # ------------------------------------------------------- Dufresne beta product
@@ -471,13 +446,7 @@ def _mth_max_exp(n, m):
 
 @_register("gumbel", "Gumbel distribution (MGF kind)", ())
 def _gumbel():
-    form = make_form(1, 0, [(-1, 1)])
-    dens = lambda x: _exp_or_zero(-x - _exp_cap(-x))
-    return DistributionEntry(
-        form, "mgf", Support(-_INF, _INF),
-        recipe=rc.gumbel(), density=dens,
-        tabulated=dict(rho_minus=-_INF, rho_plus=1.0, gamma=1.0,
-                       gamma_prime=-1.0, delta=0.5, kappa=0.0, c1=_SQRT_2PI))
+    return _mth_gumbel(1).replace(recipe=rc.gumbel())
 
 
 @_register("mth_gumbel",
@@ -823,9 +792,7 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
         # bad form
         raise ParameterError(name, "parameters outside the representable "
                                    f"range ({exc})") from None
-    return DistributionEntry(entry.form, entry.kind, entry.support,
-                             entry.recipe, entry.density, entry.tabulated,
-                             name, kwargs)
+    return entry.replace(name=name, params=kwargs)
 
 
 def entry_json(name: str) -> dict:

@@ -16,9 +16,11 @@ import cmath
 import heapq
 import itertools
 import math
+import sys
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
+from numbers import Real
 from typing import Sequence
 
 from .errors import (
@@ -81,9 +83,9 @@ def _as_slope(a) -> Fraction:
 def _real(value, what: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a real number, "
-                              f"got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a real number in the float "
+                              f"range, got {value!r}") from None
 
 
 _set = object.__setattr__
@@ -356,7 +358,7 @@ class GammaTypeForm(Record):
         r = _as_slope(r)
         if r == 0:
             raise ValidationError("power exponent must be nonzero")
-        rf = float(r)
+        rf = _real(r, "power exponent")
         return GammaTypeForm(
             self.constant,
             self.log_scale * rf,
@@ -366,7 +368,7 @@ class GammaTypeForm(Record):
 
     def scale(self, c: float) -> "GammaTypeForm":
         """Moments of c*X for c > 0: multiply by c^s."""
-        if not c > 0:
+        if not (isinstance(c, Real) and c > 0):
             raise ValidationError(f"scale factor must be positive, got {c!r}")
         return GammaTypeForm(self.constant, self.log_scale + math.log(c),
                              self.num, self.den)
@@ -389,8 +391,9 @@ class GammaTypeForm(Record):
         """
         if side not in ("num", "den"):
             raise ValidationError("side must be 'num' or 'den'")
-        if not (isinstance(m, int) and m >= 2):
-            raise ValidationError("multiplication order m must be an integer >= 2")
+        if not (isinstance(m, int) and 2 <= m <= sys.float_info.max):
+            raise ValidationError("multiplication order m must be an integer "
+                                  f">= 2 in the float range, got {m!r}")
         factors = self.num if side == "num" else self.den
         if not 0 <= index < len(factors):
             raise ValidationError(f"no {side} factor with index {index}")
@@ -418,7 +421,10 @@ class GammaTypeForm(Record):
         Raises PoleError at numerator poles; returns -inf (as a real part)
         at denominator poles, where F is exactly zero.
         """
-        s = complex(s)
+        try:
+            s = complex(s)
+        except OverflowError:  # an integer past the float range
+            raise ValidationError(f"s = {s!r} is past the float range") from None
         total = complex(math.log(self.constant) + self.log_scale * s.real,
                         self.log_scale * s.imag)
         for f in self.num:

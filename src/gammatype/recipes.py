@@ -40,9 +40,13 @@ _set = object.__setattr__
 
 
 def _finite(value, what: str) -> float:
-    if not (isinstance(value, Real) and math.isfinite(value)):
+    try:
+        x = float(value) if isinstance(value, Real) else math.nan
+    except OverflowError:  # an integer past the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise ValidationError(f"{what} must be a finite real, got {value!r}")
-    return float(value)
+    return x
 
 
 def _recipe(value, what: str):

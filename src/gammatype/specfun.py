@@ -67,9 +67,13 @@ def log_gamma(z: complex) -> complex:
     branch is the limit from the upper half plane (the same convention as
     the principal complex logarithm on the negative axis).
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
+    try:
+        w = complex(z)
+    except OverflowError:  # an integer past the float range
+        w = complex(math.inf)
+    if not cmath.isfinite(w):
         raise ValidationError(f"log_gamma needs a finite argument, got {z!r}")
+    z = w
     if _is_nonpositive_integer(z):
         raise PoleError(z)
     if z.real >= 0.5:

@@ -1,12 +1,16 @@
-"""CLI outputs, byte for byte, against the checked-in corpus cli_corpus.jsonl.
+"""CLI outputs against the checked-in corpus cli_corpus.jsonl.
 
 Each line of the corpus holds one invocation: its argv, the environment it
 sets (GML_SEED only), its exit code, its stdout and, under --human, its
 stderr.  The invocations are the commands whose output is pure Python
 (the README's numpy-free commands; info, strip, profile, consistency and
 moment of every test_catalog.CASES entry; --human on each of them) and
-the error payloads of all ten commands and of argparse.  Every other
-invocation leaves stderr empty.
+the error payloads of all ten commands and of argparse, compared byte for
+byte, and a few successful density tables, whose values are compared
+within the rounding bound that mellin._invert states.  Every other
+invocation leaves stderr empty.  sample and verify-mc are left out: their
+output follows numpy's Generator streams, which numpy does not promise
+across versions.
 
 Run this module as a script (with src on the path) to rewrite the corpus
 from the current code; an intended output change then shows as a diff of
@@ -17,11 +21,14 @@ corpus was written with (3.11).
 import contextlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gammatype import catalog, mellin
 from gammatype.cli import main
 
 from test_catalog import CASES
@@ -124,6 +131,29 @@ ERRORS = [
     ["density", "logistic", "--x=-1:1:3", "--abscissa", "x"],
 ]
 
+# successful density tables as (name, params, grid), the README's first
+DENSITY = [
+    ("logistic", {}, "-4:4:81"),
+    ("exponential", {}, "0.05:6:60"),
+    ("gumbel", {}, "-3:6:91"),
+    ("half_cauchy", {}, "0.05:8:80"),
+    ("positive_stable", {"alpha": 0.5}, "0.05:5:50"),
+]
+
+
+def _params_words(params):
+    """The --params words of a catalog entry's parameters, none if it
+    has none."""
+    if not params:
+        return []
+    return ["--params", ",".join(f"{k}={v!r}" for k, v in params.items())]
+
+
+DENSITY_ARGV = {
+    ("density", name, *_params_words(params), f"--x={grid}"): (name, params)
+    for name, params, grid in DENSITY
+}
+
 # GML_SEED is read before the entry is built
 SEEDED = [
     ({"GML_SEED": "abc"}, ["sample", "nope"]),
@@ -135,8 +165,7 @@ SEEDED = [
 
 def _entry_commands():
     for name, params in CASES.items():
-        words = ["--params", ",".join(f"{k}={v!r}" for k, v in params.items())]
-        extra = words if params else []
+        extra = _params_words(params)
         yield ["info", name]
         for command in ("strip", "profile", "consistency"):
             yield [command, name, *extra]
@@ -151,6 +180,8 @@ def invocations():
             seen.append(argv)
             yield {}, argv
     yield from SEEDED
+    for argv in DENSITY_ARGV:
+        yield {}, list(argv)
 
 
 def run(argv):
@@ -173,13 +204,55 @@ def _case_id(case):
     return " ".join([env, *case["argv"]]).strip() or "<no arguments>"
 
 
-@pytest.mark.parametrize("case", _load(), ids=_case_id)
+def _is_table(case):
+    return tuple(case["argv"]) in DENSITY_ARGV
+
+
+@pytest.mark.parametrize("case", [case for case in _load()
+                                  if not _is_table(case)], ids=_case_id)
 def test_cli_output_matches_corpus(monkeypatch, case):
     monkeypatch.delenv("GML_SEED", raising=False)
     for key, value in case["env"].items():
         monkeypatch.setenv(key, value)
     assert run(case["argv"]) == (case["exit"], case["stdout"],
                                  case.get("stderr", ""))
+
+
+def _rounding_bound(entry, xs):
+    """mellin._invert's stated rounding bound at each x of a table along
+    the default contour, for an entry that is not symmetric and a grid
+    inside its support: (3K + 2) eps sum_k |F_k|, times h / pi and the
+    scaling of x."""
+    form, mgf, support = entry.form, entry.kind == "mgf", entry.support
+    xs = np.array(xs)
+    assert not support.symmetric
+    assert support.lo < xs.min() and xs.max() < support.hi
+    strip = form.strip()
+    c = mellin._resolve_abscissa(strip, entry.kind, None)
+    d = 0.5 * min(c - strip.rho_minus, strip.rho_plus - c, 2.0)
+    u = xs if mgf else np.log(xs)
+    h = 2 * math.pi * d / (math.log(10 / mellin.TARGET) + d * abs(u).max())
+    k = math.ceil(mellin._truncation(form, c) / h)
+    total = sum(abs(form.evaluate(complex(c, (j + 0.5) * h)))
+                for j in range(k))
+    scale = np.exp(-c * xs) if mgf else xs ** (-c - 1)
+    return (3 * k + 2) * np.finfo(float).eps * total * h / math.pi * scale
+
+
+@pytest.mark.parametrize("case", [case for case in _load()
+                                  if _is_table(case)], ids=_case_id)
+def test_density_tables_match_corpus_within_rounding(case):
+    code, out, err = run(case["argv"])
+    assert (code, err) == (case["exit"], "")
+    got, want = json.loads(out), json.loads(case["stdout"])
+    assert got["name"] == want["name"]
+    xs = [row["x"] for row in want["table"]]
+    assert [row["x"] for row in got["table"]] == xs
+    name, params = DENSITY_ARGV[tuple(case["argv"])]
+    bound = _rounding_bound(catalog.build(name, params), xs)
+    error = np.array([abs(g["density"] - w["density"])
+                      for g, w in zip(got["table"], want["table"])])
+    assert (error <= bound).all()
 
 
 def test_corpus_holds_every_invocation():

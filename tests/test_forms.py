@@ -81,6 +81,10 @@ def test_rejects_nonpositive_constant():
     ((1, 0, [(1,)]), "(1,)"),
     ((1, 0, [(1, 2, 3)]), "(1, 2, 3)"),
     ((1, 0, [], [1]), "got 1"),
+    # integers past the float range
+    ((10 ** 400, 0), "constant must be a real number in the float range"),
+    ((1, 10 ** 400), "log_scale must be a real number in the float range"),
+    ((1, 0, [(1, 10 ** 400)]), "offset must be a real number in the float"),
 ])
 def test_make_form_names_the_value_it_cannot_take(args, bad):
     assert make_form is GammaTypeForm  # one constructor under two names
@@ -88,6 +92,17 @@ def test_make_form_names_the_value_it_cannot_take(args, bad):
         with pytest.raises(ValidationError) as exc:
             construct(*args)
         assert bad in str(exc.value)
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda f: f.power(10 ** 400), "power exponent must be a real number"),
+    (lambda f: f.scale("2"), "got '2'"),
+    (lambda f: f.expand_multiplication(0, 10 ** 400), "in the float range"),
+    (lambda f: f.evaluate(10 ** 400), "past the float range"),
+], ids=["power", "scale", "expand-multiplication", "evaluate"])
+def test_form_operations_name_the_value_they_cannot_take(call, bad):
+    with pytest.raises(ValidationError, match=bad):
+        call(make_form(1, 0, [(1, 1)]))
 
 
 def test_raw_pairs_build_a_checked_form():

@@ -99,6 +99,22 @@ def test_defaults_and_the_cached_walk():
     assert form == FORM and hash(form) == hash(FORM)
 
 
+def test_entry_replace_changes_only_the_named_fields():
+    entry = catalog.DistributionEntry(FORM, "mellin", catalog.Support(0, 1),
+                                      LEAF, None, {"gamma": 0.5}, "x",
+                                      {"a": 2.0})
+    recipe, params = rc.exponential(), {"a": 3.0}
+    changed = entry.replace(recipe=recipe, params=params)
+    assert type(changed) is catalog.DistributionEntry
+    assert changed.recipe is recipe and changed.params is params
+    assert (entry.recipe, entry.params) == (LEAF, {"a": 2.0})
+    for name in ("form", "kind", "support", "density", "tabulated", "name"):
+        assert getattr(changed, name) is getattr(entry, name)
+    assert entry.replace() == entry
+    with pytest.raises(TypeError, match=r"^DistributionEntry\(\).*'other'"):
+        entry.replace(other=1)
+
+
 # a store-only record, and one whose last field has a default
 @pytest.mark.parametrize("cls, args, kwargs", [
     pytest.param(AnalyticityStrip, (-2.0,), {}, id="strip-missing"),

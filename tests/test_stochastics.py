@@ -402,6 +402,10 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
     (lambda: rc.symmetric_stable(2.0000001), r"requires 0 < alpha <= 2"),
     (lambda: rc.symmetric_stable(-math.inf), "finite real, got -inf"),
     (lambda: rc.Discriminant(2, rc.beta(0.5, 0.0)), "requires a, b > 0"),
+    # integers past the float range
+    (lambda: rc.gamma(10 ** 400), "finite real, got 1000"),
+    (lambda: rc.Power(rc.uniform(), 10 ** 400), "finite real, got 1000"),
+    (lambda: rc.Scale(rc.uniform(), 10 ** 400), "finite real, got 1000"),
 ], ids=["scale-nan", "scale-inf", "scale-zero", "scale-str", "power-str",
         "power-inf", "power-complex", "leaf-str", "leaf-none",
         "discriminant-zero", "discriminant-float", "discriminant-node",
@@ -412,7 +416,8 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
         "positive-stable-zero", "positive-stable-above-1",
         "positive-stable-nan", "symmetric-stable-negative",
         "symmetric-stable-above-2", "symmetric-stable-minus-inf",
-        "discriminant-beta-b-zero"])
+        "discriminant-beta-b-zero", "gamma-huge-int", "power-huge-int",
+        "scale-huge-int"])
 def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
     with pytest.raises(ValidationError, match=bad):
         make()
