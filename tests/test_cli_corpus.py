@@ -70,6 +70,9 @@ ERRORS = [
     # bad --params
     ["profile", "gamma", "--params", "q=2"],
     ["profile", "gamma", "--params", "a=abc"],
+    ["profile", "gamma", "--params", "a=inf"],
+    ["profile", "gamma", "--params", "a=nan"],
+    ["profile", "max_exp", "--params", "n=inf"],
     ["profile", "beta", "--params", "a"],
     ["profile", "beta", "--params", "a=2,b=3,a=4"],
     ["profile", "stirling_blocks", "--params", "k=2.5"],
