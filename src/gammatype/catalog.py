@@ -16,12 +16,12 @@ every error raised while building.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
+from numbers import Integral
 
 from . import recipes as rc
 from .errors import (ParameterError, UnknownEntryError, UnrepresentableError,
-                     ValidationError)
+                     ValidationError, integer, real)
 from .forms import GammaFactor, GammaTypeForm, make_form
 from .record import Record
 from .specfun import gamma_real
@@ -51,16 +51,17 @@ class ParamSpec(Record):
     __slots__ = _fields = ("name", "kind", "constraint")
 
     def coerce(self, value):
+        """value as a float, or as an int for an int parameter (3.0 too)."""
         try:
-            x = float(value)
-        except (TypeError, ValueError):  # a string, None, a complex number
-            raise ParameterError(None, f"{self.name} must be a real number, "
-                                       f"got {value!r}") from None
-        if self.kind == "int":
-            if not x.is_integer():
-                raise ParameterError(None, f"{self.name} must be an integer")
-            return int(value) if isinstance(value, numbers.Integral) else int(x)
-        return x
+            if self.kind == "float":
+                return real(value, self.name)
+            if (not isinstance(value, Integral)
+                    and real(value, self.name).is_integer()):
+                value = int(value)
+            return integer(value, self.name)
+        except ValidationError as exc:
+            raise ParameterError(None, str(exc) if self.kind == "float" else
+                                 f"{self.name} must be an integer") from None
 
 
 class DistributionEntry(Record):

@@ -33,12 +33,8 @@ _USAGE_ERRORS = (ValidationError, ParameterError, UnrepresentableError,
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))  # "inf", "-inf" or "nan"
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -254,7 +250,7 @@ def _cmd_sample(args, entry):
     from . import stochastics
     chunks = stochastics.chunks(stochastics.recipe_of(entry), args.n,
                                 args.seed)
-    line = ((lambda i, x: json.dumps({"i": i, "x": x}))
+    line = ((lambda i, x: json.dumps({"i": i, "x": _jsonable(x)}))
             if args.format == "jsonl" else lambda i, x: repr(x))
     with _sink(args.output) as write:
         start = 0
@@ -299,7 +295,7 @@ def _cmd_density(args, entry):
             write("x,density\n" + "".join(
                 f"{row['x']!r},{row['density']!r}\n" for row in rows))
         else:
-            write(json.dumps(rows, indent=2) + "\n")
+            write(json.dumps(_jsonable(rows), indent=2) + "\n")
     return ({"name": args.name, "path": args.output, "format": args.format,
              "points": len(rows)}, None, True)
 
@@ -397,9 +393,7 @@ def main(argv=None) -> int:
             payload["hint"] = (_schema_hint(args.name)
                                if hasattr(args, "name") else None)
         elif isinstance(exc, PoleError):
-            loc = exc.location
-            payload["location"] = ([loc.real, loc.imag]
-                                   if isinstance(loc, complex) else loc)
+            payload["location"] = [exc.location.real, exc.location.imag]
         _emit(payload)
         return EXIT_UNKNOWN if usage else EXIT_DOMAIN
 

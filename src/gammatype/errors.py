@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all gammatype modules."""
+"""Exception hierarchy shared by all gammatype modules, and the checks of
+the numbers a caller passes in (``real``, ``integer`` and ``number``)."""
+
+import cmath
+import math
+import sys
+from numbers import Complex, Integral, Real
+
+_INT_MAX = int(sys.float_info.max)  # an int: int comparisons are fast
 
 
 class GammaTypeError(Exception):
@@ -50,3 +58,42 @@ class MomentRangeError(GammaTypeError, ValueError):
 
 class InversionError(GammaTypeError):
     """Numerical density inversion is unsupported for this form."""
+
+
+def _converted(convert, value, kind):
+    """convert(value) if value is a number of kind (not a bool, nor a str,
+    which is none), else nan, as for an int past the float range."""
+    t = type(value)
+    if t is int or t is float or t is not bool and isinstance(value, kind):
+        try:
+            return convert(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
+def real(value, what: str) -> float:
+    """value as a finite float, else ValidationError naming what."""
+    x = value if type(value) is float else _converted(float, value, Real)
+    if math.isfinite(x):
+        return x
+    raise ValidationError(f"{what} must be a finite real, got {value!r}")
+
+
+def integer(value, what: str) -> int:
+    """value as an int in the float range, else ValidationError naming what."""
+    n = value
+    if type(n) is not int and type(n) is not bool and isinstance(n, Integral):
+        n = int(n)
+    if type(n) is int and -_INT_MAX <= n <= _INT_MAX:
+        return n
+    raise ValidationError(f"{what} must be an integer in the float range, "
+                          f"got {value!r}")
+
+
+def number(value, what: str) -> complex:
+    """value as a finite complex, else ValidationError naming what."""
+    w = value if type(value) is complex else _converted(complex, value, Complex)
+    if cmath.isfinite(w):
+        return w
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")

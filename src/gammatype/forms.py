@@ -16,11 +16,10 @@ import cmath
 import heapq
 import itertools
 import math
-import sys
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
-from numbers import Real
+from numbers import Integral
 from typing import Sequence
 
 from .errors import (
@@ -29,6 +28,9 @@ from .errors import (
     PoleError,
     UndecidedStripError,
     ValidationError,
+    integer,
+    number,
+    real,
 )
 from .record import Record
 from .specfun import OVERFLOW_EXPONENT, gamma_real, log_gamma
@@ -65,27 +67,15 @@ _TWO_PI = 2.0 * math.pi
 def _as_slope(a) -> Fraction:
     """Coerce a slope to an exact Fraction.
 
-    A float becomes the nearest fraction with denominator at most 10**12,
-    so 1/1.234 is 500/617 wherever it is written.  Pass a Fraction for an
-    exact slope beyond that.
+    An integer is exact; any other real becomes the nearest fraction with
+    denominator at most 10**12, so 1/1.234 is 500/617 wherever it is
+    written.  Pass a Fraction for an exact slope beyond that.
     """
     if isinstance(a, Fraction):
         return a
-    if isinstance(a, int):
-        return Fraction(a)
-    if isinstance(a, float):
-        if not math.isfinite(a):
-            raise ValidationError(f"slope must be finite, got {a!r}")
-        return Fraction(a).limit_denominator(10 ** 12)
-    raise ValidationError(f"cannot interpret {a!r} as an exact slope")
-
-
-def _real(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be a real number in the float "
-                              f"range, got {value!r}") from None
+    if type(a) is int or type(a) is not float and isinstance(a, Integral):
+        return Fraction(integer(a, "slope"))
+    return Fraction(real(a, "slope")).limit_denominator(10 ** 12)
 
 
 _set = object.__setattr__
@@ -97,7 +87,7 @@ class GammaFactor(Record):
     __slots__ = _fields = ("slope", "offset")
 
     def __init__(self, slope: Fraction, offset: float):
-        slope, offset = _as_slope(slope), _real(offset, "factor offset")
+        slope, offset = _as_slope(slope), real(offset, "factor offset")
         if slope.numerator == 0:
             raise ValidationError("factor slope must be nonzero")
         # |slope| > MAX_SLOPE in integers: a Fraction-float comparison
@@ -105,8 +95,6 @@ class GammaFactor(Record):
         if abs(slope.numerator) > _MAX_SLOPE_INT * slope.denominator:
             raise ValidationError(f"|slope| {float(slope)!r} above "
                                   f"{MAX_SLOPE:g}: poles too close to resolve")
-        if not math.isfinite(offset):
-            raise ValidationError("factor offset must be finite")
         _set(self, "slope", slope)
         _set(self, "offset", offset)
 
@@ -329,14 +317,11 @@ class GammaTypeForm(Record):
 
     def __init__(self, constant: float, log_scale: float,
                  num: Sequence = (), den: Sequence = ()):
-        constant = _real(constant, "constant")
-        if not (constant > 0 and math.isfinite(constant)):
+        constant = real(constant, "constant")
+        if not constant > 0:
             raise ValidationError(f"constant must be a positive real, got {constant!r}")
-        log_scale = _real(log_scale, "log_scale")
-        if not math.isfinite(log_scale):
-            raise ValidationError("log_scale must be finite")
         _set(self, "constant", constant)
-        _set(self, "log_scale", log_scale)
+        _set(self, "log_scale", real(log_scale, "log_scale"))
         _set(self, "num", tuple(map(_factor, num)))
         _set(self, "den", tuple(map(_factor, den)))
 
@@ -355,10 +340,9 @@ class GammaTypeForm(Record):
 
     def power(self, r) -> "GammaTypeForm":
         """Moments of X^r: the reparametrization s -> r*s."""
-        r = _as_slope(r)
+        rf, r = real(r, "power exponent"), _as_slope(r)
         if r == 0:
             raise ValidationError("power exponent must be nonzero")
-        rf = _real(r, "power exponent")
         return GammaTypeForm(
             self.constant,
             self.log_scale * rf,
@@ -368,7 +352,8 @@ class GammaTypeForm(Record):
 
     def scale(self, c: float) -> "GammaTypeForm":
         """Moments of c*X for c > 0: multiply by c^s."""
-        if not (isinstance(c, Real) and c > 0):
+        c = real(c, "scale factor")
+        if not c > 0:
             raise ValidationError(f"scale factor must be positive, got {c!r}")
         return GammaTypeForm(self.constant, self.log_scale + math.log(c),
                              self.num, self.den)
@@ -387,13 +372,15 @@ class GammaTypeForm(Record):
         Gamma(a s + b) = (2 pi)^((1-m)/2) m^(a s + b - 1/2)
                          prod_{i=0..m-1} Gamma((a/m) s + (b+i)/m)
 
-        The result is a different representation of the same function.
+        The result is a different representation of the same function.  No
+        walk gets through more than VISIT_BUDGET pieces, so m is at most that.
         """
         if side not in ("num", "den"):
             raise ValidationError("side must be 'num' or 'den'")
-        if not (isinstance(m, int) and 2 <= m <= sys.float_info.max):
-            raise ValidationError("multiplication order m must be an integer "
-                                  f">= 2 in the float range, got {m!r}")
+        m = integer(m, "multiplication order m")
+        if not 2 <= m <= VISIT_BUDGET:
+            raise ValidationError(f"multiplication order m must be 2 to "
+                                  f"{VISIT_BUDGET}, got {m}")
         factors = self.num if side == "num" else self.den
         if not 0 <= index < len(factors):
             raise ValidationError(f"no {side} factor with index {index}")
@@ -421,10 +408,7 @@ class GammaTypeForm(Record):
         Raises PoleError at numerator poles; returns -inf (as a real part)
         at denominator poles, where F is exactly zero.
         """
-        try:
-            s = complex(s)
-        except OverflowError:  # an integer past the float range
-            raise ValidationError(f"s = {s!r} is past the float range") from None
+        s = number(s, "s")
         total = complex(math.log(self.constant) + self.log_scale * s.real,
                         self.log_scale * s.imag)
         for f in self.num:

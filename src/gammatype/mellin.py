@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .catalog import DistributionEntry
-from .errors import InversionError, ValidationError
+from .errors import InversionError, ValidationError, real
 from .forms import AnalyticityStrip, GammaTypeForm
 
 __all__ = ["density", "density_table", "check_normalization"]
@@ -34,7 +34,7 @@ def _resolve_abscissa(strip: AnalyticityStrip, kind: str,
                       abscissa: float | None) -> float:
     """The contour Re s = c: ``abscissa`` if given, else mid-strip."""
     if abscissa is not None:
-        c = float(abscissa)
+        c = real(abscissa, "abscissa")
         if not strip.rho_minus < c < strip.rho_plus:
             raise InversionError(
                 f"abscissa {c} outside strip "
@@ -112,7 +112,7 @@ def density(form: GammaTypeForm, kind: str, x: float,
     """
     if kind not in ("mellin", "mgf"):
         raise ValidationError(f"unknown kind {kind!r}")
-    x = float(x)
+    x = real(x, "x")
     if kind == "mellin" and x <= 0.0:
         return 0.0
     return float(_invert(form, kind, [x], abscissa)[0])

@@ -7,11 +7,9 @@ the tree data; ``gammatype.stochastics`` draws from it.
 
 from __future__ import annotations
 
-import math
-from numbers import Integral, Real
 from typing import Union
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 from .record import Record
 
 __all__ = [
@@ -39,16 +37,6 @@ _LEAF_RANGES = {
 _set = object.__setattr__
 
 
-def _finite(value, what: str) -> float:
-    try:
-        x = float(value) if isinstance(value, Real) else math.nan
-    except OverflowError:  # an integer past the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValidationError(f"{what} must be a finite real, got {value!r}")
-    return x
-
-
 def _recipe(value, what: str):
     if not isinstance(value, _NODES):
         raise ValidationError(f"{what} must be a recipe, got {value!r}")
@@ -73,7 +61,7 @@ class Leaf(Record):
         if len(args) != LEAF_ARITY[kind]:
             raise ValidationError(f"leaf {kind!r} takes "
                                   f"{LEAF_ARITY[kind]} parameter(s)")
-        args = tuple(_finite(a, f"leaf {kind!r} parameter") for a in args)
+        args = tuple(real(a, f"leaf {kind!r} parameter") for a in args)
         if kind in _LEAF_RANGES:
             condition, holds = _LEAF_RANGES[kind]
             if not holds(*args):
@@ -95,14 +83,14 @@ class Power(Record):
 
     def __init__(self, base: "Recipe", exponent: float):
         _set(self, "base", _recipe(base, "power base"))
-        _set(self, "exponent", _finite(exponent, "power exponent"))
+        _set(self, "exponent", real(exponent, "power exponent"))
 
 
 class Scale(Record):
     __slots__ = _fields = ("base", "factor")
 
     def __init__(self, base: "Recipe", factor: float):
-        factor = _finite(factor, "scale factor")
+        factor = real(factor, "scale factor")
         if factor == 0:
             raise ValidationError("scale factor must be nonzero")
         _set(self, "base", _recipe(base, "scale base"))
@@ -136,9 +124,8 @@ class Discriminant(Record):
     __slots__ = _fields = ("n", "leaf")
 
     def __init__(self, n: int, leaf: Leaf):
-        if not (isinstance(n, Integral) and n >= 1):
-            raise ValidationError(f"discriminant needs an integer n >= 1, "
-                                  f"got {n!r}")
+        if integer(n, "discriminant n") < 1:
+            raise ValidationError(f"discriminant needs n >= 1, got {n!r}")
         if not isinstance(leaf, Leaf):
             raise ValidationError(f"discriminant draws from a Leaf, "
                                   f"got {leaf!r}")

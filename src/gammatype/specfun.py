@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError, ValidationError
+from .errors import PoleError, number
 
 __all__ = ["log_gamma", "gamma_real", "log_gamma_real", "OVERFLOW_EXPONENT"]
 
@@ -63,17 +63,11 @@ def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z).
 
     Raises :class:`PoleError` at the nonpositive integers and
-    :class:`ValidationError` at non-finite z.  For negative real ``z`` the
-    branch is the limit from the upper half plane (the same convention as
-    the principal complex logarithm on the negative axis).
+    :class:`ValidationError` where z is not a finite number.  For negative
+    real ``z`` the branch is the limit from the upper half plane (the same
+    convention as the principal complex logarithm on the negative axis).
     """
-    try:
-        w = complex(z)
-    except OverflowError:  # an integer past the float range
-        w = complex(math.inf)
-    if not cmath.isfinite(w):
-        raise ValidationError(f"log_gamma needs a finite argument, got {z!r}")
-    z = w
+    z = number(z, "log_gamma argument")
     if _is_nonpositive_integer(z):
         raise PoleError(z)
     if z.real >= 0.5:

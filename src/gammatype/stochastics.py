@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 import queue
 import threading
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import recipes as rc
 from .catalog import DistributionEntry
-from .errors import MomentRangeError, ValidationError
+from .errors import MomentRangeError, ValidationError, integer, real
 from .record import Record
 
 __all__ = [
@@ -185,19 +184,13 @@ def _in_order(task, count):
         helper.join()
 
 
-def _integer(value, what: str):
-    """value if it is an integer (bool is not one), else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _per_chunk(recipe, n, seed, reduce):
     """reduce(draws) for each chunk of the n draws, in chunk order; n and
     seed are checked at the call, and the chunks are drawn lazily."""
-    if _integer(n, "n") < 1:
+    n, seed = integer(n, "n"), integer(seed, "seed")
+    if n < 1:
         raise ValidationError("n must be at least 1")
-    if _integer(seed, "seed") < 0:
+    if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
     # numpy keeps the error state per thread, so each chunk sets its own
@@ -286,12 +279,12 @@ def _estimates(entry, s_grid, n, seed, verdict=False):
     ``verdict``, a grid without such an s is a MomentRangeError, raised
     before anything is drawn.
     """
-    if _integer(n, "n") < 2:
+    if integer(n, "n") < 2:
         raise ValidationError(f"n must be at least 2 for a standard error, "
                               f"got {n}")
     recipe = recipe_of(entry)
     strip = entry.form.strip()
-    grid = _default_grid(strip) if s_grid is None else [float(s) for s in s_grid]
+    grid = _default_grid(strip) if s_grid is None else [real(s, "s") for s in s_grid]
     for s in grid:
         if not strip.rho_minus < s < strip.rho_plus:
             raise MomentRangeError(
@@ -372,7 +365,7 @@ def harmonic_drift(n_max: int) -> np.ndarray:
 
     The drift decreases to Euler's constant 0.5772156649...
     """
-    if _integer(n_max, "n_max") < 1:
+    if integer(n_max, "n_max") < 1:
         raise ValidationError("n_max must be at least 1")
     n = np.arange(1, n_max + 1, dtype=np.float64)
     drift = np.cumsum(1.0 / n) - np.log(n)

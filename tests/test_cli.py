@@ -450,6 +450,30 @@ def test_density_output_formats(capsys, tmp_path):
     assert rows[1]["density"] == pytest.approx(math.exp(-0.5), abs=1e-6)
 
 
+def _strict_json(text):
+    """json.loads, refusing the Infinity and NaN that JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writers_spell_inf_as_stdout_does(capsys, tmp_path):
+    # beta = 1e-300 makes the type-2 beta draws overflow
+    _, out, _ = run(capsys, "sample", "type2_beta", "--params",
+                    "alpha=2,beta=1e-300", "--n", "3", "--seed", "1",
+                    "--format", "jsonl")
+    assert {"i": 0, "x": "inf"} in map(_strict_json, out.splitlines())
+    # the product of two Cauchy variables has an infinite density at 0
+    argv = ("density", "cauchy_product", "--params", "k=2", "--x=0:1:2")
+    _, out, _ = run(capsys, *argv)
+    path = tmp_path / "d.json"
+    assert run(capsys, *argv, "--format", "json",
+               "--output", str(path))[0] == 0
+    rows = _strict_json(path.read_text())
+    assert rows == _strict_json(out)["table"]
+    assert rows[0]["density"] == "inf"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_sample_output_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
     # two chunks, so the file and stdout both join chunks in order

@@ -12,8 +12,8 @@ from gammatype.errors import (
     InvalidFormError, PoleError, UndecidedStripError, ValidationError,
 )
 from gammatype.forms import (
-    MAX_SLOPE, AnalyticityStrip, ConsistencyReport, GammaFactor, GammaTypeForm,
-    make_form, moments_equal,
+    MAX_SLOPE, VISIT_BUDGET, AnalyticityStrip, ConsistencyReport, GammaFactor,
+    GammaTypeForm, make_form, moments_equal,
 )
 
 from oracles import mp_form_log, pole_walk
@@ -82,9 +82,16 @@ def test_rejects_nonpositive_constant():
     ((1, 0, [(1, 2, 3)]), "(1, 2, 3)"),
     ((1, 0, [], [1]), "got 1"),
     # integers past the float range
-    ((10 ** 400, 0), "constant must be a real number in the float range"),
-    ((1, 10 ** 400), "log_scale must be a real number in the float range"),
-    ((1, 0, [(1, 10 ** 400)]), "offset must be a real number in the float"),
+    ((10 ** 400, 0), "constant must be a finite real, got 1000"),
+    ((1, 10 ** 400), "log_scale must be a finite real, got 1000"),
+    ((1, 0, [(1, 10 ** 400)]), "offset must be a finite real, got 1000"),
+    # numbers written as text, and bools, are not numbers
+    (("2", 0.5, [(1, 1)]), "constant must be a finite real, got '2'"),
+    ((2, "0.5"), "log_scale must be a finite real, got '0.5'"),
+    ((1, 0, [(1, "1")]), "offset must be a finite real, got '1'"),
+    ((True, 0), "constant must be a finite real, got True"),
+    ((1, 0, [(True, 1)]), "slope must be an integer in the float range"),
+    ((1, 0, [(1, False)]), "offset must be a finite real, got False"),
 ])
 def test_make_form_names_the_value_it_cannot_take(args, bad):
     assert make_form is GammaTypeForm  # one constructor under two names
@@ -95,11 +102,20 @@ def test_make_form_names_the_value_it_cannot_take(args, bad):
 
 
 @pytest.mark.parametrize("call,bad", [
-    (lambda f: f.power(10 ** 400), "power exponent must be a real number"),
+    (lambda f: f.power(10 ** 400), "power exponent must be a finite real"),
     (lambda f: f.scale("2"), "got '2'"),
     (lambda f: f.expand_multiplication(0, 10 ** 400), "in the float range"),
-    (lambda f: f.evaluate(10 ** 400), "past the float range"),
-], ids=["power", "scale", "expand-multiplication", "evaluate"])
+    (lambda f: f.evaluate(10 ** 400), "s must be a finite number"),
+    (lambda f: f.power(True), "power exponent must be a finite real, got True"),
+    (lambda f: f.scale(True), "scale factor must be a finite real, got True"),
+    (lambda f: f.scale(10 ** 400), "scale factor must be a finite real"),
+    (lambda f: f.evaluate("0.5"), "s must be a finite number, got '0.5'"),
+    (lambda f: f.evaluate(True), "s must be a finite number, got True"),
+    (lambda f: f.expand_multiplication(0, VISIT_BUDGET + 1),
+     "must be 2 to 250000, got 250001"),
+], ids=["power", "scale", "expand-multiplication", "evaluate", "power-bool",
+        "scale-bool", "scale-huge-int", "evaluate-str", "evaluate-bool",
+        "expand-multiplication-past-visit-budget"])
 def test_form_operations_name_the_value_they_cannot_take(call, bad):
     with pytest.raises(ValidationError, match=bad):
         call(make_form(1, 0, [(1, 1)]))
@@ -319,7 +335,10 @@ def test_every_catalog_form_round_trips_through_json(name, params):
      "[1, 0, 1]"),
     ({"constant": 1, "log_scale": 0, "num": [], "den": [["x", 1, 0.5]]},
      "['x', 1, 0.5]"),
-], ids=["no-keys", "zero-denominator", "non-numeric"])
+    ({"constant": "2", "log_scale": 0, "num": [], "den": []}, "'2'"),
+    ({"constant": 1, "log_scale": True, "num": [], "den": []}, "True"),
+], ids=["no-keys", "zero-denominator", "non-numeric", "constant-str",
+        "log-scale-bool"])
 def test_malformed_form_json_is_a_validation_error(data, named):
     with pytest.raises(ValidationError) as exc:
         GammaTypeForm.from_json_dict(data)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gammatype import catalog, forms, mellin
-from gammatype.errors import InversionError
+from gammatype.errors import InversionError, ValidationError
 from gammatype.forms import make_form
 from gammatype.mellin import check_normalization, density, density_table
 
@@ -148,6 +148,10 @@ def test_abscissa_must_sit_in_strip():
     form = catalog.build("rayleigh", {}).form
     with pytest.raises(InversionError):
         density(form, "mellin", 1.0, abscissa=-5.0)
+    # x and the abscissa are numbers (errors.real), not text
+    for x, abscissa in (("1", None), (1.0, "0.5")):
+        with pytest.raises(ValidationError, match="must be a finite real"):
+            density(form, "mellin", x, abscissa)
 
 
 @pytest.mark.parametrize("name, params, x", [

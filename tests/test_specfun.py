@@ -102,7 +102,9 @@ def test_poles_raise():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(1, math.inf),
                                  complex(math.nan, 1),
-                                 pytest.param(10 ** 400, id="huge-int")])
+                                 pytest.param(10 ** 400, id="huge-int"),
+                                 pytest.param("2", id="str"),
+                                 pytest.param(True, id="bool")])
 def test_non_finite_arguments_raise(bad):
     with pytest.raises(ValidationError):
         log_gamma(bad)

@@ -17,6 +17,7 @@ from scipy import stats
 
 from gammatype import catalog, recipes as rc, stochastics
 from gammatype.errors import MomentRangeError, ValidationError
+from gammatype.forms import make_form
 from gammatype.stochastics import (
     MCEstimate, evaluate_recipe, harmonic_drift, mc_moment, sample,
     verify_entry,
@@ -406,6 +407,11 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
     (lambda: rc.gamma(10 ** 400), "finite real, got 1000"),
     (lambda: rc.Power(rc.uniform(), 10 ** 400), "finite real, got 1000"),
     (lambda: rc.Scale(rc.uniform(), 10 ** 400), "finite real, got 1000"),
+    # bools are not numbers
+    (lambda: rc.gamma(True), "finite real, got True"),
+    (lambda: rc.Power(rc.uniform(), False), "finite real, got False"),
+    (lambda: rc.Scale(rc.uniform(), True), "finite real, got True"),
+    (lambda: rc.Discriminant(True, rc.normal()), "got True"),
 ], ids=["scale-nan", "scale-inf", "scale-zero", "scale-str", "power-str",
         "power-inf", "power-complex", "leaf-str", "leaf-none",
         "discriminant-zero", "discriminant-float", "discriminant-node",
@@ -417,23 +423,36 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
         "positive-stable-nan", "symmetric-stable-negative",
         "symmetric-stable-above-2", "symmetric-stable-minus-inf",
         "discriminant-beta-b-zero", "gamma-huge-int", "power-huge-int",
-        "scale-huge-int"])
+        "scale-huge-int", "gamma-bool", "power-bool", "scale-bool",
+        "discriminant-bool"])
 def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
     with pytest.raises(ValidationError, match=bad):
         make()
 
 
 @pytest.mark.parametrize("call,bad", [
-    (lambda: sample(rc.uniform(), 2.5), "n must be an integer, got 2.5"),
-    (lambda: sample(rc.uniform(), True), "n must be an integer, got True"),
-    (lambda: sample(rc.uniform(), 3, None), "seed must be an integer, got None"),
+    (lambda: sample(rc.uniform(), 2.5),
+     "n must be an integer in the float range, got 2.5"),
+    (lambda: sample(rc.uniform(), True),
+     "n must be an integer in the float range, got True"),
+    (lambda: sample(rc.uniform(), 3, None),
+     "seed must be an integer in the float range, got None"),
     (lambda: verify_entry(catalog.build("rayleigh"), n=10, seed=1.5),
-     "seed must be an integer, got 1.5"),
+     "seed must be an integer in the float range, got 1.5"),
     (lambda: verify_entry(catalog.build("rayleigh"), n=10.0),
-     "n must be an integer, got 10.0"),
-    (lambda: harmonic_drift(2.5), "n_max must be an integer, got 2.5"),
+     "n must be an integer in the float range, got 10.0"),
+    (lambda: harmonic_drift(2.5),
+     "n_max must be an integer in the float range, got 2.5"),
+    (lambda: sample(rc.uniform(), 3, 2 ** 1024),
+     f"seed must be an integer in the float range, got {2 ** 1024}"),
+    # the moment orders are numbers too
+    (lambda: verify_entry(catalog.build("rayleigh"), ["0.5"], n=10),
+     "s must be a finite real, got '0.5'"),
+    (lambda: mc_moment(catalog.build("rayleigh"), True, n=10),
+     "s must be a finite real, got True"),
 ], ids=["sample-n-float", "sample-n-bool", "sample-seed-none",
-        "verify-seed-float", "verify-n-float", "harmonic-float"])
+        "verify-seed-float", "verify-n-float", "harmonic-float",
+        "seed-huge-int", "verify-s-str", "mc-moment-s-bool"])
 def test_draw_counts_and_seeds_must_be_integers(call, bad):
     with pytest.raises(ValidationError) as exc:
         call()
@@ -443,6 +462,13 @@ def test_draw_counts_and_seeds_must_be_integers(call, bad):
 def test_numpy_integers_count_as_integers():
     assert len(sample(rc.uniform(), np.int64(3), np.uint8(2))) == 3
     assert harmonic_drift(np.int32(2)).shape == (2, 2)
+    assert rc.Discriminant(np.int64(2), rc.normal()).n == 2
+    # and so do forms, as slopes, exponents and multiplication orders
+    form = make_form(1, 0, [(np.int64(2), 1)])
+    assert form == make_form(1, 0, [(2, 1)])
+    assert form.power(np.int8(-1)) == form.power(-1)
+    assert form.expand_multiplication(0, np.int64(2)) == (
+        form.expand_multiplication(0, 2))
 
 
 def test_recipe_node_numbers_are_floats():
