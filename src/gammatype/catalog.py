@@ -51,7 +51,6 @@ class ParamSpec(Record):
     __slots__ = _fields = ("name", "kind", "constraint")
 
     def coerce(self, value):
-        """value as a float, or as an int for an int parameter (3.0 too)."""
         try:
             if self.kind == "float":
                 return real(value, self.name)

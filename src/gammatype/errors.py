@@ -63,8 +63,7 @@ class InversionError(GammaTypeError):
 def _converted(convert, value, kind):
     """convert(value) if value is a number of kind (not a bool, nor a str,
     which is none), else nan, as for an int past the float range."""
-    t = type(value)
-    if t is int or t is float or t is not bool and isinstance(value, kind):
+    if type(value) is int or type(value) is not bool and isinstance(value, kind):
         try:
             return convert(value)
         except OverflowError:
@@ -82,9 +81,7 @@ def real(value, what: str) -> float:
 
 def integer(value, what: str) -> int:
     """value as an int in the float range, else ValidationError naming what."""
-    n = value
-    if type(n) is not int and type(n) is not bool and isinstance(n, Integral):
-        n = int(n)
+    n = value if type(value) is int else _converted(int, value, Integral)
     if type(n) is int and -_INT_MAX <= n <= _INT_MAX:
         return n
     raise ValidationError(f"{what} must be an integer in the float range, "

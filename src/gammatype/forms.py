@@ -352,8 +352,7 @@ class GammaTypeForm(Record):
 
     def scale(self, c: float) -> "GammaTypeForm":
         """Moments of c*X for c > 0: multiply by c^s."""
-        c = real(c, "scale factor")
-        if not c > 0:
+        if not real(c, "scale factor") > 0:
             raise ValidationError(f"scale factor must be positive, got {c!r}")
         return GammaTypeForm(self.constant, self.log_scale + math.log(c),
                              self.num, self.den)

@@ -187,10 +187,9 @@ def _in_order(task, count):
 def _per_chunk(recipe, n, seed, reduce):
     """reduce(draws) for each chunk of the n draws, in chunk order; n and
     seed are checked at the call, and the chunks are drawn lazily."""
-    n, seed = integer(n, "n"), integer(seed, "seed")
-    if n < 1:
+    if integer(n, "n") < 1:
         raise ValidationError("n must be at least 1")
-    if seed < 0:
+    if integer(seed, "seed") < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
     # numpy keeps the error state per thread, so each chunk sets its own
