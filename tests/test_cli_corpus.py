@@ -4,10 +4,11 @@ Each line of the corpus holds one invocation: its argv, the environment it
 sets (GML_SEED only), its exit code, its stdout and, under --human, its
 stderr.  The invocations are the commands whose output is pure Python
 (the README's numpy-free commands; info, strip, profile, consistency and
-moment of every test_catalog.CASES entry; --human on each of them) and
-the error payloads of all ten commands and of argparse, compared byte for
-byte, and a few successful density tables, whose values are compared
-within the rounding bound that mellin._invert states.  Every other
+moment of every test_catalog.CASES entry; --human on each of them), the
+error payloads of all ten commands and of argparse and a few answers at
+the precision of a float, compared byte for byte, and a few successful
+density tables, whose values are compared within the rounding bound that
+mellin._invert states.  Every other
 invocation leaves stderr empty.  sample and verify-mc are left out: their
 output follows numpy's Generator streams, which numpy does not promise
 across versions.
@@ -134,6 +135,20 @@ ERRORS = [
     ["density", "logistic", "--x=-1:1:3", "--abscissa", "x"],
 ]
 
+SELBERG_PIECES = ("product(gamma:a=0.5,gamma:a=0.3333333333333333,"
+                  "gamma:a=0.6666666666666666)")
+
+# answers at the precision of a float: the n = 3 Selberg factorization to
+# the 30th power, exact and with its scale off by 1e-9 (a factor
+# (1 + 9.3e-10)^(30 s)), and a constant of 2^-649, below the normal floats
+PRECISION = [
+    ["check-identity", "power(selberg_normal:n=3,30)",
+     f"power(scale({SELBERG_PIECES},108.0000001),30)"],
+    ["check-identity", "power(selberg_normal:n=3,30)",
+     f"power(scale({SELBERG_PIECES},108),30)"],
+    ["profile", "cauchy_product", "--params", "k=649"],
+]
+
 # successful density tables as (name, params, grid), the README's first
 DENSITY = [
     ("logistic", {}, "-4:4:81"),
@@ -178,7 +193,8 @@ def _entry_commands():
 def invocations():
     """(env, argv) of every corpus line, in file order."""
     seen = []
-    for argv in README + list(_entry_commands()) + HUMAN + ERRORS:
+    for argv in (README + list(_entry_commands()) + HUMAN + ERRORS
+                 + PRECISION):
         if argv not in seen:  # the README repeats two entry commands
             seen.append(argv)
             yield {}, argv
