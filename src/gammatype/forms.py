@@ -54,7 +54,8 @@ OFFSET_TOL = 1e-12
 MAX_SLOPE = 1 / (2 * OFFSET_TOL)
 _MAX_SLOPE_INT = 500_000_000_000  # MAX_SLOPE exactly, for exact comparison
 
-# moments_equal compares log C and l, or log F and log G, within this
+# moments_equal compares the exponent alpha s + beta of F/G with 0 within
+# this, absolutely, in alpha, Re beta and Im beta (modulo 2 pi)
 IDENTITY_TOL = 1e-10
 
 # a strip side still undecided after this many pole visits (about 1 s)
@@ -568,29 +569,28 @@ make_form = GammaTypeForm
 def moments_equal(f: GammaTypeForm, g: GammaTypeForm) -> bool:
     """Decide whether two forms represent the same function.
 
-    F = G iff H = F/G is 1.  If num(F) + den(G) and num(G) + den(F) are
-    equal multisets, H = C exp(l s): log C and l are compared within
-    IDENTITY_TOL.  Else a pole or zero of H on the real line, found by the
-    pole walk, means unequal; without one H is entire, zero-free and of
-    order 1, so exp(a s + b), and log F, log G are compared at s = i and
-    1 + i, where no factor has a pole (modulo 2 pi i, since representations
-    may sit on different branches; within IDENTITY_TOL relative to
-    max(1, |log F|)).  Raises UndecidedStripError if the walk exceeds its
-    budget.
+    F = G iff H = F/G is 1.  A pole or zero of H on the real line, found
+    by the pole walk, means unequal.  Without one H is entire, zero-free
+    and of order 1, so exp(alpha s + beta), and Stirling's formula along
+    s = it reads off alpha = kappa_H, Re beta = log C1_H and Im beta =
+    (pi/2) sum sign sgn(a) (b - 1/2) modulo 2 pi: F = G iff all three are
+    within IDENTITY_TOL.  Nothing is evaluated.  Raises UndecidedStripError
+    if the walk exceeds its budget.
     """
-    num = Counter(f.num) + Counter(g.den)
-    den = Counter(g.num) + Counter(f.den)
-    if num == den:
-        return max(abs(math.log(f.constant) - math.log(g.constant)),
-                   abs(f.log_scale - g.log_scale)) <= IDENTITY_TOL
-    at_zero, walks = _past_zero(_net(num, den))
+    factors = _net(f.num + g.den, g.num + f.den)
+    at_zero, walks = _past_zero(factors)
     if at_zero or any(next(walk, None) for walk in walks):
         return False
-    for s in (1j, 1 + 1j):
-        lf, lg = f.evaluate_log(s), g.evaluate_log(s)
-        d_re = abs(lf.real - lg.real)
-        d_im = abs(lf.imag - lg.imag) % _TWO_PI
-        d_im = min(d_im, _TWO_PI - d_im)
-        if (d_re + d_im) / max(1.0, abs(lf)) > IDENTITY_TOL:
-            return False
-    return True
+    kappa = [f.log_scale, -g.log_scale]
+    log_c1 = [math.log(f.constant), -math.log(g.constant),
+              0.5 * math.log(_TWO_PI) * sum(sign for _, sign in factors)]
+    phase = []
+    for factor, sign in factors:
+        a, b = float(factor.slope), factor.offset - 0.5
+        log_a = math.log(abs(a))
+        kappa.append(sign * a * log_a)
+        log_c1.append(sign * b * log_a)
+        phase.append(sign * b if a > 0 else -sign * b)
+    phase = math.fsum(phase) * (0.5 * math.pi) % _TWO_PI
+    return max(abs(math.fsum(kappa)), abs(math.fsum(log_c1)),
+               min(phase, _TWO_PI - phase)) <= IDENTITY_TOL

@@ -200,16 +200,16 @@ def test_period_beyond_the_float_range_exceeds_the_visit_budget():
 
 def test_entire_form_equals_its_expansion_near_zero(monkeypatch):
     form = make_form(1, 0, [(1, 1)], [(2, 1)])
-    reals = []
+    calls = []
     evaluate_log = GammaTypeForm.evaluate_log
 
     def spy(self, s):
-        reals.append(complex(s).real)
+        calls.append(s)
         return evaluate_log(self, s)
 
     monkeypatch.setattr(GammaTypeForm, "evaluate_log", spy)
     assert moments_equal(form, form.expand_multiplication(0, 2, "den"))
-    assert reals and all(-3.0 <= re <= 3.0 for re in reals)
+    assert calls == []
 
 
 # --------------------------------------------------------------- consistency
