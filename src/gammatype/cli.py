@@ -147,7 +147,7 @@ def parse_identity_spec(text):
             if head == "recip":
                 if len(args) != 1:
                     raise ValidationError("recip() takes one expression")
-                return parse_identity_spec(args[0]).reciprocal()
+                return parse_identity_spec(args[0]).reflect()
             if len(args) != 2:
                 raise ValidationError(f"{head}() takes (expression, number)")
             base = parse_identity_spec(args[0])

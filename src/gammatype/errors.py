@@ -71,12 +71,22 @@ def _converted(convert, value, kind):
     return math.nan
 
 
+def _shown(value) -> str:
+    """repr(value), or the bit length of an int too long to repr (past
+    sys.get_int_max_str_digits())."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def real(value, what: str) -> float:
     """value as a finite float, else ValidationError naming what."""
     x = value if type(value) is float else _converted(float, value, Real)
     if math.isfinite(x):
         return x
-    raise ValidationError(f"{what} must be a finite real, got {value!r}")
+    raise ValidationError(f"{what} must be a finite real, got "
+                          f"{_shown(value)}")
 
 
 def integer(value, what: str) -> int:
@@ -85,7 +95,7 @@ def integer(value, what: str) -> int:
     if type(n) is int and -_INT_MAX <= n <= _INT_MAX:
         return n
     raise ValidationError(f"{what} must be an integer in the float range, "
-                          f"got {value!r}")
+                          f"got {_shown(value)}")
 
 
 def number(value, what: str) -> complex:
@@ -93,4 +103,5 @@ def number(value, what: str) -> complex:
     w = value if type(value) is complex else _converted(complex, value, Complex)
     if cmath.isfinite(w):
         return w
-    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    raise ValidationError(f"{what} must be a finite number, "
+                          f"got {_shown(value)}")

@@ -16,6 +16,7 @@ import cmath
 import heapq
 import itertools
 import math
+import sys
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
@@ -319,8 +320,11 @@ class GammaTypeForm(Record):
     def __init__(self, constant: float, log_scale: float,
                  num: Sequence = (), den: Sequence = ()):
         constant = real(constant, "constant")
-        if not constant > 0:
-            raise ValidationError(f"constant must be a positive real, got {constant!r}")
+        # a subnormal constant keeps fewer than 53 bits
+        if not constant >= sys.float_info.min:
+            raise ValidationError(f"constant must be a positive real of "
+                                  f"at least {sys.float_info.min!r}, got "
+                                  f"{constant!r}")
         _set(self, "constant", constant)
         _set(self, "log_scale", real(log_scale, "log_scale"))
         _set(self, "num", tuple(map(_factor, num)))
@@ -358,9 +362,6 @@ class GammaTypeForm(Record):
         return GammaTypeForm(self.constant, self.log_scale + math.log(c),
                              self.num, self.den)
 
-    def reciprocal(self) -> "GammaTypeForm":
-        return self.power(-1)
-
     def reflect(self) -> "GammaTypeForm":
         """F(-s); for an MGF this is the moment function of -X."""
         return self.power(-1)
@@ -384,21 +385,19 @@ class GammaTypeForm(Record):
         factors = self.num if side == "num" else self.den
         if not 0 <= index < len(factors):
             raise ValidationError(f"no {side} factor with index {index}")
-        f = factors[index]
+        f, sign = factors[index], 1 if side == "num" else -1
+        log_c = math.log(self.constant) + sign * (
+            0.5 * (1 - m) * math.log(_TWO_PI) + (f.offset - 0.5) * math.log(m))
+        if log_c > math.log(sys.float_info.max):
+            raise ValidationError(f"expanded constant exp({log_c!r}) is past "
+                                  f"the float range")
         pieces = tuple(
             GammaFactor(f.slope / m, (f.offset + i) / m) for i in range(m)
         )
-        log_pref = (0.5 * (1 - m) * math.log(_TWO_PI)
-                    + (f.offset - 0.5) * math.log(m))
-        slope_pref = float(f.slope) * math.log(m)
-        rest = factors[:index] + factors[index + 1:]
-        if side == "num":
-            return GammaTypeForm(self.constant * math.exp(log_pref),
-                                 self.log_scale + slope_pref,
-                                 rest + pieces, self.den)
-        return GammaTypeForm(self.constant * math.exp(-log_pref),
-                             self.log_scale - slope_pref,
-                             self.num, rest + pieces)
+        rest = factors[:index] + factors[index + 1:] + pieces
+        log_scale = self.log_scale + sign * float(f.slope) * math.log(m)
+        return GammaTypeForm(math.exp(log_c), log_scale, *(
+            (rest, self.den) if sign == 1 else (self.num, rest)))
 
     # ------------------------------------------------------------- evaluation
 

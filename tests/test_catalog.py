@@ -171,10 +171,13 @@ def test_integer_params_enforced():
     ("beta", {"a": 1e-300, "b": 1e300}),
     ("gamma", {"a": 1e300}),
     ("ball_distance", {"n": 1e300, "a": 1.0}),
+    # a constant of 2^-640, subnormal
+    ("cauchy_product", {"k": 640}),
+    ("hyperbolic_secant", {"t": 640}),
 ])
 def test_unrepresentable_parameters_are_parameter_errors(name, params):
     # each passes the entry's conditions, but its form constant leaves
-    # float64
+    # the normal floats
     with pytest.raises(ParameterError, match="representable range"):
         catalog.build(name, params)
 

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -92,6 +93,14 @@ def test_rejects_nonpositive_constant():
     ((True, 0), "constant must be a finite real, got True"),
     ((1, 0, [(True, 1)]), "slope must be an integer in the float range"),
     ((1, 0, [(1, False)]), "offset must be a finite real, got False"),
+    # subnormal constants keep fewer than 53 bits
+    ((1e-310, 0), "constant must be a positive real of at least "
+                  "2.2250738585072014e-308, got 1e-310"),
+    ((5e-324, 0), "constant must be a positive real of at least "
+                  "2.2250738585072014e-308, got 5e-324"),
+    # an int too long to repr is named by its bit length
+    ((10 ** 5000, 0),
+     "constant must be a finite real, got an integer of 16610 bits"),
 ])
 def test_make_form_names_the_value_it_cannot_take(args, bad):
     assert make_form is GammaTypeForm  # one constructor under two names
@@ -113,9 +122,17 @@ def test_make_form_names_the_value_it_cannot_take(args, bad):
     (lambda f: f.evaluate(True), "s must be a finite number, got True"),
     (lambda f: f.expand_multiplication(0, VISIT_BUDGET + 1),
      "must be 2 to 250000, got 250001"),
+    (lambda f: (f * make_form(1, 0, [(1, 500)])).expand_multiplication(1, 150),
+     r"expanded constant exp\(2365.89.*\) is past the float range"),
+    (lambda f: f.expand_multiplication(0, 800), "constant must be a positive "
+     "real of at least 2.2250738585072014e-308, got 3.79042e-318"),
+    (lambda f: f.scale(10 ** 5000),
+     "scale factor must be a finite real, got an integer of 16610 bits"),
 ], ids=["power", "scale", "expand-multiplication", "evaluate", "power-bool",
         "scale-bool", "scale-huge-int", "evaluate-str", "evaluate-bool",
-        "expand-multiplication-past-visit-budget"])
+        "expand-multiplication-past-visit-budget",
+        "expand-multiplication-overflow", "expand-multiplication-subnormal",
+        "scale-int-past-repr"])
 def test_form_operations_name_the_value_they_cannot_take(call, bad):
     with pytest.raises(ValidationError, match=bad):
         call(make_form(1, 0, [(1, 1)]))
@@ -358,6 +375,28 @@ def test_perturbed_constant_fails():
     f = rayleigh_form().scale(2 ** -0.5)
     scaled = GammaTypeForm(f.constant * 1.001, f.log_scale, f.num, f.den)
     assert not moments_equal(k_half, scaled)
+
+
+def test_large_expansion_with_perturbed_constant_fails():
+    # Gamma(100 s + 1) has |log F(i)| = 393: a tolerance relative to it
+    # let a constant off by 1e-9 pass
+    f = make_form(1, 0, [(100, 1)])
+    g = f.expand_multiplication(0, 100)
+    assert moments_equal(f, g)
+    for eps in (1e-9, -1e-9):
+        perturbed = GammaTypeForm(g.constant * (1 + eps), g.log_scale,
+                                  g.num, g.den)
+        assert not moments_equal(f, perturbed)
+
+
+def test_expansion_keeps_the_digits_of_its_constant():
+    # 1e10 / ((2 pi)^(149/2) 150^-(172.2)): a normal float, though the
+    # prefactor alone, exp(-725.9), is subnormal
+    b, m = 172.7, 150
+    g = make_form(1e10, 0, [], [(1, b)]).expand_multiplication(0, m, "den")
+    want = mpmath.mpf(10) ** 10 * (2 * mpmath.pi) ** ((m - 1) / 2) \
+        * mpmath.mpf(m) ** (0.5 - mpmath.mpf(b))
+    assert g.constant == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 def test_shared_factors_compare_without_evaluation(monkeypatch):
