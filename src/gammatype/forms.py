@@ -583,13 +583,13 @@ def moments_equal(f: GammaTypeForm, g: GammaTypeForm) -> bool:
     kappa = [f.log_scale, -g.log_scale]
     log_c1 = [math.log(f.constant), -math.log(g.constant),
               0.5 * math.log(_TWO_PI) * sum(sign for _, sign in factors)]
-    phase = []
+    quarter_turns = []
     for factor, sign in factors:
         a, b = float(factor.slope), factor.offset - 0.5
         log_a = math.log(abs(a))
         kappa.append(sign * a * log_a)
         log_c1.append(sign * b * log_a)
-        phase.append(sign * b if a > 0 else -sign * b)
-    phase = math.fsum(phase) * (0.5 * math.pi) % _TWO_PI
+        quarter_turns.append(sign * b if a > 0 else -sign * b)
+    phase = math.fsum(quarter_turns) * (0.5 * math.pi) % _TWO_PI
     return max(abs(math.fsum(kappa)), abs(math.fsum(log_c1)),
                min(phase, _TWO_PI - phase)) <= IDENTITY_TOL
