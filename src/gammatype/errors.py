@@ -62,13 +62,13 @@ class InversionError(GammaTypeError):
 
 def _converted(convert, value, kind):
     """convert(value) if value is a number of kind (not a bool, nor a str,
-    which is none), else nan, as for an int past the float range."""
+    which is none), else None, as for an int past the float range."""
     if type(value) is int or type(value) is not bool and isinstance(value, kind):
         try:
             return convert(value)
         except OverflowError:
             pass
-    return math.nan
+    return None
 
 
 def _shown(value) -> str:
@@ -80,13 +80,14 @@ def _shown(value) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
-def real(value, what: str) -> float:
-    """value as a finite float, else ValidationError naming what."""
+def real(value, what: str, finite: bool = True) -> float:
+    """value as a finite float (any float, nan and inf too, if not finite),
+    else ValidationError naming what."""
     x = value if type(value) is float else _converted(float, value, Real)
-    if math.isfinite(x):
+    if x is not None and (not finite or math.isfinite(x)):
         return x
-    raise ValidationError(f"{what} must be a finite real, got "
-                          f"{_shown(value)}")
+    raise ValidationError(f"{what} must be a {'finite ' if finite else ''}"
+                          f"real, got {_shown(value)}")
 
 
 def integer(value, what: str) -> int:
@@ -101,7 +102,7 @@ def integer(value, what: str) -> int:
 def number(value, what: str) -> complex:
     """value as a finite complex, else ValidationError naming what."""
     w = value if type(value) is complex else _converted(complex, value, Complex)
-    if cmath.isfinite(w):
+    if w is not None and cmath.isfinite(w):
         return w
     raise ValidationError(f"{what} must be a finite number, "
                           f"got {_shown(value)}")

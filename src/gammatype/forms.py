@@ -66,6 +66,15 @@ VISIT_BUDGET = 250_000
 _TWO_PI = 2.0 * math.pi
 
 
+def _fsum(terms) -> float:
+    """math.fsum(terms); past the float range inf or nan, as a float sum
+    gives, where fsum raises."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # an overflow, or inf - inf
+        return sum(terms)
+
+
 def _as_slope(a) -> Fraction:
     """Coerce a slope to an exact Fraction.
 
@@ -499,25 +508,32 @@ class GammaTypeForm(Record):
         return res if net == 1 else math.inf
 
     def asymptotic_profile(self) -> AsymptoticProfile:
-        """Closed-form growth parameters derived from Stirling's expansion."""
+        """Closed-form growth parameters derived from Stirling's expansion.
+
+        delta, kappa and log C1 sum one term per factor; each sum is
+        rounded once (_fsum), as moments_equal sums them, so terms that
+        cancel exactly give 0.
+        """
         gamma = Fraction(0)
         gamma_prime = Fraction(0)
-        delta = 0.0
-        kappa = self.log_scale
-        log_c1 = math.log(self.constant)
-        log_c1 += 0.5 * (len(self.num) - len(self.den)) * math.log(_TWO_PI)
+        delta = []
+        kappa = [self.log_scale]
+        log_c1 = [math.log(self.constant),
+                  0.5 * (len(self.num) - len(self.den)) * math.log(_TWO_PI)]
         for factors, sign in ((self.num, 1), (self.den, -1)):
             for f in factors:
                 a = float(f.slope)
+                log_a = math.log(abs(a))
                 gamma += sign * abs(f.slope)
                 gamma_prime += sign * f.slope
-                delta += sign * (f.offset - 0.5)
-                kappa += sign * a * math.log(abs(a))
-                log_c1 += sign * (f.offset - 0.5) * math.log(abs(a))
+                delta.append(sign * (f.offset - 0.5))
+                kappa.append(sign * a * log_a)
+                log_c1.append(sign * (f.offset - 0.5) * log_a)
+        log_c1 = _fsum(log_c1)
         # C1 saturates to inf past the float range, as gamma_real does
         c1 = math.exp(log_c1) if log_c1 <= OVERFLOW_EXPONENT else math.inf
-        return AsymptoticProfile(float(gamma), float(gamma_prime), delta,
-                                 kappa, c1)
+        return AsymptoticProfile(float(gamma), float(gamma_prime),
+                                 _fsum(delta), _fsum(kappa), c1)
 
     # ---------------------------------------------------------- serialization
 

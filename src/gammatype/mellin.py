@@ -133,9 +133,11 @@ def density_table(entry: DistributionEntry, xs,
     """Rows (x, f(x)) over the grid, honoring support and symmetry.
 
     Symmetric entries model |X|, so the inverted density of |X| is split
-    evenly between the two half-lines.
+    evenly between the two half-lines.  Each x is a real number (errors.real),
+    nan and inf included: a table is 0 off the support, and a nan the
+    inversion meets fails its node bound.
     """
-    xs = np.array([float(x) for x in xs])
+    xs = np.array([real(x, "x", finite=False) for x in xs])
     sup = entry.support
     fs = np.zeros(xs.size)
     if sup.symmetric:

@@ -1,10 +1,13 @@
 """Seeded sampling of recipe trees and Monte Carlo moment verification.
 
-The one module that draws.  Generation is chunked: chunk ``c`` of a run
-with seed ``s`` hands leaf ``i`` (depth-first) the generator seeded by
-``SeedSequence((s, c, i))``, so a chunk's values depend only on the
-seed, the chunk index and the recipe, not on the thread that draws it:
-up to two chunks are drawn at once, and the caller takes them in order.
+The one module that draws.  Generation is chunked: n draws make
+ceil(n / CHUNK_SIZE) chunks whose lengths differ by at most one, the
+longer ones first, so a chunk's length comes from n alone.  Chunk ``c``
+of a run with seed ``s`` hands leaf ``i`` (depth-first) the generator
+seeded by ``SeedSequence((s, c, i))``, so a chunk's values depend only
+on the seed, n, the chunk index and the recipe, not on the thread that
+draws it: up to two chunks are drawn at once, and the caller takes them
+in order.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "verify_entry", "harmonic_drift",
 ]
 
+# the longest chunk, which bounds the memory of a chunk in flight
 CHUNK_SIZE = 1 << 16
 
 # a Monte Carlo point passes when its z-score is at most this in size
@@ -186,25 +190,29 @@ def _in_order(task, count):
 
 def _per_chunk(recipe, n, seed, reduce):
     """reduce(draws) for each chunk of the n draws, in chunk order; n and
-    seed are checked at the call, and the chunks are drawn lazily."""
+    seed are checked at the call, and the chunks are drawn lazily.  Their
+    lengths differ by at most one, so the two threads of _in_order finish
+    a pair of chunks together."""
     if integer(n, "n") < 1:
         raise ValidationError("n must be at least 1")
     if integer(seed, "seed") < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    count = -(-n // CHUNK_SIZE)
+    size, longer = divmod(n, count)
 
     # numpy keeps the error state per thread, so each chunk sets its own
     @np.errstate(all="ignore")
     def task(c):
         rngs = (np.random.default_rng((seed, c, i)) for i in itertools.count())
-        return reduce(evaluate_recipe(recipe, rngs,
-                                      min(CHUNK_SIZE, n - c * CHUNK_SIZE)))
+        return reduce(evaluate_recipe(recipe, rngs, size + (c < longer)))
 
-    return _in_order(task, (n + CHUNK_SIZE - 1) // CHUNK_SIZE)
+    return _in_order(task, count)
 
 
 def chunks(recipe: rc.Recipe, n: int, seed: int):
-    """The n draws as chunks, in chunk order; n and seed are checked at the
-    call.  Two chunks are drawn at once where two CPUs are usable."""
+    """The n draws as ceil(n / CHUNK_SIZE) chunks of nearly equal length,
+    in chunk order; n and seed are checked at the call.  Two chunks are
+    drawn at once where two CPUs are usable."""
     return _per_chunk(recipe, n, seed, lambda x: x)
 
 
@@ -212,8 +220,10 @@ def sample(recipe: rc.Recipe, n: int, seed: int = 0) -> np.ndarray:
     """Draw n values; the same seed gives the same values."""
     parts = chunks(recipe, n, seed)
     out = np.empty(n)
-    for c, part in enumerate(parts):
-        out[c * CHUNK_SIZE:c * CHUNK_SIZE + len(part)] = part
+    start = 0
+    for part in parts:
+        out[start:start + len(part)] = part
+        start += len(part)
     return out
 
 

@@ -494,6 +494,21 @@ def test_profile_is_additive_under_product(f, g):
     assert pp.c1 == pytest.approx(pf.c1 * pg.c1, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [3, 600])
+def test_profile_terms_that_cancel_sum_to_zero(k):
+    # cauchy_product(k) has k factors Gamma(1/2 + s/2) and k factors
+    # Gamma(1/2 - s/2): their kappa terms +-(1/2) log(1/2) cancel exactly,
+    # so a sum rounded once is 0 (term by term it was 1.1e-16 at k = 3)
+    prof = build("cauchy_product", {"k": k}).form.asymptotic_profile()
+    assert (prof.kappa, prof.delta) == (0.0, 0.0)
+
+
+def test_profile_past_the_float_range_is_inf():
+    # the offsets' sum overflows: inf, as a float sum gives, not an error
+    prof = make_form(1, 0, [(1, 1e308), (1, 1e308)]).asymptotic_profile()
+    assert prof.delta == math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(simple_forms())
 def test_serialization_round_trip_property(f):

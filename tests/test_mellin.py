@@ -163,6 +163,16 @@ def test_node_count_is_bounded(name, params, x):
         density_table(catalog.build(name, params), [x])
 
 
+def test_table_grid_is_real_numbers():
+    # as for density, text and bools are no x; an inf x is a number, off
+    # the support
+    entry = catalog.build("rayleigh", {})
+    for x in ("1", True, np.True_, 10 ** 400):
+        with pytest.raises(ValidationError, match="x must be a real"):
+            density_table(entry, [x])
+    assert density_table(entry, [math.inf]).tolist() == [[math.inf, 0.0]]
+
+
 def _spy_on_evaluate(monkeypatch):
     """The list that each GammaTypeForm.evaluate call appends (s, F(s)) to."""
     calls = []

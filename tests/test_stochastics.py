@@ -79,6 +79,21 @@ def test_reports_and_draws_do_not_depend_on_the_thread_count(monkeypatch,
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("n", [
+    stochastics.CHUNK_SIZE + 1, 10 ** 5, 10 ** 6,
+    3 * stochastics.CHUNK_SIZE + 7, 1 << 21,
+])
+def test_chunk_lengths_differ_by_at_most_one(n):
+    # the two threads draw pairs of chunks of one length, give or take one
+    chunk = stochastics.CHUNK_SIZE
+    lengths = [len(part)
+               for part in stochastics.chunks(rc.exponential(), n, seed=1)]
+    assert sum(lengths) == n
+    assert len(lengths) == -(-n // chunk)
+    assert max(lengths) - min(lengths) <= 1
+    assert max(lengths) <= chunk
+
+
 @pytest.mark.parametrize("cpus,n,threads", [
     (1, 5 * stochastics.CHUNK_SIZE, 0), (8, stochastics.CHUNK_SIZE, 0),
     (8, 5 * stochastics.CHUNK_SIZE, 1),
@@ -123,12 +138,16 @@ class _Boom(Exception):
 @pytest.mark.parametrize("failing_chunk", [1, 2])
 def test_a_failing_chunk_raises_its_own_error(monkeypatch, cpus,
                                               failing_chunk):
-    # chunk 1 is drawn by the helper thread, chunk 2 by the caller's
+    # chunk 1 is drawn by the helper thread, chunk 2 by the caller's; each
+    # is the last chunk, the only short one: of 32769 and 32768 draws, or
+    # of 43692, 43692 and 43691
     _usable_cpus(monkeypatch, cpus)
-    n = failing_chunk * stochastics.CHUNK_SIZE + 5
+    chunk = stochastics.CHUNK_SIZE
+    n = {1: chunk + 1, 2: 2 * chunk + 3}[failing_chunk]
+    short = n // (failing_chunk + 1)
 
     def failing(recipe, rngs, size):
-        if size == 5:  # the last chunk, the only short one
+        if size == short:  # the last chunk, the only short one
             raise _Boom
         return evaluate_recipe(recipe, rngs, size)
 
@@ -668,10 +687,9 @@ def test_verify_entry_report(monkeypatch):
 
     monkeypatch.setattr(stochastics, "evaluate_recipe", counting_evaluate)
     report = verify_entry(entry, [0.5, 1.0, 2.0], n=200_000, seed=8)
-    # each chunk is drawn once, for the whole grid; the caller's thread and
-    # the helper may start their chunks in either order
-    chunk = stochastics.CHUNK_SIZE
-    assert sorted(draws, reverse=True) == [chunk] * 3 + [200_000 - 3 * chunk]
+    # each chunk is drawn once, for the whole grid: 200 000 draws make four
+    # chunks of 50 000
+    assert draws == [50_000] * 4
     assert report.passed
     data = report.to_json_dict()
     assert data["entry"] == "gamma"
