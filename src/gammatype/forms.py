@@ -319,6 +319,16 @@ def _factor(item) -> GammaFactor:
     return GammaFactor(*item)
 
 
+def _constant(constant: float) -> float:
+    """constant if a positive normal float: a subnormal one keeps fewer
+    than 53 bits."""
+    if not constant >= sys.float_info.min:
+        raise ValidationError(f"constant must be a positive real of "
+                              f"at least {sys.float_info.min!r}, got "
+                              f"{constant!r}")
+    return constant
+
+
 class GammaTypeForm(Record):
     """C exp(l s) prod Gamma(num) / prod Gamma(den), num and den of
     GammaFactors or (slope, offset) pairs; every argument is checked."""
@@ -328,13 +338,7 @@ class GammaTypeForm(Record):
 
     def __init__(self, constant: float, log_scale: float,
                  num: Sequence = (), den: Sequence = ()):
-        constant = real(constant, "constant")
-        # a subnormal constant keeps fewer than 53 bits
-        if not constant >= sys.float_info.min:
-            raise ValidationError(f"constant must be a positive real of "
-                                  f"at least {sys.float_info.min!r}, got "
-                                  f"{constant!r}")
-        _set(self, "constant", constant)
+        _set(self, "constant", _constant(real(constant, "constant")))
         _set(self, "log_scale", real(log_scale, "log_scale"))
         _set(self, "num", tuple(map(_factor, num)))
         _set(self, "den", tuple(map(_factor, den)))
@@ -400,12 +404,13 @@ class GammaTypeForm(Record):
         if log_c > math.log(sys.float_info.max):
             raise ValidationError(f"expanded constant exp({log_c!r}) is past "
                                   f"the float range")
+        constant = _constant(math.exp(log_c))  # before the m pieces are built
         pieces = tuple(
             GammaFactor(f.slope / m, (f.offset + i) / m) for i in range(m)
         )
         rest = factors[:index] + factors[index + 1:] + pieces
         log_scale = self.log_scale + sign * float(f.slope) * math.log(m)
-        return GammaTypeForm(math.exp(log_c), log_scale, *(
+        return GammaTypeForm(constant, log_scale, *(
             (rest, self.den) if sign == 1 else (self.num, rest)))
 
     # ------------------------------------------------------------- evaluation

@@ -26,9 +26,9 @@ from .errors import MomentRangeError, ValidationError, integer, real
 from .record import Record
 
 __all__ = [
-    "CHUNK_SIZE", "evaluate_recipe", "recipe_of", "chunks", "sample",
-    "MCEstimate", "mc_moment", "VerificationPoint", "VerificationReport",
-    "verify_entry", "harmonic_drift",
+    "CHUNK_SIZE", "ERLANG_MAX_SHAPE", "evaluate_recipe", "recipe_of",
+    "chunks", "sample", "MCEstimate", "mc_moment", "VerificationPoint",
+    "VerificationReport", "verify_entry", "harmonic_drift",
 ]
 
 # the longest chunk, which bounds the memory of a chunk in flight
@@ -77,12 +77,69 @@ def _draw_symmetric_stable(rng, alpha, size):
     return _draw_stable(rng, alpha, size, -np.pi / 2, np.cos)
 
 
+# integer shapes 1 <= k <= ERLANG_MAX_SHAPE take _draw_erlang.  On 65 536
+# values (2-vCPU AMD EPYC, numpy 2.4.6, best of 7, two sessions) it took
+# 0.26-0.36 ms at k = 2, 0.57-0.63 at k = 5 and 0.70-0.73 at k = 6,
+# against 0.85-0.94 ms for rng.gamma, whose Marsaglia-Tsang loop costs
+# the same at any shape; the two cross between k = 7 and k = 8
+ERLANG_MAX_SHAPE = 6
+
+_ERLANG_SHAPES = frozenset(range(1, ERLANG_MAX_SHAPE + 1))
+
+# the uniforms after the first are multiplied in through a scratch array
+# of this many values, an eighth of a chunk's buffer
+_ERLANG_BLOCK = 1 << 13
+
+
+def _draw_erlang(rng, k, size):
+    """Gamma(k) for an integer k >= 1 as -log of the product of k
+    uniforms 1 - U in (0, 1] (Devroye 1986, IX.3).
+
+    The product starts in the array of the first uniforms; each of the
+    other k - 1 arrays is drawn and multiplied in a block at a time through
+    one scratch array.  So the uniforms come in the order of the formula's
+    k calls rng.random(size), and the draw holds one buffer and a block.
+    """
+    p = rng.random(size)
+    np.subtract(1.0, p, out=p)
+    flat = p.reshape(-1)  # a view of the fresh array
+    scratch = np.empty(min(_ERLANG_BLOCK, flat.size))
+    for _ in range(int(k) - 1):
+        for lo in range(0, flat.size, _ERLANG_BLOCK):
+            block = flat[lo:lo + _ERLANG_BLOCK]
+            u = scratch[:len(block)]
+            rng.random(out=u)
+            np.subtract(1.0, u, out=u)
+            block *= u
+    np.log(p, out=p)
+    np.negative(p, out=p)
+    return p
+
+
+def _draw_gamma(rng, a, size):
+    if a in _ERLANG_SHAPES:
+        return _draw_erlang(rng, a, size)
+    return rng.gamma(a, 1.0, size)
+
+
+def _draw_beta(rng, a, b, size):
+    """numpy's beta: Johnk's draw for a, b <= 1, else G_a / (G_a + G_b),
+    whose gammas are Erlang draws where both shapes are Erlang shapes."""
+    if (a > 1 or b > 1) and a in _ERLANG_SHAPES and b in _ERLANG_SHAPES:
+        g = _draw_erlang(rng, a, size)
+        total = _draw_erlang(rng, b, size)
+        total += g
+        g /= total
+        return g
+    return rng.beta(a, b, size)
+
+
 # law -> draw(rng, *args, size), one for each law of recipes.LEAF_ARITY
 _LEAF_DRAWS = {
     "uniform": lambda rng, size: rng.uniform(0.0, 1.0, size),
     "exponential": lambda rng, size: rng.standard_exponential(size),
-    "gamma": lambda rng, a, size: rng.gamma(a, 1.0, size),
-    "beta": lambda rng, a, b, size: rng.beta(a, b, size),
+    "gamma": _draw_gamma,
+    "beta": _draw_beta,
     "normal": lambda rng, size: rng.standard_normal(size),
     "positive_stable": _draw_positive_stable,
     "symmetric_stable": _draw_symmetric_stable,
@@ -147,7 +204,7 @@ def recipe_of(entry: DistributionEntry) -> rc.Recipe:
 def _in_order(task, count):
     """task(c) for c in range(count), yielded in order of c.
 
-    With more than one chunk and one usable CPU, a helper thread runs the
+    With at least two tasks and two usable CPUs, a helper thread runs the
     odd tasks while the caller's thread runs the even ones, so two tasks
     run at once: the caller hands the helper task c + 1, runs task c and
     yields it, then takes the helper's (value, exception).  Two helpers,

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gammatype import forms
 from gammatype.catalog import build, pref_attach_candidate_form
 from gammatype.errors import (
     InvalidFormError, PoleError, UndecidedStripError, ValidationError,
@@ -126,16 +127,26 @@ def test_make_form_names_the_value_it_cannot_take(args, bad):
      r"expanded constant exp\(2365.89.*\) is past the float range"),
     (lambda f: f.expand_multiplication(0, 800), "constant must be a positive "
      "real of at least 2.2250738585072014e-308, got 3.79042e-318"),
+    (lambda f: f.expand_multiplication(0, VISIT_BUDGET), "constant must be a "
+     "positive real of at least 2.2250738585072014e-308, got 0.0"),
     (lambda f: f.scale(10 ** 5000),
      "scale factor must be a finite real, got an integer of 16610 bits"),
 ], ids=["power", "scale", "expand-multiplication", "evaluate", "power-bool",
         "scale-bool", "scale-huge-int", "evaluate-str", "evaluate-bool",
         "expand-multiplication-past-visit-budget",
         "expand-multiplication-overflow", "expand-multiplication-subnormal",
+        "expand-multiplication-underflow",
         "scale-int-past-repr"])
 def test_form_operations_name_the_value_they_cannot_take(call, bad):
     with pytest.raises(ValidationError, match=bad):
         call(make_form(1, 0, [(1, 1)]))
+
+
+def test_an_underflowing_expansion_builds_no_piece(monkeypatch):
+    form = make_form(1, 0, [(1, 1)])
+    monkeypatch.setattr(forms, "GammaFactor", None)  # a piece would fail
+    with pytest.raises(ValidationError, match="got 0.0"):
+        form.expand_multiplication(0, VISIT_BUDGET)
 
 
 def test_raw_pairs_build_a_checked_form():

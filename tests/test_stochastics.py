@@ -298,6 +298,70 @@ def test_stable_draws_peak_within_four_chunk_buffers(draw, formula, alpha):
     assert peak <= 4 * stochastics.CHUNK_SIZE * 8
 
 
+# ---------------------------------------------------------- gamma and beta
+
+ERLANG_SHAPES = range(1, stochastics.ERLANG_MAX_SHAPE + 1)
+ERLANG_BETAS = [(2.0, 3.0), (1.0, 3.0), (4.0, 1.0)]
+
+
+def _erlang_formula(rng, k, size):
+    # -log prod_j (1 - U_j), one whole uniform array after another
+    x = 1 - rng.random(size)
+    for _ in range(int(k) - 1):
+        x = x * (1 - rng.random(size))
+    return -np.log(x)
+
+
+def _erlang_beta_formula(rng, a, b, size):
+    g = _erlang_formula(rng, a, size)
+    return g / (g + _erlang_formula(rng, b, size))
+
+
+@pytest.mark.parametrize("draw,formula,args", (
+    [(stochastics._draw_gamma, _erlang_formula, (float(k),))
+     for k in ERLANG_SHAPES]
+    + [(stochastics._draw_beta, _erlang_beta_formula, ab)
+       for ab in ERLANG_BETAS]))
+@pytest.mark.parametrize("size", [1, stochastics.CHUNK_SIZE + 5, (20001, 3)])
+def test_erlang_draws_are_their_formula_bit_for_bit(draw, formula, args, size):
+    # the blocks of the scratch array take the formula's uniforms in its
+    # order, and a discriminant's (n, m) draw is one flat run of them
+    digests = set()
+    for f in (draw, formula):
+        for seed in range(2):
+            x = f(np.random.default_rng((seed, 0, 0)), *args, size)
+            assert x.shape == np.empty(size).shape
+            digests.add((seed, hashlib.sha256(x.tobytes()).hexdigest()))
+    assert len(digests) == 2
+
+
+@pytest.mark.parametrize("kind,args,numpy_draw", [
+    ("gamma", (float(stochastics.ERLANG_MAX_SHAPE + 1),),
+     lambda rng, a, size: rng.gamma(a, 1.0, size)),
+    ("gamma", (2.5,), lambda rng, a, size: rng.gamma(a, 1.0, size)),
+    ("gamma", (0.5,), lambda rng, a, size: rng.gamma(a, 1.0, size)),
+    ("beta", (1.0, 1.0), lambda rng, a, b, size: rng.beta(a, b, size)),
+    ("beta", (0.5, 1.0), lambda rng, a, b, size: rng.beta(a, b, size)),
+    ("beta", (2.0, 2.5), lambda rng, a, b, size: rng.beta(a, b, size)),
+    ("beta", (2.0, float(stochastics.ERLANG_MAX_SHAPE + 1)),
+     lambda rng, a, b, size: rng.beta(a, b, size)),
+])
+def test_other_shapes_are_numpys_draws(kind, args, numpy_draw):
+    # non-integer shapes, shapes past ERLANG_MAX_SHAPE and Johnk's branch
+    draws = [draw(np.random.default_rng(7), *args, 1000).tobytes()
+             for draw in (stochastics._LEAF_DRAWS[kind], numpy_draw)]
+    assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("recipe,cdf", (
+    [(rc.gamma(float(k)), stats.gamma(k).cdf) for k in ERLANG_SHAPES]
+    + [(rc.beta(a, b), stats.beta(a, b).cdf) for a, b in ERLANG_BETAS]))
+def test_erlang_draws_follow_their_law(recipe, cdf):
+    # two chunks of 50 000, each ending in a part block
+    x = sample(recipe, 100_000, seed=6)
+    assert stats.kstest(x, cdf).pvalue > 0.01
+
+
 # -------------------------------------------------------------- recipe nodes
 
 def _out_of_place(recipe, rngs, n):
@@ -362,11 +426,13 @@ def test_a_discriminant_of_one_draw_is_one():
 @pytest.mark.parametrize("name,params,buffers", [
     ("selberg_beta", {"n": 2, "alpha": 1, "beta": 1}, 3),
     ("type2_beta", {"alpha": 2, "beta": 3}, 2),
+    ("beta", {"a": 2, "b": 3}, 2),
 ])
 def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
     # the draw and the reduction at 3 points, in buffers of 512 KiB: two
     # leaf draws and the first difference, or a draw and the reduction's
-    # work buffer; out-of-place nodes peak at one buffer more
+    # work buffer (an Erlang beta's two gammas and its block of uniforms
+    # before that); out-of-place nodes peak at one buffer more
     entry = catalog.build(name, params)
     chunk = stochastics.CHUNK_SIZE
 
