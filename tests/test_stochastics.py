@@ -188,23 +188,33 @@ def test_a_failing_chunk_on_the_caller_waits_for_the_helpers_chunk(
 
 # -------------------------------------------------------------- stable draws
 
+def _half_angle_sin(x):
+    t = np.tan(x / 2)
+    return 2 * t / (1 + t * t)
+
+
+def _half_angle_cos(x):
+    return _half_angle_sin((np.pi / 2 - np.abs(x)) + 6.123233995736766e-17)
+
+
 def _stable_formula(rng, alpha, size, lo, trig):
-    # the draw written out of place, as one expression
+    # the draw written out of place, as one expression, with its sines and
+    # cosines from tan(x/2)
     v = rng.uniform(lo, lo + np.pi, size)
     w = rng.standard_exponential(size)
-    return (np.sin(alpha * v)
+    return (_half_angle_sin(alpha * v)
             * ((trig((1 - alpha) * v) / w) ** (1 - alpha) / trig(v))
             ** (1 / alpha))
 
 
 def _symmetric_stable_formula(rng, alpha, size):
-    return _stable_formula(rng, alpha, size, -np.pi / 2, np.cos)
+    return _stable_formula(rng, alpha, size, -np.pi / 2, _half_angle_cos)
 
 
 def _positive_stable_formula(rng, alpha, size):
     if alpha == 1.0:
         return np.ones(size)
-    return _stable_formula(rng, alpha, size, 0.0, np.sin)
+    return _stable_formula(rng, alpha, size, 0.0, _half_angle_sin)
 
 
 STABLE_DRAWS = (
@@ -275,7 +285,7 @@ def test_one_sided_laws_near_alpha_one_pass_verification(name, params):
 def test_stable_draws_are_their_formula_bit_for_bit(draw, formula, alpha):
     # the in-place ufuncs run in the formula's order, with its scalar-power
     # fast paths (** 0.5 at alpha = 2); both run on this machine's numpy,
-    # whose sin and cos may differ in the last bit from another's
+    # whose tan may differ in the last bit from another's
     digests = set()
     for f in (draw, formula):
         for seed in range(3):
@@ -283,6 +293,49 @@ def test_stable_draws_are_their_formula_bit_for_bit(draw, formula, alpha):
             x = f(rng, alpha, stochastics.CHUNK_SIZE + seed)
             digests.add((seed, hashlib.sha256(x.tobytes()).hexdigest()))
     assert len(digests) == 3
+
+
+def test_half_angle_sine_and_cosine_are_within_four_ulp_of_libm():
+    rng = np.random.default_rng(7)
+    near = rng.uniform(0.0, 1e-12, 10 ** 4)  # the ends, where tan(x/2) grows
+    for helper, libm, end in ((stochastics._sin_in_place, np.sin, np.pi),
+                              (stochastics._cos_in_place, np.cos, np.pi / 2)):
+        x = np.concatenate([rng.uniform(-end, end, 10 ** 5),
+                            end - near, near - end, [-0.0, 0.0]])
+        got, want = helper(x.copy()), libm(x)
+        assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+    sines = stochastics._sin_in_place(np.array([0.0, -0.0]))
+    assert (sines == 0).all() and list(np.signbit(sines)) == [False, True]
+    assert (stochastics._cos_in_place(np.array([0.0, -0.0])) == 1.0).all()
+
+
+def _leaves(recipe):
+    if isinstance(recipe, rc.Leaf):
+        yield recipe
+    elif isinstance(recipe, rc.Discriminant):
+        yield recipe.leaf
+    elif isinstance(recipe, (rc.Product, rc.Sum)):
+        for part in recipe.parts:
+            yield from _leaves(part)
+    else:
+        yield from _leaves(recipe.base)
+
+
+STABLE_CASES = [
+    (name, params) for name, params in CASES.items()
+    if (recipe := catalog.build(name, params).recipe) is not None
+    and any(leaf.kind.endswith("_stable") for leaf in _leaves(recipe))]
+
+
+def test_the_stable_cases_are_the_catalogs_stable_recipes():
+    assert {name for name, _ in STABLE_CASES} == {
+        "positive_stable", "ise_density_zero", "symmetric_stable",
+        "lamperti", "lamperti_power", "kotz_ostrovskii", "linnik"}
+
+
+@pytest.mark.parametrize("name,params", STABLE_CASES)
+def test_recipes_with_a_stable_leaf_pass_verification(name, params):
+    assert verify_entry(catalog.build(name, params), n=10 ** 6, seed=1).passed
 
 
 @pytest.mark.parametrize("draw,formula,alpha", STABLE_DRAWS)
