@@ -50,9 +50,9 @@ _HALF_PI_LO = 6.123233995736766e-17
 
 # the stable draw's sines and cosines come from tan, which numpy vectorizes
 # where its float64 sin and cos are scalar libm: on 65 536 values (2-vCPU
-# AMD EPYC with AVX-512, numpy 2.4.6, best of 5) np.tan took 0.05 ms and
-# np.sin or np.cos 0.45-0.46 ms, and the symmetric draw at alpha = 1.5 went
-# from 2.19-2.26 to 1.08-1.09 ms; the helpers are within 4 ulp of libm
+# AMD EPYC with AVX-512, numpy 2.4.6, best of 7) np.tan took 0.05 ms and
+# np.sin or np.cos 0.45-0.61 ms, and the symmetric draw at alpha = 1.5 went
+# from 2.0-2.3 to 1.0-1.1 ms; the helpers are within 4 ulp of libm
 def _sin_in_place(x):
     """sin x = 2t / (1 + t^2) with t = tan(x/2), for |x| < pi, in place;
     the denominators go through one scratch block."""
