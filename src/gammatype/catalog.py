@@ -24,7 +24,7 @@ from .errors import (ParameterError, UnknownEntryError, UnrepresentableError,
                      ValidationError, integer, real)
 from .forms import GammaFactor, GammaTypeForm, make_form
 from .record import Record
-from .specfun import gamma_real
+from .specfun import OVERFLOW_EXPONENT, gamma_real
 
 __all__ = [
     "Support", "ParamSpec", "DistributionEntry",
@@ -146,7 +146,7 @@ def _positive_stable(alpha):
 
 
 def _exp_cap(x):
-    return math.exp(x) if x < 709.0 else math.inf
+    return math.exp(x) if x < OVERFLOW_EXPONENT else math.inf
 
 
 def _exp_or_zero(x):

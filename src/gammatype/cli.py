@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -18,9 +19,9 @@ import sys
 from . import catalog
 from .errors import (
     GammaTypeError, ParameterError, PoleError, UnknownEntryError,
-    UnrepresentableError, ValidationError,
+    UnrepresentableError, ValidationError, integer, real,
 )
-from .forms import IDENTITY_TOL, moments_equal
+from .forms import IDENTITY_TOL, GammaTypeForm, moments_equal
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,20 +49,18 @@ def _emit(payload, human=None):
         print(human, file=sys.stderr)
 
 
-def _number(flag, text, kind=float):
-    """kind(text), or a ValidationError naming the flag and the text."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValidationError(f"{flag}: not a number: {text!r}") from None
-
-
-def _finite(flag, text):
-    """_number(flag, text), or a ValidationError if it is inf or nan."""
-    value = _number(flag, text)
-    if not math.isfinite(value):
-        raise ValidationError(f"{flag}: not a finite number: {text!r}")
-    return value
+def _number(flag, text, check=None):
+    """check(value, flag) of the number that text spells: an int if check
+    is errors.integer, else a float, returned as read if check is None.
+    Text that spells no number, or no integer for errors.integer, is a
+    ValidationError naming the flag and the text."""
+    for kind in (float, int) if check is integer else (float,):
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(f"{flag}: not {what}: {text!r}") from None
+    return value if check is None else check(value, flag)
 
 
 def _parse_params(tokens, flag="--params"):
@@ -93,7 +92,7 @@ def _schema_hint(name):
 
 
 def _parse_s(text):
-    parts = [_finite("--s", part) for part in text.split(",")]
+    parts = [_number("--s", part, real) for part in text.split(",")]
     if len(parts) > 2:
         raise ValidationError(
             f"moment order must be 're' or 're,im', got {text!r}")
@@ -103,56 +102,47 @@ def _parse_s(text):
 # --------------------------------------------------- identity-spec expressions
 
 def _split_args(text):
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
+    """The comma-separated arguments of text outside parentheses, stripped,
+    an empty one too.  A bare k=v segment continues the parameters of a
+    preceding bare name:k=v,... argument; a segment with ':' or '(' starts
+    a new argument."""
+    args, depth, start = [], 0, 0
+    for i, ch in enumerate(text + ","):
+        depth += (ch == "(") - (ch == ")")
+        if ch != "," or depth:
+            continue
+        seg, start = text[start:i].strip(), i + 1
+        if (args and "=" in seg and ":" not in seg and "(" not in seg
+                and ":" in args[-1] and "(" not in args[-1]):
+            args[-1] += "," + seg
         else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    # a bare k=v segment continues the parameters of a preceding bare
-    # name:k=v,... segment; a segment with ':' or '(' is a new argument
-    merged = []
-    for seg in out:
-        seg = seg.strip()
-        if (merged and "=" in seg and ":" not in seg and "(" not in seg
-                and ":" in merged[-1] and "(" not in merged[-1]):
-            merged[-1] += "," + seg
-        else:
-            merged.append(seg)
-    return merged
+            args.append(seg)
+    return args
 
 
 def parse_identity_spec(text):
     """Grammar: name[:k=v,...] | product(e,...) | power(e,r) | scale(e,c)
-    | recip(e)."""
+    | recip(e).  An empty argument counts: product(e,) has the unknown
+    name '', and scale(e,c,) three arguments."""
     text = text.strip()
-    for head in ("product", "power", "scale", "recip"):
-        if text.startswith(head + "(") and text.endswith(")"):
-            args = _split_args(text[len(head) + 1:-1])
-            if head == "product":
-                forms = [parse_identity_spec(a) for a in args]
-                if not forms:
-                    raise ValidationError("product() needs at least one term")
-                out = forms[0]
-                for f in forms[1:]:
-                    out = out.product(f)
-                return out
-            if head == "recip":
-                if len(args) != 1:
-                    raise ValidationError("recip() takes one expression")
-                return parse_identity_spec(args[0]).reflect()
-            if len(args) != 2:
-                raise ValidationError(f"{head}() takes (expression, number)")
-            base = parse_identity_spec(args[0])
-            value = _number(f"{head}()", args[1])
-            return base.power(value) if head == "power" else base.scale(value)
+    head, _, inner = text.partition("(")
+    if head in ("product", "power", "scale", "recip") and text.endswith(")"):
+        inner = inner[:-1]
+        args = _split_args(inner) if inner.strip() else []
+        if head == "product":
+            if not args:
+                raise ValidationError("product() needs at least one term")
+            return functools.reduce(GammaTypeForm.product,
+                                    map(parse_identity_spec, args))
+        if head == "recip":
+            if len(args) != 1:
+                raise ValidationError("recip() takes one expression")
+            return parse_identity_spec(args[0]).reflect()
+        if len(args) != 2:
+            raise ValidationError(f"{head}() takes (expression, number)")
+        base = parse_identity_spec(args[0])
+        value = _number(f"{head}()", args[1])
+        return base.power(value) if head == "power" else base.scale(value)
     name, _, rest = text.partition(":")
     params = _parse_params([rest], name.strip()) if rest else {}
     return catalog.build(name.strip(), params).form
@@ -213,7 +203,7 @@ def _cmd_check_identity(args, entry):
 
 def _cmd_verify_mc(args, entry):
     from . import stochastics
-    grid = ([_finite("--s-grid", v) for v in args.s_grid.split(",")]
+    grid = ([_number("--s-grid", v, real) for v in args.s_grid.split(",")]
             if args.s_grid is not None else None)
     report = stochastics.verify_entry(entry, grid, n=args.n, seed=args.seed)
     return (report.to_json_dict(),
@@ -270,21 +260,18 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be a:b:steps, got {text!r}")
-    lo, hi = _number("--x", parts[0]), _number("--x", parts[1])
-    count = _number("--x", parts[2], int)
+    lo, hi = _number("--x", parts[0], real), _number("--x", parts[1], real)
+    count = _number("--x", parts[2], integer)
     # a float subtraction: an overflowing span is inf, without a warning
     if not (math.isfinite(hi - lo) and 1 <= count <= MAX_NODES):
-        raise ValidationError(f"--x: a grid needs finite ends, a finite "
-                              f"span and 1 to {MAX_NODES} steps, got "
-                              f"{text!r}")
+        raise ValidationError(f"--x: a grid needs a finite span and 1 to "
+                              f"{MAX_NODES} steps, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
 def _cmd_density(args, entry):
     from . import mellin
     xs = _parse_grid(args.x)
-    if args.abscissa is not None:
-        _finite("--abscissa", args.abscissa)
     with _sink(args.output) as write:
         rows = [{"x": float(x), "density": float(f)}
                 for x, f in mellin.density_table(entry, xs, args.abscissa)]
@@ -346,18 +333,18 @@ def build_parser():
 
     p = command("verify-mc", _cmd_verify_mc, "name")
     p.add_argument("--s-grid", default=None, help="comma-separated real s")
-    p.add_argument("--n", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", default=10 ** 6)
+    p.add_argument("--seed", default=None)
 
     p = command("sample", _cmd_sample, "name")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", default=10)
+    p.add_argument("--seed", default=None)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--output", default=None)
 
     p = command("density", _cmd_density, "name")
     p.add_argument("--x", required=True, help="grid as a:b:steps")
-    p.add_argument("--abscissa", type=float, default=None)
+    p.add_argument("--abscissa", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None)
 
@@ -369,9 +356,15 @@ def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
+        # typed numbers come before GML_SEED and the entry, as in argparse
+        for dest, check in (("n", integer), ("seed", integer),
+                            ("abscissa", real)):
+            text = getattr(args, dest, None)
+            if text is not None:
+                setattr(args, dest, _number(f"--{dest}", text, check))
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _number("GML_SEED", os.environ.get("GML_SEED", "0"),
-                                int)
+                                integer)
         entry = (catalog.build(args.name, _parse_params(args.params))
                  if hasattr(args, "params") else None)
         payload, summary, passed = args.handler(args, entry)

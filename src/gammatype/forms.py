@@ -150,6 +150,25 @@ def _net(num, den) -> list:
             + [(f, -1) for f in (den - num).elements()])
 
 
+def _stirling(log_c: float, log_scale: float, factors) -> tuple:
+    """(delta, kappa, log C1, quarter turns) of Stirling's expansion of
+    C e^(log_scale s) prod Gamma(a s + b)^sign over the (factor, sign)
+    pairs: the sums of sign (b - 1/2), log_scale + sign a log|a|, log C +
+    sign ((b - 1/2) log|a| + log(2 pi) / 2) and sign sgn(a) (b - 1/2).
+    Each is rounded once (_fsum), so terms that cancel exactly give 0."""
+    delta, kappa, quarter_turns = [], [log_scale], []
+    log_c1 = [log_c,
+              0.5 * math.log(_TWO_PI) * sum(sign for _, sign in factors)]
+    for factor, sign in factors:
+        a, b = float(factor.slope), factor.offset - 0.5
+        log_a = math.log(abs(a))
+        delta.append(sign * b)
+        kappa.append(sign * a * log_a)
+        log_c1.append(sign * b * log_a)
+        quarter_turns.append(sign * b if a > 0 else -sign * b)
+    return tuple(map(_fsum, (delta, kappa, log_c1, quarter_turns)))
+
+
 def _classes(slopes: dict) -> list[list]:
     """Split the slopes of the unbounded progressions into classes whose
     net pole counts far out must each vanish if their sum does.
@@ -513,32 +532,18 @@ class GammaTypeForm(Record):
         return res if net == 1 else math.inf
 
     def asymptotic_profile(self) -> AsymptoticProfile:
-        """Closed-form growth parameters derived from Stirling's expansion.
-
-        delta, kappa and log C1 sum one term per factor; each sum is
-        rounded once (_fsum), as moments_equal sums them, so terms that
-        cancel exactly give 0.
-        """
-        gamma = Fraction(0)
-        gamma_prime = Fraction(0)
-        delta = []
-        kappa = [self.log_scale]
-        log_c1 = [math.log(self.constant),
-                  0.5 * (len(self.num) - len(self.den)) * math.log(_TWO_PI)]
-        for factors, sign in ((self.num, 1), (self.den, -1)):
-            for f in factors:
-                a = float(f.slope)
-                log_a = math.log(abs(a))
-                gamma += sign * abs(f.slope)
-                gamma_prime += sign * f.slope
-                delta.append(sign * (f.offset - 0.5))
-                kappa.append(sign * a * log_a)
-                log_c1.append(sign * (f.offset - 0.5) * log_a)
-        log_c1 = _fsum(log_c1)
+        """Closed-form growth parameters derived from Stirling's expansion
+        (_stirling, which moments_equal reads too); gamma and gamma' are
+        exact sums of the slopes."""
+        factors = [(f, 1) for f in self.num] + [(f, -1) for f in self.den]
+        delta, kappa, log_c1, _ = _stirling(math.log(self.constant),
+                                            self.log_scale, factors)
+        gamma = sum(sign * abs(f.slope) for f, sign in factors)
+        gamma_prime = sum(sign * f.slope for f, sign in factors)
         # C1 saturates to inf past the float range, as gamma_real does
         c1 = math.exp(log_c1) if log_c1 <= OVERFLOW_EXPONENT else math.inf
-        return AsymptoticProfile(float(gamma), float(gamma_prime),
-                                 _fsum(delta), _fsum(kappa), c1)
+        return AsymptoticProfile(float(gamma), float(gamma_prime), delta,
+                                 kappa, c1)
 
     # ---------------------------------------------------------- serialization
 
@@ -601,16 +606,9 @@ def moments_equal(f: GammaTypeForm, g: GammaTypeForm) -> bool:
     at_zero, walks = _past_zero(factors)
     if at_zero or any(next(walk, None) for walk in walks):
         return False
-    kappa = [f.log_scale, -g.log_scale]
-    log_c1 = [math.log(f.constant), -math.log(g.constant),
-              0.5 * math.log(_TWO_PI) * sum(sign for _, sign in factors)]
-    quarter_turns = []
-    for factor, sign in factors:
-        a, b = float(factor.slope), factor.offset - 0.5
-        log_a = math.log(abs(a))
-        kappa.append(sign * a * log_a)
-        log_c1.append(sign * b * log_a)
-        quarter_turns.append(sign * b if a > 0 else -sign * b)
-    phase = math.fsum(quarter_turns) * (0.5 * math.pi) % _TWO_PI
-    return max(abs(math.fsum(kappa)), abs(math.fsum(log_c1)),
+    _, kappa, log_c1, quarter_turns = _stirling(
+        math.log(f.constant) - math.log(g.constant),
+        f.log_scale - g.log_scale, factors)
+    phase = quarter_turns * (0.5 * math.pi) % _TWO_PI
+    return max(abs(kappa), abs(log_c1),
                min(phase, _TWO_PI - phase)) <= IDENTITY_TOL

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .errors import PoleError, number
 
 __all__ = ["log_gamma", "gamma_real", "log_gamma_real", "OVERFLOW_EXPONENT"]
 
-# exp() overflows just above this; used as the saturation threshold
-OVERFLOW_EXPONENT = 709.0
+# exp() overflows just above this, the log of the largest float
+OVERFLOW_EXPONENT = math.log(sys.float_info.max)
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)

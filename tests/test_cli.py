@@ -194,11 +194,30 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
     ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid=nan"),
      "--s-grid"),
     ({}, ("density", "logistic", "--x=0:1:3", "--abscissa", "nan"),
-     "--abscissa: not a finite number"),
+     "--abscissa must be a finite real"),
     ({}, ("density", "logistic", "--x=0:1:3", "--abscissa", "inf"),
-     "--abscissa: not a finite number"),
+     "--abscissa must be a finite real"),
     ({}, ("density", "logistic", "--x=0:1:3", "--abscissa=-inf"),
-     "--abscissa: not a finite number"),
+     "--abscissa must be a finite real"),
+    # every typed number is read by one rule: text that spells none, and a
+    # real that is not finite, name the flag
+    ({}, ("sample", "rayleigh", "--n", "1.5"), "--n: not an integer: '1.5'"),
+    ({}, ("verify-mc", "rayleigh", "--n", "inf"), "--n: not an integer"),
+    ({}, ("verify-mc", "rayleigh", "--seed", "1.5"), "--seed: not an integer"),
+    ({}, ("sample", "rayleigh", "--seed", "abc"), "--seed: not a number"),
+    ({"GML_SEED": "inf"}, ("sample", "rayleigh"), "GML_SEED: not an integer"),
+    ({}, ("moment", "rayleigh", "--s=abc"), "--s: not a number: 'abc'"),
+    ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"),
+     "--s-grid: not a number: 'x'"),
+    ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid=1,inf"),
+     "--s-grid must be a finite real, got inf"),
+    ({}, ("density", "logistic", "--x=a:1:3"), "--x: not a number: 'a'"),
+    ({}, ("density", "logistic", "--x=0:1:x"), "--x: not a number: 'x'"),
+    ({}, ("density", "logistic", "--x=0:1:2.5"), "--x: not an integer: '2.5'"),
+    ({}, ("density", "logistic", "--x=0:inf:3"),
+     "--x must be a finite real, got inf"),
+    ({}, ("density", "logistic", "--x=nan:1:3"),
+     "--x must be a finite real, got nan"),
     # a malformed --params word, --s, --x or identity expression names
     # what it expected
     ({}, ("profile", "beta", "--params", "a"), "expected k=v, got 'a'"),
@@ -209,6 +228,11 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
      "recip() takes one expression"),
     ({}, ("check-identity", "power(rayleigh)", "rayleigh"),
      "power() takes (expression, number)"),
+    # an empty argument is not dropped
+    ({}, ("check-identity", "product(rayleigh,)", "rayleigh"),
+     "unknown distribution ''"),
+    ({}, ("check-identity", "scale(rayleigh,1e-3,)", "rayleigh"),
+     "scale() takes (expression, number)"),
 ])
 def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     for key, value in env.items():
@@ -220,6 +244,12 @@ def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     assert name in payload["error"]
     if "nope" in argv:  # an unknown name gets its one hint
         assert payload["hint"] == UNKNOWN_NAME_PAYLOAD["hint"]
+    elif argv[0] != "check-identity" and not any(
+            shape in payload["error"] for shape in (
+                "required", "unrecognized", "expected one argument")):
+        # past the shape of the command line, an entry's command gets the
+        # entry's hint, a bad number included
+        assert payload["hint"] is not None
 
 
 @pytest.mark.parametrize("name, params", [

@@ -97,6 +97,8 @@ ERRORS = [
     ["check-identity", "product()", "rayleigh"],
     ["check-identity", "recip(rayleigh,gamma:a=2)", "rayleigh"],
     ["check-identity", "power(rayleigh)", "rayleigh"],
+    ["check-identity", "product(rayleigh,)", "rayleigh"],
+    ["check-identity", "scale(rayleigh,1e-3,)", "rayleigh"],
     # density grids, contours and forms
     ["density", "logistic", "--x=1:2"],
     ["density", "logistic", "--x=a:b:c"],
@@ -112,6 +114,7 @@ ERRORS = [
     ["verify-mc", "tilted_stable", "--params", "alpha=0.5,theta=1"],
     ["sample", "rayleigh", "--seed", "-1"],
     ["sample", "rayleigh", "--n", "0"],
+    ["sample", "rayleigh", "--n", "1.5"],
     ["verify-mc", "rayleigh", "--n", "1000", "--seed", "-3"],
     ["verify-mc", "gamma", "--params", "a=2", "--s-grid=nan"],
     ["verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gammatype.errors import PoleError, ValidationError
+from gammatype.forms import make_form
 from gammatype.specfun import gamma_real, log_gamma, log_gamma_real
 
 from oracles import mp_log_gamma
@@ -87,8 +88,14 @@ def test_real_log_form():
 
 
 def test_overflow_saturates():
-    assert gamma_real(200.0) == math.inf
+    assert gamma_real(200.0) == gamma_real(171.7) == math.inf
     assert math.isfinite(log_gamma_real(200.0)[0])
+    # inf only past the largest float: Gamma(171.6) = 1.5859e308 and
+    # e^709.5 = 1.3550e308 are finite
+    assert gamma_real(171.6) == pytest.approx(float(mpmath.gamma(171.6)),
+                                              rel=1e-13)
+    assert make_form(1, 709.5).evaluate(1) == pytest.approx(
+        float(mpmath.exp(709.5)), rel=1e-14)
 
 
 def test_poles_raise():
