@@ -41,7 +41,8 @@ _SELBERG_N = f"2 <= n <= {SELBERG_MAX_N}"
 
 
 class Support(Record):
-    # symmetric: the density lives on all of R, the form is E|X|^s
+    # the hull of the support; symmetric: the density lives on all of R, the
+    # form is E|X|^s
     __slots__ = _fields = ("lo", "hi", "symmetric")
     _defaults = (False,)
 
@@ -64,11 +65,26 @@ class ParamSpec(Record):
 
 
 class DistributionEntry(Record):
-    # kind is "mellin" (E X^s) or "mgf" (E e^{sX}); build sets the entry's
-    # name and its coerced parameters
-    __slots__ = _fields = ("form", "kind", "support", "recipe", "density",
-                           "tabulated", "name", "params")
-    _defaults = (None, None, {}, "", {})
+    # kind is "mellin" (E X^s) or "mgf" (E e^{sX}); symmetric is what the
+    # form cannot show (see support); build sets the entry's name and its
+    # coerced parameters
+    __slots__ = _fields = ("form", "kind", "recipe", "density", "tabulated",
+                           "name", "params", "symmetric")
+    _defaults = (None, None, {}, "", {}, False)
+
+    @property
+    def support(self) -> Support:
+        """The hull of the law's support, read from the form (Janson 2010):
+        on a side whose strip edge is infinite and where gamma' = 0, log
+        F(s) / s tends to kappa, so that end of log X (of X for the MGF
+        kind) is kappa; elsewhere the law is unbounded on that side."""
+        strip, prof = self.form.strip(), self.form.asymptotic_profile()
+        bounded = prof.gamma_prime == 0
+        lo = prof.kappa if bounded and strip.rho_minus == -_INF else -_INF
+        hi = prof.kappa if bounded and strip.rho_plus == _INF else _INF
+        if self.kind == "mellin":
+            lo, hi = _exp_cap(lo), _exp_cap(hi)
+        return Support(-hi, hi, True) if self.symmetric else Support(lo, hi)
 
     def replace(self, **changes):
         """A copy with the named fields changed and the others kept."""
@@ -111,8 +127,7 @@ def _gamma(a):
     form = make_form(1.0 / ga, 0, [(1, a)])
     dens = lambda x: x ** (a - 1) * math.exp(-x) / ga if x > 0 else 0.0
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=rc.gamma(a), density=dens,
+        form, "mellin", recipe=rc.gamma(a), density=dens,
         tabulated=dict(rho_minus=-a, rho_plus=_INF, gamma=1.0, gamma_prime=1.0,
                        delta=a - 0.5, kappa=0.0, c1=_SQRT_2PI / ga))
 
@@ -127,8 +142,7 @@ def _beta(a, b):
     dens = (lambda x: inv_b * x ** (a - 1) * (1 - x) ** (b - 1)
             if 0 < x < 1 else 0.0)
     return DistributionEntry(
-        form, "mellin", Support(0, 1),
-        recipe=rc.beta(a, b), density=dens,
+        form, "mellin", recipe=rc.beta(a, b), density=dens,
         tabulated=dict(rho_minus=-a, rho_plus=_INF, gamma=0.0, gamma_prime=0.0,
                        delta=-b, kappa=0.0, c1=cab))
 
@@ -160,7 +174,7 @@ def _rayleigh():
     form = make_form(1, 0.5 * math.log(2), [(Fraction(1, 2), 1)])
     dens = lambda x: x * math.exp(-x * x / 2) if x > 0 else 0.0
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
+        form, "mellin",
         recipe=rc.Scale(rc.Power(rc.exponential(), 0.5), math.sqrt(2)),
         density=dens,
         tabulated=dict(rho_minus=-2.0, rho_plus=_INF, gamma=0.5,
@@ -175,8 +189,7 @@ def _maxwell():
     dens = (lambda x: math.sqrt(2 / math.pi) * x * x * math.exp(-x * x / 2)
             if x > 0 else 0.0)
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=rc.Power(rc.Scale(rc.gamma(1.5), 2.0), 0.5),
+        form, "mellin", recipe=rc.Power(rc.Scale(rc.gamma(1.5), 2.0), 0.5),
         density=dens,
         tabulated=dict(rho_minus=-3.0, rho_plus=_INF, gamma=0.5,
                        gamma_prime=0.5, delta=1.0, kappa=0.0,
@@ -194,7 +207,7 @@ def _type2_beta(alpha, beta):
     dens = (lambda x: c * x ** (alpha - 1) * (1 + x) ** -(alpha + beta)
             if x > 0 else 0.0)
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
+        form, "mellin",
         recipe=rc.Product((rc.gamma(alpha), rc.Power(rc.gamma(beta), -1.0))),
         density=dens,
         tabulated=dict(rho_minus=-alpha, rho_plus=beta, gamma=2.0,
@@ -221,8 +234,8 @@ _HALF_CAUCHY = rc.Power(rc.Product((rc.gamma(0.5),
 @_register("half_cauchy", "absolute value of a standard Cauchy variable", ())
 def _half_cauchy():
     dens = lambda x: 2 / (math.pi * (1 + x * x)) if x > 0 else 0.0
-    return _cauchy_product(1).replace(support=Support(0, _INF),
-                                      recipe=_HALF_CAUCHY, density=dens)
+    return _cauchy_product(1).replace(symmetric=False, recipe=_HALF_CAUCHY,
+                                      density=dens)
 
 
 # ------------------------------------------------------- Dufresne beta product
@@ -255,8 +268,7 @@ def _beta_product(a, b, c, d):
         if beta == 0:
             form = make_form(1, 0)
             return DistributionEntry(
-                form, "mellin", Support(0, 1),
-                recipe=rc.Power(rc.uniform(), 0.0),
+                form, "mellin", recipe=rc.Power(rc.uniform(), 0.0),
                 density=None,
                 tabulated=dict(rho_minus=-_INF, rho_plus=_INF, gamma=0.0,
                                gamma_prime=0.0, delta=0.0, kappa=0.0, c1=1.0))
@@ -277,8 +289,7 @@ def _beta_product(a, b, c, d):
     if b > 0 and d > 0:
         recipe = rc.Product((rc.beta(a, b), rc.beta(c, d)))
     return DistributionEntry(
-        form, "mellin", Support(0, 1),
-        recipe=recipe, density=None,
+        form, "mellin", recipe=recipe, density=None,
         tabulated=dict(rho_minus=-min(a, c), rho_plus=_INF, gamma=0.0,
                        gamma_prime=0.0, delta=-b - d, kappa=0.0, c1=const))
 
@@ -293,8 +304,7 @@ def _ise_density_zero():
     recipe = rc.Scale(rc.Power(rc.positive_stable(2 / 3), -0.5),
                       2 ** 0.25 / 3)
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=recipe,
+        form, "mellin", recipe=recipe,
         tabulated=dict(rho_minus=-4 / 3, rho_plus=_INF, gamma=0.25,
                        gamma_prime=0.25, delta=0.0,
                        kappa=-0.75 * math.log(2) - 0.25 * math.log(3),
@@ -311,11 +321,11 @@ def _average_ise():
                                   rc.Power(rc.exponential(), 0.25))),
                       2 ** 0.75)
     return DistributionEntry(
-        form, "mellin", Support(-_INF, _INF, symmetric=True),
-        recipe=recipe,
+        form, "mellin", recipe=recipe,
         tabulated=dict(rho_minus=-1.0, rho_plus=_INF, gamma=0.75,
                        gamma_prime=0.75, delta=0.5,
-                       kappa=-0.25 * math.log(2), c1=math.sqrt(math.pi)))
+                       kappa=-0.25 * math.log(2), c1=math.sqrt(math.pi)),
+        symmetric=True)
 
 
 # ------------------------------------------------------- combinatorial limits
@@ -337,8 +347,7 @@ def _stirling_blocks(k):
         recipe = rc.Scale(rc.Product((rc.beta(2, k - 1),) + gammas),
                           float(k))
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=recipe,
+        form, "mellin", recipe=recipe,
         tabulated=dict(rho_minus=-2.0, rho_plus=_INF, gamma=(k - 1) / k,
                        gamma_prime=(k - 1) / k, delta=(k - 1) / k,
                        kappa=math.log(k) / k,
@@ -372,8 +381,7 @@ def _ball_distance(n, a):
         return _c * lam ** (_n - 1) * tail / (2 * _a)
 
     return DistributionEntry(
-        form, "mellin", Support(0, 2 * a),
-        recipe=recipe, density=dens,
+        form, "mellin", recipe=recipe, density=dens,
         tabulated=dict(rho_minus=float(-n), rho_plus=_INF, gamma=0.0,
                        gamma_prime=0.0, delta=-(n + 3) / 2,
                        kappa=math.log(2 * a), c1=2 ** ((n + 1) / 2) * c))
@@ -407,8 +415,7 @@ def _pref_attach(alpha):
     if alpha == 0.5:
         dens = lambda x: 2 * x * math.exp(-x * x) if x > 0 else 0.0
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=recipe, density=dens,
+        form, "mellin", recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-2.0 if alpha == 0.5 else -1.0,
                        rho_plus=_INF, gamma=0.5, gamma_prime=0.5,
                        delta=1 - alpha, kappa=0.5 * math.log(alpha),
@@ -437,8 +444,7 @@ def _mth_max_exp(n, m):
     dens = (lambda x: binom * math.exp(-m * x) * (1 - math.exp(-x)) ** (n - m)
             if x > 0 else 0.0)
     return DistributionEntry(
-        form, "mgf", Support(0, _INF),
-        recipe=recipe, density=dens,
+        form, "mgf", recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=float(m), gamma=0.0,
                        gamma_prime=0.0, delta=-(n - m + 1.0), kappa=0.0,
                        c1=gamma_real(n + 1) / gamma_real(m)))
@@ -458,8 +464,7 @@ def _mth_gumbel(m):
     form = make_form(1.0 / gm, 0, [(-1, m)])
     dens = lambda x: _exp_or_zero(-m * x - _exp_cap(-x)) / gm
     return DistributionEntry(
-        form, "mgf", Support(-_INF, _INF),
-        recipe=rc.NegLog(rc.gamma(float(m))), density=dens,
+        form, "mgf", recipe=rc.NegLog(rc.gamma(float(m))), density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=float(m), gamma=1.0,
                        gamma_prime=-1.0, delta=m - 0.5, kappa=0.0,
                        c1=_SQRT_2PI / gm))
@@ -471,8 +476,7 @@ def _logistic():
     dens = lambda x: _exp_or_zero(-abs(x)) / (1 + _exp_or_zero(-abs(x))) ** 2
     recipe = rc.Sum((rc.gumbel(), rc.Scale(rc.gumbel(), -1.0)))
     return DistributionEntry(
-        form, "mgf", Support(-_INF, _INF),
-        recipe=recipe, density=dens,
+        form, "mgf", recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=2.0,
                        gamma_prime=0.0, delta=1.0, kappa=0.0,
                        c1=2 * math.pi))
@@ -506,8 +510,7 @@ def _selberg_beta(n, alpha, beta):
     form = _selberg_beta_form(n, alpha, beta)
     rho = max(-1.0 / n, -alpha / (n - 1), -beta / (n - 1))
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=rc.Discriminant(n, rc.beta(alpha, beta)),
+        form, "mellin", recipe=rc.Discriminant(n, rc.beta(alpha, beta)),
         tabulated=dict(rho_minus=rho, rho_plus=_INF, gamma=0.0,
                        gamma_prime=0.0, delta=1 - alpha - beta - n / 2))
 
@@ -527,8 +530,7 @@ def _selberg_gamma(n, alpha):
     form = make_form(gamma_real(alpha) ** (1 - n), 0, num, den)
     rho = max(-1.0 / n, -alpha / (n - 1))
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=rc.Discriminant(n, rc.gamma(alpha)),
+        form, "mellin", recipe=rc.Discriminant(n, rc.gamma(alpha)),
         tabulated=dict(rho_minus=rho, rho_plus=_INF,
                        gamma=float(n * n - n), gamma_prime=float(n * n - n),
                        delta=(n - 1) * (alpha - 0.5)))
@@ -544,8 +546,7 @@ def _selberg_normal(n):
     form = make_form(1, 0, num, den)
     kappa = sum(j * math.log(j) for j in range(2, n + 1))
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=rc.Discriminant(n, rc.normal()),
+        form, "mellin", recipe=rc.Discriminant(n, rc.normal()),
         tabulated=dict(rho_minus=-1.0 / n, rho_plus=_INF,
                        gamma=n * (n - 1) / 2.0, gamma_prime=n * (n - 1) / 2.0,
                        delta=0.0, kappa=kappa,
@@ -572,13 +573,14 @@ def _symmetric_stable(alpha):
     elif alpha == 1.0:
         dens = lambda x: 1 / (math.pi * (1 + x * x))
     return DistributionEntry(
-        form, "mellin", Support(-_INF, _INF, symmetric=True),
+        form, "mellin",
         recipe=rc.Abs(rc.symmetric_stable(alpha)), density=dens,
         tabulated=dict(rho_minus=-1.0,
                        rho_plus=_INF if alpha == 2.0 else alpha,
                        gamma=1 / alpha, gamma_prime=1 - 1 / alpha, delta=0.0,
                        kappa=math.log(alpha) / alpha,
-                       c1=math.sqrt(4 / alpha)))
+                       c1=math.sqrt(4 / alpha)),
+        symmetric=True)
 
 
 def _cauchy_product_density_2(x):
@@ -604,10 +606,10 @@ def _cauchy_product(k):
         dens = _cauchy_product_density_2
     return DistributionEntry(
         _cauchy_pair(Fraction(1, 2), k), "mellin",
-        Support(-_INF, _INF, symmetric=True),
         recipe=rc.Product((_HALF_CAUCHY,) * k), density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=float(k),
-                       gamma_prime=0.0, delta=0.0, kappa=0.0, c1=2.0 ** k))
+                       gamma_prime=0.0, delta=0.0, kappa=0.0, c1=2.0 ** k),
+        symmetric=True)
 
 
 def _sech_density_2(x):
@@ -636,7 +638,7 @@ def _hyperbolic_secant(t):
         dens = _sech_density_2
     one_term = rc.Scale(rc.NegLog(_HALF_CAUCHY), -2 / math.pi)
     return DistributionEntry(
-        _cauchy_pair(1 / math.pi, k), "mgf", Support(-_INF, _INF),
+        _cauchy_pair(1 / math.pi, k), "mgf",
         recipe=rc.Sum((one_term,) * k), density=dens,
         tabulated=dict(rho_minus=-math.pi / 2, rho_plus=math.pi / 2,
                        gamma=2 * k / math.pi, gamma_prime=0.0, delta=0.0,
@@ -664,8 +666,7 @@ def _lamperti_power(alpha):
                                   rc.Power(rc.positive_stable(alpha), -1.0))),
                       alpha)
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=recipe, density=dens,
+        form, "mellin", recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=1.0, gamma=2 - 2 * alpha,
                        gamma_prime=0.0, delta=0.0, kappa=0.0, c1=1 / alpha))
 
@@ -686,8 +687,7 @@ def _kotz_ostrovskii(alpha, beta):
                                   rc.Power(rc.positive_stable(g), -1.0))),
                       1.0 / beta)
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        recipe=recipe, density=dens,
+        form, "mellin", recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-alpha, rho_plus=alpha,
                        gamma=2 / alpha - 2 / beta, gamma_prime=0.0, delta=0.0,
                        kappa=0.0, c1=beta / alpha))
@@ -703,8 +703,7 @@ def _tilted_stable(alpha, theta):
     form = make_form(const, 0, [(-1 / alpha, (alpha + theta) / alpha)],
                      [(-1, 1 + theta)])
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
-        tabulated=dict(rho_minus=-_INF, rho_plus=alpha + theta,
+        form, "mellin", tabulated=dict(rho_minus=-_INF, rho_plus=alpha + theta,
                        gamma=1 / alpha - 1, gamma_prime=1 - 1 / alpha,
                        delta=theta / alpha - theta,
                        kappa=math.log(alpha) / alpha,
@@ -721,7 +720,7 @@ def _gen_exponential(beta):
     norm = 1.0 / gamma_real(1 + 1 / beta)
     dens = lambda x: norm * math.exp(-x ** beta) if x > 0 else 0.0
     return DistributionEntry(
-        form, "mellin", Support(0, _INF),
+        form, "mellin",
         recipe=rc.Power(rc.gamma(1 / beta), 1.0 / beta), density=dens,
         tabulated=dict(rho_minus=-1.0, rho_plus=_INF, gamma=1 / beta,
                        gamma_prime=1 / beta, delta=1 / beta - 0.5,
@@ -742,12 +741,12 @@ def _linnik(alpha):
     recipe = rc.Product((rc.Abs(rc.symmetric_stable(alpha)),
                          rc.Power(rc.exponential(), 1.0 / alpha)))
     return DistributionEntry(
-        form, "mellin", Support(-_INF, _INF, symmetric=True),
-        recipe=recipe, density=dens,
+        form, "mellin", recipe=recipe, density=dens,
         tabulated=dict(rho_minus=-min(alpha, 1.0),
                        rho_plus=_INF if alpha == 2.0 else alpha,
                        gamma=2 / alpha, gamma_prime=1.0, delta=0.5, kappa=0.0,
-                       c1=2 * _SQRT_2PI / alpha))
+                       c1=2 * _SQRT_2PI / alpha),
+        symmetric=True)
 
 
 # ------------------------------------------------------------------ front end

@@ -51,15 +51,18 @@ def _emit(payload, human=None):
 
 def _number(flag, text, check=None):
     """check(value, flag) of the number that text spells: an int if check
-    is errors.integer, else a float, returned as read if check is None.
-    Text that spells no number, or no integer for errors.integer, is a
-    ValidationError naming the flag and the text."""
+    is errors.integer and the float that text spells is finite (int refuses
+    more than 4300 digits), else that float, returned as read if check is
+    None.  Text that spells no number, or no integer for errors.integer, is
+    a ValidationError naming the flag and the text."""
     for kind in (float, int) if check is integer else (float,):
         try:
             value = kind(text)
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise ValidationError(f"{flag}: not {what}: {text!r}") from None
+        if not math.isfinite(value):
+            break
     return value if check is None else check(value, flag)
 
 
@@ -67,8 +70,6 @@ def _parse_params(tokens, flag="--params"):
     params = {}
     for token in tokens or []:
         for piece in token.split(","):
-            if not piece:
-                continue
             if "=" not in piece:
                 raise ParameterError("<cli>", f"expected k=v, got {piece!r}")
             key, _, raw = piece.partition("=")
@@ -120,10 +121,14 @@ def _split_args(text):
     return args
 
 
+IDENTITY_GRAMMAR = ("an expression e is name[:k=v,...] | product(e,...) | "
+                    "power(e,r) | scale(e,c) | recip(e)")
+
+
 def parse_identity_spec(text):
-    """Grammar: name[:k=v,...] | product(e,...) | power(e,r) | scale(e,c)
-    | recip(e).  An empty argument counts: product(e,) has the unknown
-    name '', and scale(e,c,) three arguments."""
+    """The form of an expression of IDENTITY_GRAMMAR.  An empty argument
+    counts: product(e,) has the unknown name '', and scale(e,c,) three
+    arguments."""
     text = text.strip()
     head, _, inner = text.partition("(")
     if head in ("product", "power", "scale", "recip") and text.endswith(")"):
@@ -382,9 +387,10 @@ def main(argv=None) -> int:
         payload, usage = {"error": str(exc)}, isinstance(exc, _USAGE_ERRORS)
         if isinstance(exc, UnknownEntryError):
             payload["hint"] = "try `gammatype list`"
-        elif usage:
-            payload["hint"] = (_schema_hint(args.name)
-                               if hasattr(args, "name") else None)
+        elif usage:  # args is None where argparse refused the command line
+            payload["hint"] = (None if args is None else
+                               _schema_hint(args.name) if hasattr(args, "name")
+                               else IDENTITY_GRAMMAR)
         elif isinstance(exc, PoleError):
             payload["location"] = [exc.location.real, exc.location.imag]
         _emit(payload)

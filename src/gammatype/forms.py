@@ -352,7 +352,7 @@ class GammaTypeForm(Record):
     """C exp(l s) prod Gamma(num) / prod Gamma(den), num and den of
     GammaFactors or (slope, offset) pairs; every argument is checked."""
 
-    # no __slots__: _poles is cached in the instance __dict__
+    # no __slots__: _poles and _profile are cached in the instance __dict__
     _fields = ("constant", "log_scale", "num", "den")
 
     def __init__(self, constant: float, log_scale: float,
@@ -535,6 +535,11 @@ class GammaTypeForm(Record):
         """Closed-form growth parameters derived from Stirling's expansion
         (_stirling, which moments_equal reads too); gamma and gamma' are
         exact sums of the slopes."""
+        return self._profile
+
+    @cached_property
+    def _profile(self) -> AsymptoticProfile:
+        """asymptotic_profile(), computed once per form."""
         factors = [(f, 1) for f in self.num] + [(f, -1) for f in self.den]
         delta, kappa, log_c1, _ = _stirling(math.log(self.constant),
                                             self.log_scale, factors)

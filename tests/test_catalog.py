@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from gammatype import catalog
+from gammatype.stochastics import sample
 from gammatype.errors import (
     GammaTypeError, ParameterError, UnknownEntryError, UnrepresentableError,
 )
@@ -81,6 +82,33 @@ def test_profile_against_numeric_fit(name, params):
     assert d == pytest.approx(prof.delta, abs=1e-6)
     assert k == pytest.approx(prof.kappa, abs=1e-6)
     assert lc1 == pytest.approx(math.log(prof.c1), abs=1e-6)
+
+
+# the bounded hulls of the CASES entries: E X^s ~ C1 s^delta e^(kappa s) with
+# gamma' = 0 and no pole on the right puts the top at e^kappa, 1/16 for
+# selberg_beta at n = 3 (the largest squared Vandermonde of three points in
+# [0, 1]); every other positive Mellin law is (0, inf), every MGF or
+# symmetric law (-inf, inf)
+BOUNDED_HULLS = {"beta": (0, 1), "beta_product": (0, 1),
+                 "ball_distance": (0, 1), "selberg_beta": (0, 1 / 16),
+                 "max_exp": (0, INF), "mth_max_exp": (0, INF)}
+
+
+SYMMETRIC = {"average_ise", "symmetric_stable", "cauchy_product", "linnik"}
+
+
+@pytest.mark.parametrize("name,params", CASES.items())
+def test_support_is_the_hull_the_form_gives(name, params):
+    entry = catalog.build(name, params)
+    support = entry.support
+    assert support.symmetric is (name in SYMMETRIC)
+    positive = entry.kind == "mellin" and not support.symmetric
+    lo, hi = BOUNDED_HULLS.get(name, (0, INF) if positive else (-INF, INF))
+    assert support.lo == lo
+    assert support.hi == pytest.approx(hi, rel=1e-15, abs=0)
+    if entry.recipe is not None:
+        x = sample(entry.recipe, 1 << 14, seed=7)
+        assert ((support.lo <= x) & (x <= support.hi)).all(), x.max()
 
 
 def _density_cases():
@@ -212,6 +240,7 @@ def test_beta_product_point_mass_case():
     entry = catalog.build("beta_product", {"a": 2.0, "b": 0.0,
                                            "c": 2.0, "d": 0.0})
     assert entry.form.evaluate(3.7) == pytest.approx(1.0)
+    assert entry.support == catalog.Support(1, 1)
 
 
 def test_beta_product_condition_messages():

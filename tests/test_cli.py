@@ -11,7 +11,7 @@ import pytest
 
 import gammatype
 from gammatype import catalog, forms, mellin, recipes as rc, stochastics
-from gammatype.cli import main, parse_identity_spec
+from gammatype.cli import IDENTITY_GRAMMAR, main, parse_identity_spec
 from gammatype.forms import moments_equal
 from gammatype.stochastics import sample
 
@@ -202,10 +202,15 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
     # every typed number is read by one rule: text that spells none, and a
     # real that is not finite, name the flag
     ({}, ("sample", "rayleigh", "--n", "1.5"), "--n: not an integer: '1.5'"),
-    ({}, ("verify-mc", "rayleigh", "--n", "inf"), "--n: not an integer"),
+    ({}, ("verify-mc", "rayleigh", "--n", "inf"),
+     "--n must be an integer in the float range, got inf"),
     ({}, ("verify-mc", "rayleigh", "--seed", "1.5"), "--seed: not an integer"),
     ({}, ("sample", "rayleigh", "--seed", "abc"), "--seed: not a number"),
-    ({"GML_SEED": "inf"}, ("sample", "rayleigh"), "GML_SEED: not an integer"),
+    ({"GML_SEED": "inf"}, ("sample", "rayleigh"),
+     "GML_SEED must be an integer in the float range, got inf"),
+    # an integer past int's 4300 digits is one past the float range
+    ({}, ("sample", "rayleigh", "--n", "1" * 5000),
+     "--n must be an integer in the float range, got inf"),
     ({}, ("moment", "rayleigh", "--s=abc"), "--s: not a number: 'abc'"),
     ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"),
      "--s-grid: not a number: 'x'"),
@@ -233,6 +238,13 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
      "unknown distribution ''"),
     ({}, ("check-identity", "scale(rayleigh,1e-3,)", "rayleigh"),
      "scale() takes (expression, number)"),
+    ({}, ("check-identity", "scale(rayleigh)", "rayleigh"),
+     "scale() takes (expression, number)"),
+    # nor is an empty k=v piece
+    ({}, ("profile", "gamma", "--params", ",a=2,,"), "expected k=v, got ''"),
+    ({}, ("profile", "gamma", "--params", ""), "expected k=v, got ''"),
+    ({}, ("check-identity", "gamma:a=2,", "gamma:a=2"),
+     "expected k=v, got ''"),
 ])
 def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     for key, value in env.items():
@@ -242,14 +254,17 @@ def test_usage_errors_exit_2_with_json(capsys, monkeypatch, env, argv, name):
     assert len(out.splitlines()) == 1
     payload = json.loads(out)
     assert name in payload["error"]
-    if "nope" in argv:  # an unknown name gets its one hint
+    if "nope" in argv or "unknown distribution" in payload["error"]:
+        # an unknown name gets its one hint
         assert payload["hint"] == UNKNOWN_NAME_PAYLOAD["hint"]
-    elif argv[0] != "check-identity" and not any(
-            shape in payload["error"] for shape in (
-                "required", "unrecognized", "expected one argument")):
+    elif not any(shape in payload["error"] for shape in (
+            "required", "unrecognized", "expected one argument")):
         # past the shape of the command line, an entry's command gets the
-        # entry's hint, a bad number included
+        # entry's hint, a bad number included, and check-identity the
+        # grammar of its expressions
         assert payload["hint"] is not None
+        if argv[0] == "check-identity":
+            assert payload["hint"] == IDENTITY_GRAMMAR
 
 
 @pytest.mark.parametrize("name, params", [

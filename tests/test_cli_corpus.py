@@ -86,6 +86,8 @@ ERRORS = [
     ["density", "gamma", "--params", "a=0", "--x=1:2:3"],
     ["check-identity", "gamma:a=x", "rayleigh"],
     ["check-identity", "gamma:a=2,a=3", "gamma:a=2"],
+    ["profile", "gamma", "--params", ",a=2,,"],
+    ["check-identity", "gamma:a=2,", "gamma:a=2"],
     # moment orders
     ["moment", "rayleigh", "--s=1,2,3"],
     ["moment", "rayleigh", "--s=abc"],
@@ -109,6 +111,10 @@ ERRORS = [
     ["density", "logistic", "--x=0:1:3", "--abscissa", "inf"],
     ["density", "logistic", "--x=0:1:3", "--abscissa", "5"],
     ["density", "beta", "--params", "a=2,b=3", "--x=0.1:0.9:3"],
+    # tables off the hull that the form gives: zeros, exit 0
+    ["density", "selberg_beta", "--params", "n=3,alpha=1.5,beta=2.5",
+     "--x=0.1:0.5:3"],
+    ["density", "beta_product", "--params", "a=1,b=0,c=1,d=0", "--x=0.5:1.5:3"],
     # no sampling recipe, and bad draw counts, seeds and grids
     ["sample", "tilted_stable", "--params", "alpha=0.5,theta=1"],
     ["verify-mc", "tilted_stable", "--params", "alpha=0.5,theta=1"],

@@ -243,6 +243,10 @@ def test_outside_support_is_zero():
     entry = catalog.build("rayleigh", {})
     table = density_table(entry, [-1.0, 1.0])
     assert table[0, 1] == 0.0 and table[1, 1] > 0
+    # selberg_beta at n = 3 lies below e^kappa = 1/16, where its form (with
+    # gamma = 0) could not be inverted
+    entry = catalog.build("selberg_beta", {"n": 3, "alpha": 1.5, "beta": 2.5})
+    assert density_table(entry, [0.1]).tolist() == [[0.1, 0.0]]
 
 
 def test_normalization_check():

@@ -36,8 +36,8 @@ RECORDS = [
     (GammaTypeForm, (1.0, 0.5, (FACTOR,), ())),
     (catalog.Support, (0.0, math.inf, False)),
     (catalog.ParamSpec, ("a", "float", "a > 0")),
-    (catalog.DistributionEntry, (FORM, "mellin", catalog.Support(0, 1), LEAF,
-                                 None, {"gamma": 0.5}, "x", {"a": 2.0})),
+    (catalog.DistributionEntry, (FORM, "mellin", LEAF, None, {"gamma": 0.5},
+                                 "x", {"a": 2.0}, True)),
     (catalog._EntryDef, ("label", (SPEC,), print)),
     (stochastics.MCEstimate, (1.1, 0.1, 10, 0.5, True)),
     (stochastics.VerificationPoint, (0.5, 1.1, 0.1, 1.0, 1.0, True, True)),
@@ -88,28 +88,29 @@ def test_repr_names_the_fields():
 
 
 def test_defaults_and_the_cached_walk():
-    entry = catalog.DistributionEntry(FORM, "mellin", catalog.Support(0, 1))
+    entry = catalog.DistributionEntry(FORM, "mellin")
     assert (entry.recipe, entry.density, entry.tabulated, entry.name,
-            entry.params) == (None, None, {}, "", {})
+            entry.params, entry.symmetric) == (None, None, {}, "", {}, False)
     assert catalog.Support(0, 1).symmetric is False
     assert ConsistencyReport(True, STRIP).zero_location is None
     assert rc.Leaf("normal").args == ()
     form = GammaTypeForm(1.0, 0.5, (FACTOR,), ())
     assert form._poles is form._poles  # walked once per form
+    assert form.asymptotic_profile() is form.asymptotic_profile()
     assert form == FORM and hash(form) == hash(FORM)
 
 
 def test_entry_replace_changes_only_the_named_fields():
-    entry = catalog.DistributionEntry(FORM, "mellin", catalog.Support(0, 1),
-                                      LEAF, None, {"gamma": 0.5}, "x",
-                                      {"a": 2.0})
+    entry = catalog.DistributionEntry(FORM, "mellin", LEAF, None,
+                                      {"gamma": 0.5}, "x", {"a": 2.0})
     recipe, params = rc.exponential(), {"a": 3.0}
     changed = entry.replace(recipe=recipe, params=params)
     assert type(changed) is catalog.DistributionEntry
     assert changed.recipe is recipe and changed.params is params
     assert (entry.recipe, entry.params) == (LEAF, {"a": 2.0})
-    for name in ("form", "kind", "support", "density", "tabulated", "name"):
+    for name in ("form", "kind", "density", "tabulated", "name", "symmetric"):
         assert getattr(changed, name) is getattr(entry, name)
+    assert changed.support == entry.support
     assert entry.replace() == entry
     with pytest.raises(TypeError, match=r"^DistributionEntry\(\).*'other'"):
         entry.replace(other=1)

@@ -720,9 +720,8 @@ def test_zeroth_moment_is_one_whatever_the_draws():
     # log|x| is -inf at 0 and inf at inf, and 0 * inf is nan; x ** 0.0 is 1
     base = catalog.build("symmetric_stable", {"alpha": 0.01})
     entry = catalog.DistributionEntry(
-        base.form, base.kind, base.support,
-        rc.Product((rc.gamma(1e-3), base.recipe)), base.density,
-        base.tabulated, base.name, base.params)
+        base.form, base.kind, rc.Product((rc.gamma(1e-3), base.recipe)),
+        base.density, base.tabulated, base.name, base.params, base.symmetric)
     n = 2 * stochastics.CHUNK_SIZE
     x = sample(entry.recipe, n, seed=1)
     assert (x == 0).any() and np.isinf(x).any()
