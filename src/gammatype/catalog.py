@@ -24,7 +24,7 @@ from .errors import (ParameterError, UnknownEntryError, UnrepresentableError,
                      ValidationError, integer, real)
 from .forms import GammaFactor, GammaTypeForm, make_form
 from .record import Record
-from .specfun import OVERFLOW_EXPONENT, gamma_real
+from .specfun import exp_or_inf, gamma_real
 
 __all__ = [
     "Support", "ParamSpec", "DistributionEntry",
@@ -83,7 +83,7 @@ class DistributionEntry(Record):
         lo = prof.kappa if bounded and strip.rho_minus == -_INF else -_INF
         hi = prof.kappa if bounded and strip.rho_plus == _INF else _INF
         if self.kind == "mellin":
-            lo, hi = _exp_cap(lo), _exp_cap(hi)
+            lo, hi = exp_or_inf(lo), exp_or_inf(hi)
         return Support(-hi, hi, True) if self.symmetric else Support(lo, hi)
 
     def replace(self, **changes):
@@ -157,14 +157,6 @@ def _positive_stable(alpha):
                 * math.exp(-0.25 / x) if x > 0 else 0.0)
     return _tilted_stable(alpha, 0.0).replace(
         recipe=rc.positive_stable(alpha), density=dens)
-
-
-def _exp_cap(x):
-    return math.exp(x) if x < OVERFLOW_EXPONENT else math.inf
-
-
-def _exp_or_zero(x):
-    return math.exp(x) if x > -745.0 else 0.0
 
 
 # ----------------------------------------------------- chi family and friends
@@ -462,7 +454,7 @@ def _mth_gumbel(m):
     _require(m >= 1, "m >= 1")
     gm = gamma_real(m)
     form = make_form(1.0 / gm, 0, [(-1, m)])
-    dens = lambda x: _exp_or_zero(-m * x - _exp_cap(-x)) / gm
+    dens = lambda x: math.exp(-m * x - exp_or_inf(-x)) / gm
     return DistributionEntry(
         form, "mgf", recipe=rc.NegLog(rc.gamma(float(m))), density=dens,
         tabulated=dict(rho_minus=-_INF, rho_plus=float(m), gamma=1.0,
@@ -473,7 +465,7 @@ def _mth_gumbel(m):
 @_register("logistic", "logistic distribution (MGF kind)", ())
 def _logistic():
     form = make_form(1, 0, [(-1, 1), (1, 1)])
-    dens = lambda x: _exp_or_zero(-abs(x)) / (1 + _exp_or_zero(-abs(x))) ** 2
+    dens = lambda x: math.exp(-abs(x)) / (1 + math.exp(-abs(x))) ** 2
     recipe = rc.Sum((rc.gumbel(), rc.Scale(rc.gumbel(), -1.0)))
     return DistributionEntry(
         form, "mgf", recipe=recipe, density=dens,
@@ -617,8 +609,7 @@ def _sech_density_2(x):
     if ax < 1e-8:
         return 1 / math.pi  # limit of x / (2 sinh(pi x / 2))
     # x / (2 sinh(pi x / 2)) written overflow-safely for large |x|
-    return ax * _exp_or_zero(-math.pi * ax / 2) / (
-        1 - _exp_or_zero(-math.pi * ax))
+    return ax * math.exp(-math.pi * ax / 2) / (1 - math.exp(-math.pi * ax))
 
 
 @_register("hyperbolic_secant",
@@ -632,8 +623,8 @@ def _hyperbolic_secant(t):
     k = int(t)
     dens = None
     if k == 1:
-        dens = lambda x: _exp_or_zero(-math.pi * abs(x) / 2) / (
-            1 + _exp_or_zero(-math.pi * abs(x)))
+        dens = lambda x: math.exp(-math.pi * abs(x) / 2) / (
+            1 + math.exp(-math.pi * abs(x)))
     elif k == 2:
         dens = _sech_density_2
     one_term = rc.Scale(rc.NegLog(_HALF_CAUCHY), -2 / math.pi)

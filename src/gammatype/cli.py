@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import catalog
@@ -51,16 +52,18 @@ def _emit(payload, human=None):
 
 def _number(flag, text, check=None):
     """check(value, flag) of the number that text spells: an int if check
-    is errors.integer and the float that text spells is finite (int refuses
-    more than 4300 digits), else that float, returned as read if check is
-    None.  Text that spells no number, or no integer for errors.integer, is
-    a ValidationError naming the flag and the text."""
+    is errors.integer and the float that text spells is finite (read past
+    leading zeros, as int takes at most 4300 digits), else that float, as
+    read if check is None.  Text that spells no number, or no integer for
+    errors.integer, is a ValidationError naming the flag and the text."""
     for kind in (float, int) if check is integer else (float,):
         try:
-            value = kind(text)
+            value = kind(text) if kind is float else int(
+                re.sub(r"^\s*([+-]?)0[0_]*(?=\d)", r"\1", str(text)))
         except ValueError:
             what = "an integer" if kind is int else "a number"
-            raise ValidationError(f"{flag}: not {what}: {text!r}") from None
+            shown = text if len(text) <= 40 else text[:40] + "..."
+            raise ValidationError(f"{flag}: not {what}: {shown!r}") from None
         if not math.isfinite(value):
             break
     return value if check is None else check(value, flag)

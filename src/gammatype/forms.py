@@ -34,7 +34,7 @@ from .errors import (
     real,
 )
 from .record import Record
-from .specfun import OVERFLOW_EXPONENT, gamma_real, log_gamma
+from .specfun import exp_or_inf, gamma_real, log_gamma
 
 __all__ = [
     "GammaFactor",
@@ -50,8 +50,8 @@ __all__ = [
 OFFSET_TOL = 1e-12
 
 # above this |slope| poles near s = 0 lie closer than 2 * OFFSET_TOL and
-# the walk would merge them; past |s| = 1 its merge radius grows with |s|,
-# so there the resolvable |slope| falls as 1 / |s|
+# the walk would merge them; past |s| = 70 its merge radius is 64 eps |s|
+# (see _merges), so there the resolvable |slope| falls as 1 / |s|
 MAX_SLOPE = 1 / (2 * OFFSET_TOL)
 _MAX_SLOPE_INT = 500_000_000_000  # MAX_SLOPE exactly, for exact comparison
 
@@ -93,9 +93,10 @@ _set = object.__setattr__
 
 
 class GammaFactor(Record):
-    """One factor Gamma(slope * s + offset)."""
+    """One factor Gamma(slope * s + offset); float_slope = float(slope)."""
 
-    __slots__ = _fields = ("slope", "offset")
+    __slots__ = ("slope", "offset", "float_slope")
+    _fields = ("slope", "offset")
 
     def __init__(self, slope: Fraction, offset: float):
         slope, offset = _as_slope(slope), real(offset, "factor offset")
@@ -108,9 +109,7 @@ class GammaFactor(Record):
                                   f"{MAX_SLOPE:g}: poles too close to resolve")
         _set(self, "slope", slope)
         _set(self, "offset", offset)
-
-    def argument(self, s: complex) -> complex:
-        return float(self.slope) * s + self.offset
+        _set(self, "float_slope", float(slope))
 
 
 class AnalyticityStrip(Record):
@@ -138,34 +137,43 @@ class ConsistencyReport(Record):
 
 def _merges(t: float, u: float) -> bool:
     """Whether a pole at u >= t joins the location that starts at t >= 0:
-    within OFFSET_TOL of t, relative once t > 1."""
-    return u - t <= OFFSET_TOL * max(1.0, t)
+    within OFFSET_TOL of t, or of 64 eps t = 2^-46 t past t = 70, as only
+    rounding (a few eps t / 2 per location) can split a pole out there."""
+    return u - t <= max(OFFSET_TOL, 2 ** -46 * t)
 
 
 def _net(num, den) -> list:
-    """(factor, sign) pairs left after cancelling factors common to num and
-    den (+1 num, -1 den)."""
+    """(factor, count) pairs, one per distinct factor, left after cancelling
+    factors common to num and den: count > 0 in num, < 0 in den."""
     num, den = Counter(num), Counter(den)
-    return ([(f, 1) for f in (num - den).elements()]
-            + [(f, -1) for f in (den - num).elements()])
+    return ([*(num - den).items()]
+            + [(f, -count) for f, count in (den - num).items()])
+
+
+def _power(x: float, count: int) -> float:
+    """x ** count, saturating to the signed inf that count products give."""
+    try:
+        return x ** count
+    except (OverflowError, ZeroDivisionError):
+        return math.copysign(math.inf, x) if count % 2 else math.inf
 
 
 def _stirling(log_c: float, log_scale: float, factors) -> tuple:
     """(delta, kappa, log C1, quarter turns) of Stirling's expansion of
-    C e^(log_scale s) prod Gamma(a s + b)^sign over the (factor, sign)
-    pairs: the sums of sign (b - 1/2), log_scale + sign a log|a|, log C +
-    sign ((b - 1/2) log|a| + log(2 pi) / 2) and sign sgn(a) (b - 1/2).
+    C e^(log_scale s) prod Gamma(a s + b)^count over the (factor, count)
+    pairs: the sums of count (b - 1/2), log_scale + count a log|a|, log C +
+    count ((b - 1/2) log|a| + log(2 pi) / 2) and count sgn(a) (b - 1/2).
     Each is rounded once (_fsum), so terms that cancel exactly give 0."""
     delta, kappa, quarter_turns = [], [log_scale], []
     log_c1 = [log_c,
-              0.5 * math.log(_TWO_PI) * sum(sign for _, sign in factors)]
-    for factor, sign in factors:
-        a, b = float(factor.slope), factor.offset - 0.5
+              0.5 * math.log(_TWO_PI) * sum(count for _, count in factors)]
+    for factor, count in factors:
+        a, b = factor.float_slope, factor.offset - 0.5
         log_a = math.log(abs(a))
-        delta.append(sign * b)
-        kappa.append(sign * a * log_a)
-        log_c1.append(sign * b * log_a)
-        quarter_turns.append(sign * b if a > 0 else -sign * b)
+        delta.append(count * b)
+        kappa.append(count * a * log_a)
+        log_c1.append(count * b * log_a)
+        quarter_turns.append(count * b if a > 0 else -count * b)
     return tuple(map(_fsum, (delta, kappa, log_c1, quarter_turns)))
 
 
@@ -201,7 +209,7 @@ def _classes(slopes: dict) -> list[list]:
 
 def _cancels(progressions: dict, slopes, unit: int) -> bool:
     """Whether the cosets unit * (n + b) / a, n in Z, of the (offset b,
-    sign) progressions of these slopes have net count 0 everywhere.
+    count) progressions of these slopes have net count 0 everywhere.
 
     The count has period unit / gcd(a); the locations of one period are
     sorted and merged as _walk merges them, the last with the first across
@@ -211,14 +219,14 @@ def _cancels(progressions: dict, slopes, unit: int) -> bool:
     g = math.gcd(*slopes)
     if sum(a // g * len(progressions[a]) for a in slopes) > VISIT_BUDGET:
         return False
-    points = sorted(((b % 1 + k) * (unit / a), sign) for a in slopes
-                    for b, sign in progressions[a] for k in range(a // g))
+    points = sorted(((b % 1 + k) * (unit / a), count) for a in slopes
+                    for b, count in progressions[a] for k in range(a // g))
     nets, start = [], -math.inf
-    for t, sign in points:
+    for t, count in points:
         if not _merges(start, t):
             nets.append(0)
             start = t
-        nets[-1] += sign
+        nets[-1] += count
     wrapped = points[0][0] + unit / g
     if len(nets) > 1 and _merges(start, wrapped):
         nets[0] += nets.pop()
@@ -227,14 +235,14 @@ def _cancels(progressions: dict, slopes, unit: int) -> bool:
 
 def _tail_period(endless) -> float:
     """Period of the net pole count past every start of the unbounded
-    (slope, offset, sign) progressions: the lcm of the spacings of the
+    (slope, offset, count) progressions: the lcm of the spacings of the
     classes (see _classes) that do not cancel, 0 if all do."""
     # in units of 1 / lcm(q) the slopes p / q are integers
     unit = math.lcm(*(a.denominator for a, _, _ in endless))
     progressions = {}
-    for a, b, sign in endless:
+    for a, b, count in endless:
         scaled = abs(a.numerator) * (unit // a.denominator)
-        progressions.setdefault(scaled, []).append((b, sign))
+        progressions.setdefault(scaled, []).append((b, count))
     counts = {a: len(ps) for a, ps in progressions.items()}
     live = [a for c in _classes(counts)
             if not _cancels(progressions, c, unit) for a in c]
@@ -247,33 +255,33 @@ def _tail_period(endless) -> float:
 
 def _walk(factors, direction: int):
     """Yield (s, net, poles) for each location on one side of s = 0 where
-    the (factor, sign) pairs have a nonzero net pole count, in order of |s|;
-    poles holds the (t, n, step, a, b, sign, i) of each pole there, nearest
-    0 first, with t = direction * s, step the step of n that walks outward
-    and i the index of the pole's pair.
+    the (factor, count) pairs have a nonzero net pole count, in order of
+    |s|; poles holds the (t, n, step, a, b, count, i) of each pole there,
+    nearest 0 first, with t = direction * s, step the step of n that walks
+    outward and i the index of the pole's pair.
 
-    The poles of num (sign +1) and den (sign -1) factors are visited by one
-    heap over their arithmetic progressions and their signs summed per
-    location.  Of coinciding locations, which may differ in the last bit,
-    the lowest s is yielded.  Past t0, the last start -b/a of a progression,
-    only the progressions that run on forever remain, and the sums repeat
-    with the lcm of the spacings of the classes (see _classes) that do not
-    cancel, so the walk ends one such period past the first location
-    beyond t0, or there if every class cancels.  Past VISIT_BUDGET visits
-    it raises.
+    The poles of num (count > 0) and den (count < 0) factors are visited,
+    once per distinct factor, by one heap over their arithmetic
+    progressions and their counts summed per location.  Of coinciding
+    locations, which may differ in the last bit, the lowest s is yielded.
+    Past t0, the last start -b/a of a progression, only the progressions
+    that run on forever remain, and the sums repeat with the lcm of the
+    spacings of the classes (see _classes) that do not cancel, so the walk
+    ends one such period past the first location beyond t0, or there if
+    every class cancels.  Past VISIT_BUDGET visits it raises.
     """
     heap, starts, endless = [], [], []
-    for i, (f, sign) in enumerate(factors):
+    for i, (f, count) in enumerate(factors):
         # in t the poles are t_n = (-n - b) / a, n >= 0
-        a, b = float(f.slope) * direction, f.offset
+        a, b = f.float_slope * direction, f.offset
         starts.append(-b / a)
         if a > 0:  # t_n falls with n: walk n down from the last t_n > 0
             n, step = math.ceil(-b) - 1, -1
         else:      # t_n grows with n: walk n up from the first t_n > 0
             n, step = max(0, math.floor(-b) + 1), 1
-            endless.append((f.slope, b, sign))
+            endless.append((f.slope, b, count))
         if n >= 0:
-            heap.append(((-n - b) / a, n, step, a, b, sign, i))
+            heap.append(((-n - b) / a, n, step, a, b, count, i))
     heapq.heapify(heap)
     t0 = max(starts, default=0.0)
     end, visits = None, 0  # end is set once the walk passes t0
@@ -291,23 +299,23 @@ def _walk(factors, direction: int):
             yield min(direction * u for u, *_ in here), net, here
         if end is None and t > t0:
             end = t + _tail_period(endless)
-        for _, n, step, a, b, sign, i in here:
+        for _, n, step, a, b, count, i in here:
             if n + step >= 0:
                 heapq.heappush(heap, ((-n - step - b) / a, n + step, step,
-                                      a, b, sign, i))
+                                      a, b, count, i))
 
 
 def _past_zero(factors) -> tuple[int, list]:
     """The net pole count at s = 0, of the poles there and of each side's
-    first walk location if it starts within OFFSET_TOL of 0, and the walks
-    for s < 0 and s > 0 past it."""
-    at_zero = sum(sign for f, sign in factors
+    first walk location if its start merges with 0, and the walks for s < 0
+    and s > 0 past it."""
+    at_zero = sum(count for f, count in factors
                   if f.offset <= 0 and f.offset.is_integer())
     walks = []
     for direction in (-1, 1):
         walk = _walk(factors, direction)
         first = next(walk, None)
-        if first and first[2][0][0] <= OFFSET_TOL:  # t of its first pole
+        if first and _merges(0.0, first[2][0][0]):  # t of its first pole
             at_zero += first[1]
         elif first:
             walk = itertools.chain([first], walk)
@@ -428,7 +436,7 @@ class GammaTypeForm(Record):
             GammaFactor(f.slope / m, (f.offset + i) / m) for i in range(m)
         )
         rest = factors[:index] + factors[index + 1:] + pieces
-        log_scale = self.log_scale + sign * float(f.slope) * math.log(m)
+        log_scale = self.log_scale + sign * f.float_slope * math.log(m)
         return GammaTypeForm(constant, log_scale, *(
             (rest, self.den) if sign == 1 else (self.num, rest)))
 
@@ -444,16 +452,14 @@ class GammaTypeForm(Record):
         total = complex(math.log(self.constant) + self.log_scale * s.real,
                         self.log_scale * s.imag)
         for f in self.num:
-            w = f.argument(s)
             try:
-                total += log_gamma(w)
+                total += log_gamma(f.float_slope * s + f.offset)
             except PoleError:
                 raise PoleError(s, f"numerator factor Gamma({f.slope}*s + {f.offset}) "
                                    f"has a pole at s = {s}")
         for f in self.den:
-            w = f.argument(s)
             try:
-                total -= log_gamma(w)
+                total -= log_gamma(f.float_slope * s + f.offset)
             except PoleError:
                 return complex(-math.inf, 0.0)
         return total
@@ -470,15 +476,13 @@ class GammaTypeForm(Record):
         if math.isnan(logv.real) or not math.isfinite(logv.imag):
             raise MomentRangeError(f"log F(s) at s = {s} is not finite: "
                                    f"{logv}")
-        if logv.real > OVERFLOW_EXPONENT:
-            return cmath.rect(math.inf, logv.imag)
-        return cmath.exp(logv)
+        return cmath.rect(exp_or_inf(logv.real), logv.imag)
 
     # ------------------------------------------------------ poles and profile
 
     @cached_property
     def _poles(self) -> tuple[AnalyticityStrip, float | None, list, tuple]:
-        """The strip, the zero nearest 0 in it, the (factor, sign) pairs _net
+        """The strip, the zero nearest 0 in it, the (factor, count) pairs _net
         leaves and the left edge location (see _edge_and_zero), walked once
         per form for strip(), the consistency check and _residue_at."""
         factors = _net(self.num, self.den)
@@ -508,7 +512,7 @@ class GammaTypeForm(Record):
         A moment function of a positive variable cannot vanish inside its
         strip, so any such zero marks an inconsistent form.  The zero
         nearest 0 is reported, the negative one on a tie (distances from 0
-        equal within OFFSET_TOL, relative past 1).
+        that merge as pole locations do, see _merges).
         """
         strip, zero = self._poles[:2]
         return ConsistencyReport(zero is None, strip, zero)
@@ -525,10 +529,10 @@ class GammaTypeForm(Record):
             return 0.0 if start > -s0 else math.inf
         index = {i: n for _, n, *_, i in poles}
         res = self.constant * math.exp(self.log_scale * s0)
-        for i, (f, sign) in enumerate(factors):
-            a, n = float(f.slope), index.get(i)
-            res *= (gamma_real(a * s0 + f.offset) if n is None
-                    else (-1) ** n / (math.factorial(n) * a)) ** sign
+        for i, (f, count) in enumerate(factors):
+            a, n = f.float_slope, index.get(i)
+            res *= _power(gamma_real(a * s0 + f.offset) if n is None
+                          else (-1) ** n / (math.factorial(n) * a), count)
         return res if net == 1 else math.inf
 
     def asymptotic_profile(self) -> AsymptoticProfile:
@@ -545,10 +549,8 @@ class GammaTypeForm(Record):
                                             self.log_scale, factors)
         gamma = sum(sign * abs(f.slope) for f, sign in factors)
         gamma_prime = sum(sign * f.slope for f, sign in factors)
-        # C1 saturates to inf past the float range, as gamma_real does
-        c1 = math.exp(log_c1) if log_c1 <= OVERFLOW_EXPONENT else math.inf
         return AsymptoticProfile(float(gamma), float(gamma_prime), delta,
-                                 kappa, c1)
+                                 kappa, exp_or_inf(log_c1))
 
     # ---------------------------------------------------------- serialization
 

@@ -53,14 +53,13 @@ def _truncation(form: GammaTypeForm, c: float) -> float:
     if gamma <= 0:
         raise InversionError(
             "no vertical decay (gamma <= 0); inversion unsupported")
-    # |F(c+it)| ~ C1' t^p e^{-pi gamma t / 2}; solve for the tail bound
+    # |F(c+it)| ~ C1' t^p e^{-pi gamma t / 2}; T brings it to TARGET / 10
     p = float(prof.gamma_prime) * c + prof.delta
-    budget = 0.1 * TARGET
-    c1 = max(prof.c1, 1e-300)
+    log_ratio = math.log(max(prof.c1, 1e-300) / (0.1 * TARGET))
     t = 50.0
     for _ in range(40):
-        t_new = 2 / (math.pi * gamma) * (
-            math.log(c1 / budget) + max(p, 0.0) * math.log(max(t, 2.0)))
+        t_new = 2 / (math.pi * gamma) * (log_ratio + (
+            p * math.log(max(t, 2.0)) if p > 0 else 0.0))
         t_new = max(t_new, 20.0)
         if abs(t_new - t) < 1e-9:
             break

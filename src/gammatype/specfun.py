@@ -16,10 +16,17 @@ import sys
 
 from .errors import PoleError, number
 
-__all__ = ["log_gamma", "gamma_real", "log_gamma_real", "OVERFLOW_EXPONENT"]
+__all__ = ["log_gamma", "gamma_real", "log_gamma_real", "exp_or_inf",
+           "OVERFLOW_EXPONENT"]
 
 # exp() overflows just above this, the log of the largest float
 OVERFLOW_EXPONENT = math.log(sys.float_info.max)
+
+
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf past OVERFLOW_EXPONENT (and for a nan x)."""
+    return math.exp(x) if x <= OVERFLOW_EXPONENT else math.inf
+
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -109,6 +116,4 @@ def gamma_real(x: float) -> float:
     exponent range.
     """
     mag, sign = log_gamma_real(x)
-    if mag > OVERFLOW_EXPONENT:
-        return sign * math.inf
-    return sign * math.exp(mag)
+    return sign * exp_or_inf(mag)

@@ -211,6 +211,9 @@ def test_bad_numbers_exit_2_with_json(capsys, argv):
     # an integer past int's 4300 digits is one past the float range
     ({}, ("sample", "rayleigh", "--n", "1" * 5000),
      "--n must be an integer in the float range, got inf"),
+    # the text echoed is cut after 40 characters
+    ({}, ("sample", "rayleigh", "--n", "0" * 5000 + "1.5"),
+     "--n: not an integer: '" + "0" * 40 + "...'"),
     ({}, ("moment", "rayleigh", "--s=abc"), "--s: not a number: 'abc'"),
     ({}, ("verify-mc", "gamma", "--params", "a=2", "--s-grid", "5,x"),
      "--s-grid: not a number: 'x'"),
@@ -325,6 +328,8 @@ def test_unanswerable_inputs_exit_3(capsys, argv):
     assert code == 3
     assert len(out.splitlines()) == 1
     assert "error" in json.loads(out)
+    if argv[1] == "selberg_gamma":  # T is inf, not nan
+        assert "nan" not in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("name, params", [("selberg_gamma", "n=150,alpha=1"),
@@ -447,6 +452,19 @@ def test_sample_deterministic_bytes_and_formats(capsys):
     assert [r["i"] for r in rows] == [0, 1, 2]
     assert [r["x"] for r in rows] == [float(v) for v in
                                       out1.splitlines()[:3]]
+
+
+def test_long_integer_flags_are_read_past_leading_zeros(capsys):
+    # int refuses more than 4300 digits, so the reader drops leading zeros
+    _, one, _ = run(capsys, "sample", "rayleigh", "--n", "1", "--seed", "7")
+    code, out, _ = run(capsys, "sample", "rayleigh", "--n", "0" * 5000 + "1",
+                       "--seed", "7")
+    assert (code, out) == (0, one)
+    # a 20-digit seed is read exactly, with its leading zeros or without
+    seed = 12345678901234567890
+    outs = [run(capsys, "sample", "rayleigh", "--n", "3", "--seed", text)[1]
+            for text in (str(seed), "000" + str(seed), str(seed + 1))]
+    assert outs[0] == outs[1] != outs[2]
 
 
 def test_seed_from_environment(capsys, monkeypatch):

@@ -111,6 +111,8 @@ ERRORS = [
     ["density", "logistic", "--x=0:1:3", "--abscissa", "inf"],
     ["density", "logistic", "--x=0:1:3", "--abscissa", "5"],
     ["density", "beta", "--params", "a=2,b=3", "--x=0.1:0.9:3"],
+    # C1 past the float range: no finite truncation point, T = inf
+    ["density", "selberg_gamma", "--params", "n=150,alpha=1", "--x=1:2:2"],
     # tables off the hull that the form gives: zeros, exit 0
     ["density", "selberg_beta", "--params", "n=3,alpha=1.5,beta=2.5",
      "--x=0.1:0.5:3"],
@@ -156,6 +158,10 @@ PRECISION = [
     ["check-identity", "power(selberg_normal:n=3,30)",
      f"power(scale({SELBERG_PIECES},108),30)"],
     ["profile", "cauchy_product", "--params", "k=649"],
+    # a pole 1e-11 short of a zero at s = -150, 300 eps apart: beta's strip
+    # is (-a, inf), and b = 1e-11 and b = 2e-11 give two laws
+    ["strip", "beta", "--params", "a=150,b=1e-11"],
+    ["check-identity", "beta:a=150,b=1e-11", "beta:a=150,b=2e-11"],
 ]
 
 # successful density tables as (name, params, grid), the README's first

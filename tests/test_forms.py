@@ -210,6 +210,33 @@ def test_strip_edges_far_from_zero():
         -20000.0, math.inf)
 
 
+def test_poles_apart_by_more_than_rounding_stay_apart():
+    # far from 0 the walk merges only poles within 64 eps |s|, so a pole
+    # 1e-7 or 1e-11 short of a zero is a strip edge, as the identity says
+    far = make_form(1, 0, [(1, 1e6)], [(1, 1e6 + 1e-7)])
+    assert far.strip() == AnalyticityStrip(-1e6, math.inf)
+    assert not moments_equal(far, make_form(1, 0))
+    near = make_form(1, 0, [(1, 150)], [(1, 150 + 1e-11)])
+    assert near.strip().rho_minus == -150.0
+
+
+def test_a_repeated_factor_is_walked_once(monkeypatch):
+    # cauchy_product(600) holds each of its two factors 600 times
+    monkeypatch.setattr("gammatype.forms.VISIT_BUDGET", 50)
+    strip = build("cauchy_product", {"k": 600}).form.strip()
+    assert strip == AnalyticityStrip(-1.0, 1.0)
+
+
+def test_residues_past_the_float_range_saturate():
+    # Gamma(171)^2 is past the float range, as is the product of its two
+    # factors Gamma(171)
+    form = make_form(1, 0, [(1, 1), (-1, 170), (-1, 170)])
+    assert form._residue_at(-1.0) == math.inf
+    # 1 / Gamma(-201.5), with Gamma(-201.5) below the subnormals
+    form = make_form(1, 0, [(1, 1)], [(1, -200.5)])
+    assert form._residue_at(-1.0) == math.inf
+
+
 def test_dense_denominator_exceeds_the_visit_budget():
     # 1e7 denominator poles per unit of s around each numerator pole
     form = make_form(1, 0, [(1, 1)], [(10 ** 7, 10 ** 7)])
