@@ -9,8 +9,8 @@ Monte Carlo checks each form against an independent construction.
 
 A factory takes only its parameters and states the mathematics; a special
 case returns its general law's entry with replace changing what differs.
-build gives the entry its name and coerced parameters, and names it in
-every error raised while building.
+build checks the ParamSpec conditions, gives the entry its name and coerced
+parameters, and names it in every error raised while building.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Support(Record):
 
 
 class ParamSpec(Record):
-    # kind is "int" or "float"; constraint is a human-readable condition
+    # kind: "int" or "float"; constraint: an expression build checks, or words
     __slots__ = _fields = ("name", "kind", "constraint")
 
     def coerce(self, value):
@@ -122,7 +122,6 @@ def _exponential():
 
 @_register("gamma", "gamma distribution", (ParamSpec("a", "float", "a > 0"),))
 def _gamma(a):
-    _require(a > 0, "a > 0")
     ga = gamma_real(a)
     form = make_form(1.0 / ga, 0, [(1, a)])
     dens = lambda x: x ** (a - 1) * math.exp(-x) / ga if x > 0 else 0.0
@@ -135,7 +134,6 @@ def _gamma(a):
 @_register("beta", "beta distribution",
            (ParamSpec("a", "float", "a > 0"), ParamSpec("b", "float", "b > 0")))
 def _beta(a, b):
-    _require(a > 0 and b > 0, "a > 0 and b > 0")
     cab = gamma_real(a + b) / gamma_real(a)
     form = make_form(cab, 0, [(1, a)], [(1, a + b)])
     inv_b = gamma_real(a + b) / (gamma_real(a) * gamma_real(b))
@@ -150,7 +148,6 @@ def _beta(a, b):
 @_register("positive_stable", "one-sided stable law, Laplace transform exp(-t^alpha)",
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _positive_stable(alpha):
-    _require(0 < alpha < 1, "0 < alpha < 1")
     dens = None
     if alpha == 0.5:
         dens = (lambda x: 0.5 / math.sqrt(math.pi) * x ** -1.5
@@ -192,7 +189,6 @@ def _maxwell():
            (ParamSpec("alpha", "float", "alpha > 0"),
             ParamSpec("beta", "float", "beta > 0")))
 def _type2_beta(alpha, beta):
-    _require(alpha > 0 and beta > 0, "alpha > 0 and beta > 0")
     ga, gb = gamma_real(alpha), gamma_real(beta)
     form = make_form(1.0 / (ga * gb), 0, [(1, alpha), (-1, beta)])
     c = gamma_real(alpha + beta) / (ga * gb)
@@ -326,7 +322,6 @@ def _average_ise():
            "limit law of the number of blocks in a random k-Stirling permutation",
            (ParamSpec("k", "int", "k >= 2"),))
 def _stirling_blocks(k):
-    _require(k >= 2, "k >= 2")
     c = gamma_real((k + 1) / k)
     form = make_form(c, 0, [(1, 2)], [(Fraction(1, k), (k + 1) / k)])
     # splitting Gamma(s+2) into k pieces cancels the denominator, leaving
@@ -350,8 +345,6 @@ def _stirling_blocks(k):
            "distance between two uniform random points in an n-ball of radius a",
            (ParamSpec("n", "int", "n >= 1"), ParamSpec("a", "float", "a > 0")))
 def _ball_distance(n, a):
-    _require(n >= 1, "n >= 1")
-    _require(a > 0, "a > 0")
     c = n * gamma_real(n + 1) / gamma_real((n + 1) / 2)
     form = make_form(c, math.log(2 * a),
                      [(1, n), (Fraction(1, 2), (n + 1) / 2)],
@@ -393,7 +386,6 @@ def pref_attach_candidate_form(alpha: float) -> GammaTypeForm:
            "normalized vertex-degree limit of a preferential attachment graph",
            (ParamSpec("alpha", "float", "alpha >= 1/2"),))
 def _pref_attach(alpha):
-    _require(alpha >= 0.5, "alpha >= 1/2")
     form = pref_attach_candidate_form(alpha).scale(math.sqrt(alpha / 2))
     # split Gamma(s+1) in half; the half-integer piece pairs with the
     # denominator into a beta factor when alpha >= 1/2
@@ -426,8 +418,6 @@ def _max_exp(n):
            (ParamSpec("n", "int", "n >= 1"),
             ParamSpec("m", "int", "1 <= m <= n")))
 def _mth_max_exp(n, m):
-    _require(n >= 1, "n >= 1")
-    _require(1 <= m <= n, "1 <= m <= n")
     form = make_form(gamma_real(n + 1) / gamma_real(m), 0,
                      [(-1, m)], [(-1, n + 1)])
     recipe = rc.Sum(tuple(rc.Scale(rc.exponential(), 1.0 / j)
@@ -451,7 +441,6 @@ def _gumbel():
            "limit law of the m-th largest exponential, centered (MGF kind)",
            (ParamSpec("m", "int", "m >= 1"),))
 def _mth_gumbel(m):
-    _require(m >= 1, "m >= 1")
     gm = gamma_real(m)
     form = make_form(1.0 / gm, 0, [(-1, m)])
     dens = lambda x: math.exp(-m * x - exp_or_inf(-x)) / gm
@@ -497,8 +486,6 @@ def _selberg_beta_form(n, alpha, beta):
             ParamSpec("alpha", "float", "alpha > 0"),
             ParamSpec("beta", "float", "beta > 0")))
 def _selberg_beta(n, alpha, beta):
-    _require(2 <= n <= SELBERG_MAX_N, _SELBERG_N)
-    _require(alpha > 0 and beta > 0, "alpha > 0 and beta > 0")
     form = _selberg_beta_form(n, alpha, beta)
     rho = max(-1.0 / n, -alpha / (n - 1), -beta / (n - 1))
     return DistributionEntry(
@@ -512,8 +499,6 @@ def _selberg_beta(n, alpha, beta):
            (ParamSpec("n", "int", _SELBERG_N),
             ParamSpec("alpha", "float", "alpha > 0")))
 def _selberg_gamma(n, alpha):
-    _require(2 <= n <= SELBERG_MAX_N, _SELBERG_N)
-    _require(alpha > 0, "alpha > 0")
     num, den = [], []
     for j in range(2, n + 1):
         num.append((j - 1, alpha))
@@ -532,7 +517,6 @@ def _selberg_gamma(n, alpha):
            "squared Vandermonde discriminant of n iid standard normals",
            (ParamSpec("n", "int", _SELBERG_N),))
 def _selberg_normal(n):
-    _require(2 <= n <= SELBERG_MAX_N, _SELBERG_N)
     num = [(j, 1) for j in range(2, n + 1)]
     den = [(1, 1)] * (n - 1)
     form = make_form(1, 0, num, den)
@@ -557,7 +541,6 @@ def _symmetric_stable_form(alpha):
            "symmetric stable law, characteristic function exp(-|t|^alpha)",
            (ParamSpec("alpha", "float", "0 < alpha <= 2"),))
 def _symmetric_stable(alpha):
-    _require(0 < alpha <= 2, "0 < alpha <= 2")
     form = _symmetric_stable_form(alpha)
     dens = None
     if alpha == 2.0:
@@ -590,7 +573,6 @@ def _cauchy_product_density_2(x):
 @_register("cauchy_product", "product of k independent standard Cauchy variables",
            (ParamSpec("k", "int", "k >= 1"),))
 def _cauchy_product(k):
-    _require(k >= 1, "k >= 1")
     dens = None
     if k == 1:
         dens = lambda x: 1 / (math.pi * (1 + x * x))
@@ -616,7 +598,8 @@ def _sech_density_2(x):
            "generalized hyperbolic secant law at integer time t (MGF kind)",
            (ParamSpec("t", "float", "positive integer"),))
 def _hyperbolic_secant(t):
-    if not (t > 0 and float(t).is_integer()):
+    _require(t > 0, "positive integer")
+    if not float(t).is_integer():
         raise UnrepresentableError(
             "the characteristic function cosh^-t has no meromorphic "
             f"extension for non-integer t = {t}")
@@ -641,14 +624,12 @@ def _hyperbolic_secant(t):
 @_register("lamperti", "ratio of two independent one-sided stable variables",
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _lamperti(alpha):
-    _require(0 < alpha < 1, "0 < alpha < 1")
     return _kotz_ostrovskii(alpha, 1.0)
 
 
 @_register("lamperti_power", "Lamperti ratio raised to its own index",
            (ParamSpec("alpha", "float", "0 < alpha < 1"),))
 def _lamperti_power(alpha):
-    _require(0 < alpha < 1, "0 < alpha < 1")
     form = make_form(1, 0, [(1, 1), (-1, 1)], [(alpha, 1), (-alpha, 1)])
     sin_a, cos_a = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
     dens = (lambda x: sin_a / (math.pi * alpha)
@@ -666,7 +647,6 @@ def _lamperti_power(alpha):
            (ParamSpec("alpha", "float", "0 < alpha < beta"),
             ParamSpec("beta", "float", "alpha < beta <= 2")))
 def _kotz_ostrovskii(alpha, beta):
-    _require(0 < alpha < beta <= 2, "0 < alpha < beta <= 2")
     form = make_form(1, 0, [(1 / alpha, 1), (-1 / alpha, 1)],
                      [(1 / beta, 1), (-1 / beta, 1)])
     g = alpha / beta
@@ -688,8 +668,6 @@ def _kotz_ostrovskii(alpha, beta):
            (ParamSpec("alpha", "float", "0 < alpha < 1"),
             ParamSpec("theta", "float", "theta > -alpha")))
 def _tilted_stable(alpha, theta):
-    _require(0 < alpha < 1, "0 < alpha < 1")
-    _require(theta > -alpha, "theta > -alpha")
     const = gamma_real(1 + theta) / gamma_real(1 + theta / alpha)
     form = make_form(const, 0, [(-1 / alpha, (alpha + theta) / alpha)],
                      [(-1, 1 + theta)])
@@ -704,7 +682,6 @@ def _tilted_stable(alpha, theta):
 @_register("gen_exponential", "generalized exponential law with density ~ exp(-x^beta)",
            (ParamSpec("beta", "float", "beta > 0"),))
 def _gen_exponential(beta):
-    _require(beta > 0, "beta > 0")
     form = make_form(1, 0, [(1 / beta, 1 / beta)])  # 1/beta = 0 raises here
     gb = gamma_real(1 / beta)
     form = GammaTypeForm(1.0 / gb, form.log_scale, form.num, form.den)
@@ -722,7 +699,6 @@ def _gen_exponential(beta):
 @_register("linnik", "Linnik distribution, characteristic function 1/(1+|t|^alpha)",
            (ParamSpec("alpha", "float", "0 < alpha <= 2"),))
 def _linnik(alpha):
-    _require(0 < alpha <= 2, "0 < alpha <= 2")
     form = make_form(1 / math.sqrt(math.pi), math.log(2),
                      [(Fraction(1, 2), 0.5), (1 / alpha, 1), (-1 / alpha, 1)],
                      [(Fraction(-1, 2), 1)])
@@ -756,7 +732,8 @@ def _definition(name: str) -> _EntryDef:
 def build(name: str, params: dict | None = None) -> DistributionEntry:
     """Construct a catalog entry, validating the parameter constraints.
 
-    The entry's params are the coerced values, in ParamSpec order.
+    The entry's params are the coerced values, in ParamSpec order; the first
+    constraint false of them is the ParameterError's condition.
     UnknownEntryError if no entry has the name.
     """
     d = _definition(name)
@@ -771,6 +748,13 @@ def build(name: str, params: dict | None = None) -> DistributionEntry:
         raise ParameterError(name, f"missing parameter(s) {sorted(missing)}")
     try:
         kwargs = {p.name: p.coerce(params[p.name]) for p in d.params}
+        for p in d.params:  # a condition in words is its factory's to check
+            try:
+                holds = eval(p.constraint, {"__builtins__": {}}, kwargs)
+            except SyntaxError:
+                holds = True
+            if not holds:
+                raise ParameterError(None, p.constraint)
         entry = d.factory(**kwargs)
     except ParameterError as exc:
         raise ParameterError(name, exc.condition) from None

@@ -75,18 +75,24 @@ def _fsum(terms) -> float:
         return sum(terms)
 
 
-def _as_slope(a) -> Fraction:
-    """Coerce a slope to an exact Fraction.
+def _as_slope(a, what: str) -> Fraction:
+    """Coerce a nonzero slope, named what in errors, to an exact Fraction.
 
     An integer is exact; any other real becomes the nearest fraction with
     denominator at most 10**12, so 1/1.234 is 500/617 wherever it is
     written.  Pass a Fraction for an exact slope beyond that.
     """
     if isinstance(a, Fraction):
-        return a
-    if type(a) is int or type(a) is not float and isinstance(a, Integral):
-        return Fraction(integer(a, "slope"))
-    return Fraction(real(a, "slope")).limit_denominator(10 ** 12)
+        slope = a
+    elif type(a) is int or type(a) is not float and isinstance(a, Integral):
+        slope = Fraction(integer(a, "slope"))
+    else:
+        slope = Fraction(real(a, "slope")).limit_denominator(10 ** 12)
+    if not slope:  # a nonzero float below 5e-13 too
+        raise ValidationError(f"{what} must be nonzero" if not a else (
+            f"{what} {float(a)!r} is nonzero but rounds to 0 at the slope "
+            f"resolution 1e-12 (denominators <= 10**12)"))
+    return slope
 
 
 _set = object.__setattr__
@@ -99,9 +105,8 @@ class GammaFactor(Record):
     _fields = ("slope", "offset")
 
     def __init__(self, slope: Fraction, offset: float):
-        slope, offset = _as_slope(slope), real(offset, "factor offset")
-        if slope.numerator == 0:
-            raise ValidationError("factor slope must be nonzero")
+        slope = _as_slope(slope, "factor slope")
+        offset = real(offset, "factor offset")
         # |slope| > MAX_SLOPE in integers: a Fraction-float comparison
         # costs most of the constructor
         if abs(slope.numerator) > _MAX_SLOPE_INT * slope.denominator:
@@ -268,7 +273,8 @@ def _walk(factors, direction: int):
     that run on forever remain, and the sums repeat with the lcm of the
     spacings of the classes (see _classes) that do not cancel, so the walk
     ends one such period past the first location beyond t0, or there if
-    every class cancels.  Past VISIT_BUDGET visits it raises.
+    every class cancels, or at the next location once no num progression is
+    left, as every later one is a zero.  Past VISIT_BUDGET visits it raises.
     """
     heap, starts, endless = [], [], []
     for i, (f, count) in enumerate(factors):
@@ -283,6 +289,7 @@ def _walk(factors, direction: int):
         if n >= 0:
             heap.append(((-n - b) / a, n, step, a, b, count, i))
     heapq.heapify(heap)
+    positive = sum(p[5] > 0 for p in heap)  # num progressions left
     t0 = max(starts, default=0.0)
     end, visits = None, 0  # end is set once the walk passes t0
     while heap and (end is None or heap[0][0] < end):
@@ -297,12 +304,16 @@ def _walk(factors, direction: int):
         net = sum(p[5] for p in here)
         if net:
             yield min(direction * u for u, *_ in here), net, here
+        if not positive:
+            return
         if end is None and t > t0:
             end = t + _tail_period(endless)
         for _, n, step, a, b, count, i in here:
             if n + step >= 0:
                 heapq.heappush(heap, ((-n - step - b) / a, n + step, step,
                                       a, b, count, i))
+            elif count > 0:
+                positive -= 1
 
 
 def _past_zero(factors) -> tuple[int, list]:
@@ -360,7 +371,7 @@ class GammaTypeForm(Record):
     """C exp(l s) prod Gamma(num) / prod Gamma(den), num and den of
     GammaFactors or (slope, offset) pairs; every argument is checked."""
 
-    # no __slots__: _poles and _profile are cached in the instance __dict__
+    # no __slots__: cached properties live in the instance __dict__
     _fields = ("constant", "log_scale", "num", "den")
 
     def __init__(self, constant: float, log_scale: float,
@@ -385,9 +396,7 @@ class GammaTypeForm(Record):
 
     def power(self, r) -> "GammaTypeForm":
         """Moments of X^r: the reparametrization s -> r*s."""
-        rf, r = real(r, "power exponent"), _as_slope(r)
-        if r == 0:
-            raise ValidationError("power exponent must be nonzero")
+        rf, r = real(r, "power exponent"), _as_slope(r, "power exponent")
         return GammaTypeForm(
             self.constant,
             self.log_scale * rf,
@@ -443,25 +452,25 @@ class GammaTypeForm(Record):
     # ------------------------------------------------------------- evaluation
 
     def evaluate_log(self, s: complex) -> complex:
-        """log F(s) as the log-space sum (principal branch per factor).
+        """log F(s) as the log-space sum over the net factors (principal
+        branch per factor).
 
-        Raises PoleError at numerator poles; returns -inf (as a real part)
-        at denominator poles, where F is exactly zero.
+        Raises PoleError at net numerator poles; returns -inf (as a real
+        part) at net denominator poles, where F is exactly zero.
         """
         s = number(s, "s")
         total = complex(math.log(self.constant) + self.log_scale * s.real,
                         self.log_scale * s.imag)
-        for f in self.num:
+        for f, count in self._net_factors:
             try:
-                total += log_gamma(f.float_slope * s + f.offset)
+                term = log_gamma(f.float_slope * s + f.offset)
             except PoleError:
+                if count < 0:
+                    return complex(-math.inf, 0.0)
                 raise PoleError(s, f"numerator factor Gamma({f.slope}*s + {f.offset}) "
                                    f"has a pole at s = {s}")
-        for f in self.den:
-            try:
-                total -= log_gamma(f.float_slope * s + f.offset)
-            except PoleError:
-                return complex(-math.inf, 0.0)
+            # each part apart: count * term would turn inf * 0 into nan
+            total += complex(count * term.real, count * term.imag)
         return total
 
     def evaluate(self, s: complex) -> complex:
@@ -481,12 +490,16 @@ class GammaTypeForm(Record):
     # ------------------------------------------------------ poles and profile
 
     @cached_property
-    def _poles(self) -> tuple[AnalyticityStrip, float | None, list, tuple]:
-        """The strip, the zero nearest 0 in it, the (factor, count) pairs _net
-        leaves and the left edge location (see _edge_and_zero), walked once
-        per form for strip(), the consistency check and _residue_at."""
-        factors = _net(self.num, self.den)
-        at_zero, (left, right) = _past_zero(factors)
+    def _net_factors(self) -> list:
+        """_net(num, den), which every computation on the form reads."""
+        return _net(self.num, self.den)
+
+    @cached_property
+    def _poles(self) -> tuple[AnalyticityStrip, float | None, tuple]:
+        """The strip, the zero nearest 0 in it and the left edge location
+        (see _edge_and_zero), walked once per form for strip(), the
+        consistency check and _residue_at."""
+        at_zero, (left, right) = _past_zero(self._net_factors)
         if at_zero > 0:
             raise InvalidFormError("net Gamma pole at s = 0")
         (lo, neg), (hi, pos) = (_edge_and_zero(left, -1),
@@ -495,7 +508,7 @@ class GammaTypeForm(Record):
         # wins only if nearer by more than the location tolerance
         nearest = 0.0 if at_zero < 0 else neg if _merges(pos, -neg) else pos
         return (AnalyticityStrip(lo[0], hi[0]),
-                None if math.isinf(nearest) else nearest, factors, lo)
+                None if math.isinf(nearest) else nearest, lo)
 
     def strip(self) -> AnalyticityStrip:
         """Maximal open strip around 0 free of net numerator poles.
@@ -523,13 +536,13 @@ class GammaTypeForm(Record):
         multiple pole there, else the product of (-1)^n / (n! a) for each
         pole there, a s + b = -n, and Gamma(a s0 + b) of every other factor.
         """
-        _, _, factors, (_, net, poles) = self._poles
+        _, net, poles = self._poles[2]
         start = poles[0][0] if poles else math.inf
         if not _merges(min(start, -s0), max(start, -s0)):
             return 0.0 if start > -s0 else math.inf
         index = {i: n for _, n, *_, i in poles}
         res = self.constant * math.exp(self.log_scale * s0)
-        for i, (f, count) in enumerate(factors):
+        for i, (f, count) in enumerate(self._net_factors):
             a, n = f.float_slope, index.get(i)
             res *= _power(gamma_real(a * s0 + f.offset) if n is None
                           else (-1) ** n / (math.factorial(n) * a), count)
@@ -544,11 +557,11 @@ class GammaTypeForm(Record):
     @cached_property
     def _profile(self) -> AsymptoticProfile:
         """asymptotic_profile(), computed once per form."""
-        factors = [(f, 1) for f in self.num] + [(f, -1) for f in self.den]
+        factors = self._net_factors
         delta, kappa, log_c1, _ = _stirling(math.log(self.constant),
                                             self.log_scale, factors)
-        gamma = sum(sign * abs(f.slope) for f, sign in factors)
-        gamma_prime = sum(sign * f.slope for f, sign in factors)
+        gamma = sum(count * abs(f.slope) for f, count in factors)
+        gamma_prime = sum(count * f.slope for f, count in factors)
         return AsymptoticProfile(float(gamma), float(gamma_prime), delta,
                                  kappa, exp_or_inf(log_c1))
 

@@ -194,6 +194,65 @@ def test_integer_params_enforced():
             catalog.build("max_exp", {"n": n})
 
 
+def _compiles(text):
+    try:
+        compile(text, "<constraint>", "eval")
+    except SyntaxError:
+        return False
+    return True
+
+
+# one parameter set per entry whose conditions are expressions, and the
+# first of its ParamSpec conditions that the set violates
+VIOLATIONS = {
+    "gamma": ({"a": 0.0}, "a > 0"),
+    "beta": ({"a": 0.0, "b": 1.0}, "a > 0"),
+    "positive_stable": ({"alpha": 1.0}, "0 < alpha < 1"),
+    "type2_beta": ({"alpha": 1.0, "beta": -1.0}, "beta > 0"),
+    "stirling_blocks": ({"k": 1}, "k >= 2"),
+    "ball_distance": ({"n": 3, "a": 0.0}, "a > 0"),
+    "pref_attach": ({"alpha": 0.25}, "alpha >= 1/2"),
+    "max_exp": ({"n": 0}, "n >= 1"),
+    "mth_max_exp": ({"n": 3, "m": 4}, "1 <= m <= n"),
+    "mth_gumbel": ({"m": 0}, "m >= 1"),
+    "selberg_beta": ({"n": 3, "alpha": 1.0, "beta": 0.0}, "beta > 0"),
+    "selberg_gamma": ({"n": 1, "alpha": 1.0}, "2 <= n <= 100000"),
+    "selberg_normal": ({"n": 100001}, "2 <= n <= 100000"),
+    "symmetric_stable": ({"alpha": 2.5}, "0 < alpha <= 2"),
+    "cauchy_product": ({"k": 0}, "k >= 1"),
+    "lamperti": ({"alpha": 0.0}, "0 < alpha < 1"),
+    "lamperti_power": ({"alpha": 1.5}, "0 < alpha < 1"),
+    "kotz_ostrovskii": ({"alpha": 0.5, "beta": 2.5}, "alpha < beta <= 2"),
+    "tilted_stable": ({"alpha": 0.5, "theta": -0.5}, "theta > -alpha"),
+    "gen_exponential": ({"beta": 0.0}, "beta > 0"),
+    "linnik": ({"alpha": 0.0}, "0 < alpha <= 2"),
+}
+
+
+def test_violation_table_covers_every_condition_build_checks():
+    assert set(VIOLATIONS) == {
+        name for name, specs in SCHEMA.items()
+        if specs and all(_compiles(p["constraint"]) for p in specs)}
+
+
+@pytest.mark.parametrize("name", VIOLATIONS)
+def test_build_names_the_first_condition_that_fails(name):
+    params, condition = VIOLATIONS[name]
+    assert condition in [p["constraint"] for p in SCHEMA[name]]
+    with pytest.raises(ParameterError) as info:
+        catalog.build(name, params)
+    assert info.value.condition == condition
+    assert str(info.value) == f"{name}: violated condition: {condition}"
+
+
+def test_only_two_conditions_are_words():
+    # their factories check them; a typo that stops an expression
+    # compiling would move its entry here
+    assert {name for name, specs in SCHEMA.items()
+            for p in specs if not _compiles(p["constraint"])} == {
+        "beta_product", "hyperbolic_secant"}
+
+
 @pytest.mark.parametrize("name, params", [
     ("beta", {"a": 1e300, "b": 1e300}),
     ("beta", {"a": 1e-300, "b": 1e300}),
@@ -218,6 +277,13 @@ def test_pref_attach_needs_alpha_at_least_half():
 def test_hyperbolic_secant_non_integer_time():
     with pytest.raises(UnrepresentableError):
         catalog.build("hyperbolic_secant", {"t": 1.5})
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, -1.5])
+def test_hyperbolic_secant_needs_positive_time(t):
+    with pytest.raises(ParameterError) as info:
+        catalog.build("hyperbolic_secant", {"t": t})
+    assert info.value.condition == "positive integer"
 
 
 def test_density_closed_form_api():

@@ -36,6 +36,18 @@ def test_rejects_zero_slope():
         make_form(1, 0, [(4e-13, 1)])
 
 
+@pytest.mark.parametrize("build_it", [
+    lambda: make_form(1, 0, [(1e-300, 1)]),
+    lambda: rayleigh_form().power(1e-300),
+], ids=["factor", "power"])
+def test_a_tiny_slope_is_named_with_the_resolution_it_falls_below(build_it):
+    with pytest.raises(ValidationError) as info:
+        build_it()
+    message = str(info.value)
+    assert "1e-300" in message and "10**12" in message
+    assert "must be nonzero" not in message
+
+
 def test_float_slopes_follow_one_rule():
     # a float slope is the nearest fraction with denominator <= 10**12,
     # wherever it is written: power(1/alpha) meets the catalog's 1/alpha
@@ -175,6 +187,27 @@ def test_evaluate_pole_and_zero():
     assert form.evaluate(-3.0) == 0.0
 
 
+def test_a_factor_cancelled_by_the_denominator_has_no_pole():
+    # Gamma(s+1) Gamma(s+2) / Gamma(s+1) is Gamma(s+2), 1 at s = -1
+    form = make_form(1, 0, [(1, 1), (1, 2)], [(1, 1)])
+    assert form.evaluate(-1) == 1.0
+
+
+def test_a_repeated_factor_is_evaluated_once(monkeypatch):
+    # cauchy_product(20) holds each of its two factors 20 times
+    form = build("cauchy_product", {"k": 20}).form
+    calls = []
+    log_gamma = forms.log_gamma
+
+    def spy(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(forms, "log_gamma", spy)
+    form.evaluate(0.3 + 1j)
+    assert len(calls) == 2
+
+
 # --------------------------------------------------------------------- strip
 
 def test_strip_simple():
@@ -227,6 +260,16 @@ def test_a_repeated_factor_is_walked_once(monkeypatch):
     assert strip == AnalyticityStrip(-1.0, 1.0)
 
 
+def test_a_side_without_numerator_poles_ends_at_its_first_zero(monkeypatch):
+    # on s > 0 only the denominator's poles lie, 1e6 of them: s = 0.7 is a
+    # zero and the strip runs to inf without walking the rest
+    monkeypatch.setattr("gammatype.forms.VISIT_BUDGET", 50)
+    form = make_form(1, 0, [(1, 1)], [(1, -1e6 + 0.3)])
+    assert form.strip() == AnalyticityStrip(-1.0, math.inf)
+    report = form.check_positive_consistency()
+    assert report.zero_location == pytest.approx(-0.3, abs=1e-9)
+
+
 def test_residues_past_the_float_range_saturate():
     # Gamma(171)^2 is past the float range, as is the product of its two
     # factors Gamma(171)
@@ -249,8 +292,14 @@ def test_period_beyond_the_float_range_exceeds_the_visit_budget():
     # denominator repeat with a period of about 3e349
     slopes = [Fraction(10 ** 12 + 3 * k, 10 ** 12 + 39 + 6 * k)
               for k in range(30)]
+    zeros = [(a, 1) for a in slopes]
+    # the Gauss pair Gamma(2s+1) / (Gamma(s+1/2) Gamma(s+1)) = 4^s / sqrt(pi)
+    # adds numerator poles on s < 0 that its denominator cancels
     with pytest.raises(UndecidedStripError):
-        make_form(1, 0, [], [(a, 1) for a in slopes]).strip()
+        make_form(1, 0, [(2, 1)], [(1, 0.5), (1, 1)] + zeros).strip()
+    # without numerator poles each side ends at its first zero
+    assert make_form(1, 0, [], zeros).strip() == AnalyticityStrip(
+        -math.inf, math.inf)
 
 
 def test_entire_form_equals_its_expansion_near_zero(monkeypatch):
