@@ -41,10 +41,8 @@ _SELBERG_N = f"2 <= n <= {SELBERG_MAX_N}"
 
 
 class Support(Record):
-    # the hull of the support; symmetric: the density lives on all of R, the
-    # form is E|X|^s
-    __slots__ = _fields = ("lo", "hi", "symmetric")
-    _defaults = (False,)
+    # the hull of the support
+    __slots__ = _fields = ("lo", "hi")
 
 
 class ParamSpec(Record):
@@ -84,7 +82,7 @@ class DistributionEntry(Record):
         hi = prof.kappa if bounded and strip.rho_plus == _INF else _INF
         if self.kind == "mellin":
             lo, hi = exp_or_inf(lo), exp_or_inf(hi)
-        return Support(-hi, hi, True) if self.symmetric else Support(lo, hi)
+        return Support(-hi, hi) if self.symmetric else Support(lo, hi)
 
     def replace(self, **changes):
         """A copy with the named fields changed and the others kept."""
@@ -559,15 +557,14 @@ def _symmetric_stable(alpha):
 
 
 def _cauchy_product_density_2(x):
-    # 2 log|x| / (pi^2 (x^2 - 1)), removable singularity at |x| = 1
+    # 2 log|x| / (pi^2 (x^2 - 1)), removable singularity at |x| = 1, where
+    # ax - 1 is exact (Sterbenz) and x^2 - 1 would cancel
     ax = abs(x)
     if ax == 0.0:
         return math.inf
-    if abs(ax - 1.0) < 1e-7:
-        u = ax - 1.0
-        # log(1+u)/((1+u)^2-1) = 1/2 - 3u/4 + ...
-        return 2 / math.pi ** 2 * (0.5 - 0.75 * u)
-    return 2 * math.log(ax) / (math.pi ** 2 * (x * x - 1))
+    if ax == 1.0:
+        return 1 / math.pi ** 2
+    return 2 * math.log(ax) / (math.pi ** 2 * (ax - 1) * (ax + 1))
 
 
 @_register("cauchy_product", "product of k independent standard Cauchy variables",
@@ -590,8 +587,9 @@ def _sech_density_2(x):
     ax = abs(x)
     if ax < 1e-8:
         return 1 / math.pi  # limit of x / (2 sinh(pi x / 2))
-    # x / (2 sinh(pi x / 2)) written overflow-safely for large |x|
-    return ax * math.exp(-math.pi * ax / 2) / (1 - math.exp(-math.pi * ax))
+    # x / (2 sinh(pi x / 2)) written overflow-safely for large |x|, and
+    # without cancellation for small |x|
+    return ax * math.exp(-math.pi * ax / 2) / -math.expm1(-math.pi * ax)
 
 
 @_register("hyperbolic_secant",

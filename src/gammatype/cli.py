@@ -187,7 +187,7 @@ def _cmd_profile(args, entry):
     payload = {
         "name": args.name,
         "rho_minus": strip.rho_minus, "rho_plus": strip.rho_plus,
-        "gamma": float(prof.gamma), "gamma_prime": float(prof.gamma_prime),
+        "gamma": prof.gamma, "gamma_prime": prof.gamma_prime,
         "delta": prof.delta, "kappa": prof.kappa, "c1": prof.c1,
     }
     return payload, f"{args.name}: gamma={payload['gamma']}", True

@@ -36,10 +36,10 @@ class UndecidedStripError(GammaTypeError):
 class ParameterError(GammaTypeError, ValueError):
     """Distribution parameters violate the entry's existence conditions."""
 
-    def __init__(self, entry, condition, message=None):
+    def __init__(self, entry, condition):
         self.entry = entry
         self.condition = condition
-        super().__init__(message or f"{entry}: violated condition: {condition}")
+        super().__init__(f"{entry}: violated condition: {condition}")
 
 
 class UnknownEntryError(GammaTypeError, KeyError):

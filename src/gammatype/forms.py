@@ -34,7 +34,7 @@ from .errors import (
     real,
 )
 from .record import Record
-from .specfun import exp_or_inf, gamma_real, log_gamma
+from .specfun import OVERFLOW_EXPONENT, exp_or_inf, gamma_real, log_gamma
 
 __all__ = [
     "GammaFactor",
@@ -52,8 +52,7 @@ OFFSET_TOL = 1e-12
 # above this |slope| poles near s = 0 lie closer than 2 * OFFSET_TOL and
 # the walk would merge them; past |s| = 70 its merge radius is 64 eps |s|
 # (see _merges), so there the resolvable |slope| falls as 1 / |s|
-MAX_SLOPE = 1 / (2 * OFFSET_TOL)
-_MAX_SLOPE_INT = 500_000_000_000  # MAX_SLOPE exactly, for exact comparison
+MAX_SLOPE = round(1 / (2 * OFFSET_TOL))  # an int, for exact comparison
 
 # moments_equal compares the exponent alpha s + beta of F/G with 0 within
 # this, absolutely, in alpha, Re beta and Im beta (modulo 2 pi)
@@ -101,7 +100,7 @@ _set = object.__setattr__
 class GammaFactor(Record):
     """One factor Gamma(slope * s + offset); float_slope = float(slope)."""
 
-    __slots__ = ("slope", "offset", "float_slope")
+    __slots__ = ("slope", "offset", "float_slope", "_hash")
     _fields = ("slope", "offset")
 
     def __init__(self, slope: Fraction, offset: float):
@@ -109,12 +108,17 @@ class GammaFactor(Record):
         offset = real(offset, "factor offset")
         # |slope| > MAX_SLOPE in integers: a Fraction-float comparison
         # costs most of the constructor
-        if abs(slope.numerator) > _MAX_SLOPE_INT * slope.denominator:
+        if abs(slope.numerator) > MAX_SLOPE * slope.denominator:
             raise ValidationError(f"|slope| {float(slope)!r} above "
                                   f"{MAX_SLOPE:g}: poles too close to resolve")
         _set(self, "slope", slope)
         _set(self, "offset", offset)
         _set(self, "float_slope", float(slope))
+        # the record's hash, once: Fraction.__hash__ is slow
+        _set(self, "_hash", hash((slope, offset)))
+
+    def __hash__(self):
+        return self._hash
 
 
 class AnalyticityStrip(Record):
@@ -437,7 +441,7 @@ class GammaTypeForm(Record):
         f, sign = factors[index], 1 if side == "num" else -1
         log_c = math.log(self.constant) + sign * (
             0.5 * (1 - m) * math.log(_TWO_PI) + (f.offset - 0.5) * math.log(m))
-        if log_c > math.log(sys.float_info.max):
+        if log_c > OVERFLOW_EXPONENT:
             raise ValidationError(f"expanded constant exp({log_c!r}) is past "
                                   f"the float range")
         constant = _constant(math.exp(log_c))  # before the m pieces are built

@@ -49,16 +49,15 @@ def _resolve_abscissa(strip: AnalyticityStrip, kind: str,
 
 def _truncation(form: GammaTypeForm, c: float) -> float:
     prof = form.asymptotic_profile()
-    gamma = float(prof.gamma)
-    if gamma <= 0:
+    if prof.gamma <= 0:
         raise InversionError(
             "no vertical decay (gamma <= 0); inversion unsupported")
     # |F(c+it)| ~ C1' t^p e^{-pi gamma t / 2}; T brings it to TARGET / 10
-    p = float(prof.gamma_prime) * c + prof.delta
+    p = prof.gamma_prime * c + prof.delta
     log_ratio = math.log(max(prof.c1, 1e-300) / (0.1 * TARGET))
     t = 50.0
     for _ in range(40):
-        t_new = 2 / (math.pi * gamma) * (log_ratio + (
+        t_new = 2 / (math.pi * prof.gamma) * (log_ratio + (
             p * math.log(max(t, 2.0)) if p > 0 else 0.0))
         t_new = max(t_new, 20.0)
         if abs(t_new - t) < 1e-9:
@@ -117,16 +116,6 @@ def density(form: GammaTypeForm, kind: str, x: float,
     return float(_invert(form, kind, [x], abscissa)[0])
 
 
-def _half_density_at_zero(form: GammaTypeForm) -> float:
-    """Half of lim_{x->0+} f(x), where f is the density of |X| and F = E|X|^s.
-
-    f ~ L x^(-rho-1) near 0 puts the first pole of F at s = rho, so the
-    limit is 0 when that pole lies left of -1, L = Res_{s=-1} F when it is
-    a simple pole at -1, and +inf otherwise.
-    """
-    return 0.5 * form._residue_at(-1.0)
-
-
 def density_table(entry: DistributionEntry, xs,
                   abscissa: float | None = None) -> np.ndarray:
     """Rows (x, f(x)) over the grid, honoring support and symmetry.
@@ -137,17 +126,19 @@ def density_table(entry: DistributionEntry, xs,
     inversion meets fails its node bound.
     """
     xs = np.array([real(x, "x", finite=False) for x in xs])
-    sup = entry.support
     fs = np.zeros(xs.size)
-    if sup.symmetric:
-        inside = xs != 0.0
+    if entry.symmetric:
+        inside, grid, weight = xs != 0.0, np.abs(xs), 0.5
         if not inside.all():
-            fs[~inside] = _half_density_at_zero(entry.form)
-        fs[inside] = 0.5 * _invert(entry.form, entry.kind,
-                                   np.abs(xs[inside]), abscissa)
+            # f ~ L x^(-rho-1) near 0 puts the first pole of F = E|X|^s at
+            # s = rho, so lim_{x->0+} f(x) is 0 when that pole lies left of
+            # -1, L = Res_{s=-1} F when it is a simple pole at -1, else +inf
+            fs[~inside] = 0.5 * entry.form._residue_at(-1.0)
     else:
-        inside = (sup.lo < xs) & (xs < sup.hi)
-        fs[inside] = _invert(entry.form, entry.kind, xs[inside], abscissa)
+        sup = entry.support
+        inside, grid, weight = (sup.lo < xs) & (xs < sup.hi), xs, 1.0
+    fs[inside] = weight * _invert(entry.form, entry.kind, grid[inside],
+                                  abscissa)
     return np.column_stack((xs, fs))
 
 
@@ -164,10 +155,10 @@ def check_normalization(entry: DistributionEntry) -> float:
     """Trapezoid integral of the inverted density over a covering grid,
     along the mid-strip contour."""
     hi = _grid_upper(entry)
-    if entry.support.symmetric or entry.support.lo == -math.inf:
+    lo = entry.support.lo
+    if lo == -math.inf:
         xs = np.linspace(-hi, hi, NORMALIZATION_POINTS)
     else:
-        lo = entry.support.lo
         xs = np.linspace(lo + (hi - lo) * 1e-6, hi, NORMALIZATION_POINTS)
     table = density_table(entry, xs)
     return float(np.trapezoid(table[:, 1], table[:, 0]))

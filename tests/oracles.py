@@ -74,7 +74,7 @@ def moment_by_quadrature(entry, s: float) -> float:
                 return 0.0
             log_val = s * x + math.log(f)
             return math.exp(log_val) if log_val > -745.0 else 0.0
-    elif entry.support.symmetric:
+    elif entry.symmetric:
         integrand = lambda x: 2 * abs(x) ** s * entry.density(x)
         lo = 0.0
     else:

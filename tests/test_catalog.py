@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gammatype import catalog
+from gammatype import catalog, recipes as rc
 from gammatype.stochastics import sample
 from gammatype.errors import (
     GammaTypeError, ParameterError, UnknownEntryError, UnrepresentableError,
@@ -101,8 +102,8 @@ SYMMETRIC = {"average_ise", "symmetric_stable", "cauchy_product", "linnik"}
 def test_support_is_the_hull_the_form_gives(name, params):
     entry = catalog.build(name, params)
     support = entry.support
-    assert support.symmetric is (name in SYMMETRIC)
-    positive = entry.kind == "mellin" and not support.symmetric
+    assert entry.symmetric is (name in SYMMETRIC)
+    positive = entry.kind == "mellin" and not entry.symmetric
     lo, hi = BOUNDED_HULLS.get(name, (0, INF) if positive else (-INF, INF))
     assert support.lo == lo
     assert support.hi == pytest.approx(hi, rel=1e-15, abs=0)
@@ -118,7 +119,7 @@ def _density_cases():
 @pytest.mark.parametrize("name,entry", _density_cases())
 def test_closed_form_density_normalizes(name, entry):
     lo, hi = entry.support.lo, entry.support.hi
-    if entry.support.symmetric or lo == -INF:
+    if entry.symmetric or lo == -INF:
         total, _ = quad(entry.density, -INF, INF, limit=400)
     else:
         total, _ = quad(entry.density, lo, hi, limit=400)
@@ -293,6 +294,45 @@ def test_density_closed_form_api():
     assert ise.density is None
 
 
+def test_closed_form_densities_vanish_off_the_support():
+    stable = catalog.build("positive_stable", {"alpha": 0.5}).density
+    ball = catalog.build("ball_distance", {"n": 3, "a": 0.5}).density
+    assert [stable(x) for x in (0.0, -1.0)] == [0.0, 0.0]
+    assert [ball(x) for x in (-1.0, 0.0, 1.0, 2.0)] == [0.0] * 4  # 2a = 1
+
+
+def _cauchy_product_2(x):
+    x = abs(mp.mpf(x))
+    if x == 1:
+        return 1 / mp.pi ** 2
+    return 2 * mp.log(x) / (mp.pi ** 2 * (x * x - 1))
+
+
+def _sech_2(x):
+    x = mp.mpf(x)
+    return 1 / mp.pi if x == 0 else x / (2 * mp.sinh(mp.pi * x / 2))
+
+
+# the closed forms with a removable point, and their 50-digit values
+REMOVABLE = {"cauchy_product": ({"k": 2}, _cauchy_product_2),
+             "hyperbolic_secant": ({"t": 2}, _sech_2)}
+
+
+# near its removable point x^2 - 1 or 1 - e^(-pi x) cancels
+@pytest.mark.parametrize("name, x", [
+    *(("cauchy_product", x)
+      for x in (1 + 5e-8, 1 - 5e-8, 1 + 9.9e-8, -1 - 5e-8, 0.0, 1.0, -1.0)),
+    *(("hyperbolic_secant", x)
+      for x in (2e-8, 1e-7, -1e-7, 1e-9, 0.0, 1.0, -1.0)),
+])
+def test_closed_form_density_near_a_removable_point(name, x):
+    params, exact = REMOVABLE[name]
+    with mp.workdps(50):
+        want = float(exact(x))
+    got = catalog.build(name, params).density(x)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
 # --------------------------------------------------------- beta product rules
 
 def test_beta_product_degenerate_reduces_to_beta():
@@ -300,6 +340,18 @@ def test_beta_product_degenerate_reduces_to_beta():
                                            "c": 1.5, "d": 2.5})
     plain = catalog.build("beta", {"a": 1.5, "b": 2.5})
     assert moments_equal(entry.form, plain.form)
+
+
+@pytest.mark.parametrize("params, a, b", [
+    ({"a": 2.0, "b": 3.0, "c": 1.5, "d": 0.0}, 2.0, 3.0),  # d = 0
+    ({"a": 1.0, "b": 2.5, "c": 3.5, "d": 0.25}, 1.0, 2.75),  # a + b = c
+    ({"a": 3.5, "b": 0.25, "c": 1.5, "d": 2.0}, 1.5, 2.25),  # c + d = a
+])
+def test_beta_product_degenerate_cases_are_beta_laws(params, a, b):
+    entry = catalog.build("beta_product", params)
+    plain = catalog.build("beta", {"a": a, "b": b})
+    assert moments_equal(entry.form, plain.form)
+    assert entry.recipe == rc.beta(a, b)
 
 
 def test_beta_product_point_mass_case():

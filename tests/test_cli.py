@@ -695,3 +695,12 @@ def test_sampling_names_resolve_after_bare_import():
         "mc_moment", "mc_moment", "density", "density",
         "stochastics", "gammatype.stochastics", "mellin", "gammatype.mellin",
         "recipes", "gammatype.recipes", "1000"]
+
+
+def test_lazy_names_resolve_in_process():
+    # the package's __getattr__, called as attribute access would call it
+    # before the submodule is loaded
+    assert gammatype.__getattr__("density_table") is mellin.density_table
+    assert gammatype.__getattr__("stochastics") is stochastics
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        gammatype.nope

@@ -262,7 +262,7 @@ def _rounding_bound(entry, xs):
     scaling of x."""
     form, mgf, support = entry.form, entry.kind == "mgf", entry.support
     xs = np.array(xs)
-    assert not support.symmetric
+    assert not entry.symmetric
     assert support.lo < xs.min() and xs.max() < support.hi
     strip = form.strip()
     c = mellin._resolve_abscissa(strip, entry.kind, None)

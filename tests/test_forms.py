@@ -143,12 +143,16 @@ def test_make_form_names_the_value_it_cannot_take(args, bad):
      "positive real of at least 2.2250738585072014e-308, got 0.0"),
     (lambda f: f.scale(10 ** 5000),
      "scale factor must be a finite real, got an integer of 16610 bits"),
+    (lambda f: f.expand_multiplication(0, 2, "middle"),
+     "side must be 'num' or 'den'"),
+    (lambda f: f.expand_multiplication(1, 2), "no num factor with index 1"),
 ], ids=["power", "scale", "expand-multiplication", "evaluate", "power-bool",
         "scale-bool", "scale-huge-int", "evaluate-str", "evaluate-bool",
         "expand-multiplication-past-visit-budget",
         "expand-multiplication-overflow", "expand-multiplication-subnormal",
         "expand-multiplication-underflow",
-        "scale-int-past-repr"])
+        "scale-int-past-repr", "expand-multiplication-side",
+        "expand-multiplication-index"])
 def test_form_operations_name_the_value_they_cannot_take(call, bad):
     with pytest.raises(ValidationError, match=bad):
         call(make_form(1, 0, [(1, 1)]))
@@ -159,6 +163,18 @@ def test_an_underflowing_expansion_builds_no_piece(monkeypatch):
     monkeypatch.setattr(forms, "GammaFactor", None)  # a piece would fail
     with pytest.raises(ValidationError, match="got 0.0"):
         form.expand_multiplication(0, VISIT_BUDGET)
+
+
+def test_strip_hashes_no_fraction(monkeypatch):
+    # a factor's hash is computed once, when it is built, so the walk of
+    # a form with many factors calls Fraction.__hash__ no more
+    form = build("selberg_beta", {"n": 50, "alpha": 1.0, "beta": 1.0}).form
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda q: calls.append(q) or fraction_hash(q))
+    form.strip()
+    assert calls == []
 
 
 def test_raw_pairs_build_a_checked_form():
@@ -441,8 +457,10 @@ def test_every_catalog_form_round_trips_through_json(name, params):
      "['x', 1, 0.5]"),
     ({"constant": "2", "log_scale": 0, "num": [], "den": []}, "'2'"),
     ({"constant": 1, "log_scale": True, "num": [], "den": []}, "True"),
+    ({"constant": 1, "log_scale": 0, "num": {}, "den": []},
+     "'num' must be a list of factors, got {}"),
 ], ids=["no-keys", "zero-denominator", "non-numeric", "constant-str",
-        "log-scale-bool"])
+        "log-scale-bool", "num-not-a-list"])
 def test_malformed_form_json_is_a_validation_error(data, named):
     with pytest.raises(ValidationError) as exc:
         GammaTypeForm.from_json_dict(data)
@@ -594,6 +612,13 @@ def test_profile_past_the_float_range_is_inf():
     # the offsets' sum overflows: inf, as a float sum gives, not an error
     prof = make_form(1, 0, [(1, 1e308), (1, 1e308)]).asymptotic_profile()
     assert prof.delta == math.inf
+
+
+def test_profile_sums_that_overflow_midway_are_inf():
+    # two finite terms whose sum overflows: math.fsum raises, and the
+    # float sum gives inf
+    prof = make_form(1, 0, [(2, 1e308), (3, 1e308)]).asymptotic_profile()
+    assert (prof.delta, prof.c1) == (math.inf, math.inf)
 
 
 @settings(max_examples=60, deadline=None)

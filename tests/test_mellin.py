@@ -125,7 +125,7 @@ def _half_epsilon_f(form, eps="1e-25"):
     make_form(1.7, 0.3, [(HALF, 0.5), (3, 3.25)], [(Fraction(1, 3), 0.75)]),
 ])
 def test_density_at_zero_is_half_the_residue_at_minus_one(form):
-    assert mellin._half_density_at_zero(form) == pytest.approx(
+    assert 0.5 * form._residue_at(-1.0) == pytest.approx(
         _half_epsilon_f(form), rel=1e-13)
 
 
@@ -135,7 +135,7 @@ def test_density_at_zero_is_half_the_residue_at_minus_one(form):
     ([(2, 1)], math.inf),  # the left edge at -1/2
 ])
 def test_density_at_zero_off_a_simple_pole_at_minus_one(num, want):
-    assert mellin._half_density_at_zero(make_form(1, 0, num)) == want
+    assert 0.5 * make_form(1, 0, num)._residue_at(-1.0) == want
 
 
 def test_no_decay_is_rejected():
@@ -207,8 +207,8 @@ def test_table_is_the_direct_contour_sum(monkeypatch, name, params, xs):
     values = np.array([value for _, value in calls])
     h = 2 * s[0].imag
     assert np.allclose(s.imag, (np.arange(s.size) + 0.5) * h, rtol=1e-15)
-    half = 0.5 if entry.support.symmetric else 1.0
-    x = np.abs(table[:, 0]) if entry.support.symmetric else table[:, 0]
+    half = 0.5 if entry.symmetric else 1.0
+    x = np.abs(table[:, 0]) if entry.symmetric else table[:, 0]
     inverted = x != 0.0  # a symmetric entry's x = 0 is a residue
     x, got = x[inverted], table[inverted, 1]
     if entry.kind == "mellin":
@@ -252,3 +252,26 @@ def test_outside_support_is_zero():
 def test_normalization_check():
     entry = catalog.build("pref_attach", {"alpha": 1.0})
     assert check_normalization(entry) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("logistic", {}),  # MGF kind
+    ("symmetric_stable", {"alpha": 2.0}),
+    ("average_ise", {}),
+])
+def test_normalization_over_the_whole_line(name, params):
+    entry = catalog.build(name, params)
+    assert entry.support.lo == -math.inf
+    assert check_normalization(entry) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_normalization_on_a_bounded_hull_needs_vertical_decay():
+    entry = catalog.build("beta", {"a": 2.0, "b": 3.0})  # gamma = 0
+    with pytest.raises(InversionError, match="no vertical decay"):
+        check_normalization(entry)
+
+
+def test_unknown_kind_is_refused():
+    form = catalog.build("rayleigh", {}).form
+    with pytest.raises(ValidationError, match="unknown kind 'cdf'"):
+        density(form, "cdf", 1.0)

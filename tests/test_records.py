@@ -34,7 +34,7 @@ RECORDS = [
     (AsymptoticProfile, (0.5, 0.5, 0.5, 0.0, 1.7)),
     (ConsistencyReport, (True, STRIP, None)),
     (GammaTypeForm, (1.0, 0.5, (FACTOR,), ())),
-    (catalog.Support, (0.0, math.inf, False)),
+    (catalog.Support, (0.0, math.inf)),
     (catalog.ParamSpec, ("a", "float", "a > 0")),
     (catalog.DistributionEntry, (FORM, "mellin", LEAF, None, {"gamma": 0.5},
                                  "x", {"a": 2.0}, True)),
@@ -91,7 +91,6 @@ def test_defaults_and_the_cached_walk():
     entry = catalog.DistributionEntry(FORM, "mellin")
     assert (entry.recipe, entry.density, entry.tabulated, entry.name,
             entry.params, entry.symmetric) == (None, None, {}, "", {}, False)
-    assert catalog.Support(0, 1).symmetric is False
     assert ConsistencyReport(True, STRIP).zero_location is None
     assert rc.Leaf("normal").args == ()
     form = GammaTypeForm(1.0, 0.5, (FACTOR,), ())

@@ -532,6 +532,9 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
     (lambda: rc.Power(rc.uniform(), False), "finite real, got False"),
     (lambda: rc.Scale(rc.uniform(), True), "finite real, got True"),
     (lambda: rc.Discriminant(True, rc.normal()), "got True"),
+    # laws and arities
+    (lambda: rc.Leaf("cauchy"), "unknown leaf law 'cauchy'"),
+    (lambda: rc.Leaf("gamma"), r"leaf 'gamma' takes 1 parameter"),
 ], ids=["scale-nan", "scale-inf", "scale-zero", "scale-str", "power-str",
         "power-inf", "power-complex", "leaf-str", "leaf-none",
         "discriminant-zero", "discriminant-float", "discriminant-node",
@@ -544,7 +547,7 @@ def test_a_chunk_in_flight_peaks_within_its_buffers(name, params, buffers):
         "symmetric-stable-above-2", "symmetric-stable-minus-inf",
         "discriminant-beta-b-zero", "gamma-huge-int", "power-huge-int",
         "scale-huge-int", "gamma-bool", "power-bool", "scale-bool",
-        "discriminant-bool"])
+        "discriminant-bool", "leaf-unknown-law", "leaf-arity"])
 def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
     with pytest.raises(ValidationError, match=bad):
         make()
@@ -563,6 +566,7 @@ def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
      "n must be an integer in the float range, got 10.0"),
     (lambda: harmonic_drift(2.5),
      "n_max must be an integer in the float range, got 2.5"),
+    (lambda: harmonic_drift(0), "n_max must be at least 1"),
     (lambda: sample(rc.uniform(), 3, 2 ** 1024),
      f"seed must be an integer in the float range, got {2 ** 1024}"),
     # the moment orders are numbers too
@@ -572,7 +576,7 @@ def test_recipe_nodes_refuse_bad_numbers_at_construction(make, bad):
      "s must be a finite real, got True"),
 ], ids=["sample-n-float", "sample-n-bool", "sample-seed-none",
         "verify-seed-float", "verify-n-float", "harmonic-float",
-        "seed-huge-int", "verify-s-str", "mc-moment-s-bool"])
+        "harmonic-zero", "seed-huge-int", "verify-s-str", "mc-moment-s-bool"])
 def test_draw_counts_and_seeds_must_be_integers(call, bad):
     with pytest.raises(ValidationError) as exc:
         call()
@@ -589,6 +593,33 @@ def test_numpy_integers_count_as_integers():
     assert form.power(np.int8(-1)) == form.power(-1)
     assert form.expand_multiplication(0, np.int64(2)) == (
         form.expand_multiplication(0, 2))
+
+
+def test_leaf_count_counts_leaves_and_discriminants():
+    recipe = rc.Sum((
+        rc.NegLog(rc.uniform()),
+        rc.Scale(rc.Product((rc.gamma(2.0), rc.Abs(rc.normal()))), 2.0),
+        rc.Power(rc.Discriminant(3, rc.normal()), 0.5)))
+    assert rc.leaf_count(recipe) == 4
+    assert rc.leaf_count(rc.Product(())) == 0
+
+
+def test_empty_product_draws_ones():
+    assert sample(rc.Product(()), 3).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_sample_refuses_what_is_not_a_recipe():
+    with pytest.raises(ValidationError, match="unknown recipe node 'junk'"):
+        sample("junk", 3)
+
+
+def test_draws_without_an_affinity_call(monkeypatch):
+    # platforms without os.sched_getaffinity count CPUs with os.cpu_count
+    recipe = rc.Scale(rc.exponential(), 2.0)
+    n = 3 * stochastics.CHUNK_SIZE + 1
+    want = sample(recipe, n, seed=5)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert np.array_equal(sample(recipe, n, seed=5), want)
 
 
 def test_recipe_node_numbers_are_floats():
