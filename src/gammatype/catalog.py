@@ -558,13 +558,14 @@ def _symmetric_stable(alpha):
 
 def _cauchy_product_density_2(x):
     # 2 log|x| / (pi^2 (x^2 - 1)), removable singularity at |x| = 1, where
-    # ax - 1 is exact (Sterbenz) and x^2 - 1 would cancel
+    # ax - 1 is exact (Sterbenz) and x^2 - 1 would cancel; divided step by
+    # step, so no product overflows before the quotient does
     ax = abs(x)
     if ax == 0.0:
         return math.inf
     if ax == 1.0:
         return 1 / math.pi ** 2
-    return 2 * math.log(ax) / (math.pi ** 2 * (ax - 1) * (ax + 1))
+    return 2 * math.log(ax) / (ax - 1) / (ax + 1) / math.pi ** 2
 
 
 @_register("cauchy_product", "product of k independent standard Cauchy variables",

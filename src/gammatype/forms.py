@@ -100,7 +100,7 @@ _set = object.__setattr__
 class GammaFactor(Record):
     """One factor Gamma(slope * s + offset); float_slope = float(slope)."""
 
-    __slots__ = ("slope", "offset", "float_slope", "_hash")
+    __slots__ = ("slope", "offset", "float_slope")
     _fields = ("slope", "offset")
 
     def __init__(self, slope: Fraction, offset: float):
@@ -114,11 +114,6 @@ class GammaFactor(Record):
         _set(self, "slope", slope)
         _set(self, "offset", offset)
         _set(self, "float_slope", float(slope))
-        # the record's hash, once: Fraction.__hash__ is slow
-        _set(self, "_hash", hash((slope, offset)))
-
-    def __hash__(self):
-        return self._hash
 
 
 class AnalyticityStrip(Record):

@@ -318,10 +318,12 @@ REMOVABLE = {"cauchy_product": ({"k": 2}, _cauchy_product_2),
              "hyperbolic_secant": ({"t": 2}, _sech_2)}
 
 
-# near its removable point x^2 - 1 or 1 - e^(-pi x) cancels
+# near its removable point x^2 - 1 or 1 - e^(-pi x) cancels; at 1e154,
+# pi^2 x^2 would overflow although the density is a normal float
 @pytest.mark.parametrize("name, x", [
     *(("cauchy_product", x)
-      for x in (1 + 5e-8, 1 - 5e-8, 1 + 9.9e-8, -1 - 5e-8, 0.0, 1.0, -1.0)),
+      for x in (1 + 5e-8, 1 - 5e-8, 1 + 9.9e-8, -1 - 5e-8, 0.0, 1.0, -1.0,
+                1e154, -1e154)),
     *(("hyperbolic_secant", x)
       for x in (2e-8, 1e-7, -1e-7, 1e-9, 0.0, 1.0, -1.0)),
 ])

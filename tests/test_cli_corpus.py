@@ -15,8 +15,10 @@ across versions.
 
 Run this module as a script (with src on the path) to rewrite the corpus
 from the current code; an intended output change then shows as a diff of
-the corpus.  argparse's messages are those of the Python version the
-corpus was written with (3.11).
+the corpus.  replay(_load(), console_script) checks every case, by the same
+rules, through the installed gammatype script instead of in-process.
+argparse's messages are those of the Python version the corpus was written
+with (3.11).
 """
 
 import contextlib
@@ -24,6 +26,7 @@ import io
 import json
 import math
 import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -245,14 +248,49 @@ def _is_table(case):
     return tuple(case["argv"]) in DENSITY_ARGV
 
 
+def _x_column(stdout):
+    """The x column of a density table's JSON, or stdout if it holds none."""
+    try:
+        return [row["x"] for row in json.loads(stdout)["table"]]
+    except (ValueError, KeyError, TypeError):
+        return stdout
+
+
+def check_case(case, got):
+    """Assert that got, the exit code, stdout and stderr of a case's
+    invocation, is what the corpus holds: stdout byte for byte, but of a
+    density table only the x column (its values are compared within
+    rounding by test_density_tables_match_corpus_within_rounding)."""
+    want = (case["exit"], case["stdout"], case.get("stderr", ""))
+    if _is_table(case):
+        got, want = [(code, _x_column(out), err) for code, out, err
+                     in (got, want)]
+    assert got == want, _case_id(case)
+
+
+def console_script(env, argv):
+    """Exit code, stdout and stderr of the installed gammatype script run on
+    argv, with GML_SEED taken from env only."""
+    base = {k: v for k, v in os.environ.items() if k != "GML_SEED"}
+    proc = subprocess.run(["gammatype", *argv], env={**base, **env},
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def replay(cases, runner):
+    """check_case on each case against runner(env, argv); the count."""
+    for case in cases:
+        check_case(case, runner(case["env"], case["argv"]))
+    return len(cases)
+
+
 @pytest.mark.parametrize("case", [case for case in _load()
                                   if not _is_table(case)], ids=_case_id)
 def test_cli_output_matches_corpus(monkeypatch, case):
     monkeypatch.delenv("GML_SEED", raising=False)
     for key, value in case["env"].items():
         monkeypatch.setenv(key, value)
-    assert run(case["argv"]) == (case["exit"], case["stdout"],
-                                 case.get("stderr", ""))
+    check_case(case, run(case["argv"]))
 
 
 def _rounding_bound(entry, xs):
@@ -280,11 +318,10 @@ def _rounding_bound(entry, xs):
                                   if _is_table(case)], ids=_case_id)
 def test_density_tables_match_corpus_within_rounding(case):
     code, out, err = run(case["argv"])
-    assert (code, err) == (case["exit"], "")
+    check_case(case, (code, out, err))
     got, want = json.loads(out), json.loads(case["stdout"])
     assert got["name"] == want["name"]
-    xs = [row["x"] for row in want["table"]]
-    assert [row["x"] for row in got["table"]] == xs
+    xs = _x_column(case["stdout"])
     name, params = DENSITY_ARGV[tuple(case["argv"])]
     bound = _rounding_bound(catalog.build(name, params), xs)
     error = np.array([abs(g["density"] - w["density"])

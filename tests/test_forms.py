@@ -165,18 +165,6 @@ def test_an_underflowing_expansion_builds_no_piece(monkeypatch):
         form.expand_multiplication(0, VISIT_BUDGET)
 
 
-def test_strip_hashes_no_fraction(monkeypatch):
-    # a factor's hash is computed once, when it is built, so the walk of
-    # a form with many factors calls Fraction.__hash__ no more
-    form = build("selberg_beta", {"n": 50, "alpha": 1.0, "beta": 1.0}).form
-    calls = []
-    fraction_hash = Fraction.__hash__
-    monkeypatch.setattr(Fraction, "__hash__",
-                        lambda q: calls.append(q) or fraction_hash(q))
-    form.strip()
-    assert calls == []
-
-
 def test_raw_pairs_build_a_checked_form():
     form = GammaTypeForm(1, 0, ((1, 1),), ())
     assert form.num == (GammaFactor(1, 1.0),)
