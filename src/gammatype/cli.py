@@ -201,8 +201,10 @@ def _cmd_strip(args, entry):
 
 
 def _cmd_check_identity(args, entry):
-    lhs = parse_identity_spec(args.lhs)
-    rhs = parse_identity_spec(args.rhs)
+    try:
+        lhs, rhs = parse_identity_spec(args.lhs), parse_identity_spec(args.rhs)
+    except RecursionError:  # the parser takes one frame per nesting level
+        raise ValidationError("expression nested too deeply") from None
     equal = moments_equal(lhs, rhs)
     return ({"lhs": args.lhs, "rhs": args.rhs, "tol": IDENTITY_TOL,
              "equal": equal},
@@ -226,22 +228,26 @@ def _sink(path):
     Entered before any drawing or inversion, so an unwritable path is a
     usage error that wastes no work.  The file is emptied at the first
     write, so a command that fails before it leaves the file as it was.
+    A write or close that fails is a usage error too; a closed pipe is
+    left to main, as on stdout.
     """
     if path is None:
         yield sys.stdout.write
         return
-    try:
-        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
-    except OSError as exc:
-        raise ValidationError(f"--output: {exc}") from None
-    regular = os.path.isfile(path)  # as with O_TRUNC, not a pipe or device
 
     def write(text):
         if regular:
             fh.truncate()  # to the bytes written so far: at first, none
         fh.write(text)
-    with fh:
-        yield write
+    try:
+        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")
+        regular = os.path.isfile(path)  # as with O_TRUNC, not a pipe or device
+        with fh:
+            yield write
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise ValidationError(f"--output: {exc}") from None
 
 
 def _cmd_sample(args, entry):

@@ -1,5 +1,6 @@
 """CLI behavior: payload schemas, exit codes, seeding, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from gammatype import catalog, forms, mellin, recipes as rc, stochastics
 from gammatype.cli import IDENTITY_GRAMMAR, main, parse_identity_spec
 from gammatype.forms import moments_equal
 from gammatype.stochastics import sample
+
+from test_cli_corpus import README, README_COMMANDS, entry_commands
 
 
 def run(capsys, *argv):
@@ -312,26 +315,6 @@ def test_every_entry_keeps_the_cli_contract(capsys, entry):
             json.loads(out)
 
 
-@pytest.mark.parametrize("argv", [
-    # C1 = inf, so no finite truncation point
-    ("density", "selberg_gamma", "--params", "n=200,alpha=1", "--x=0.1:1:3"),
-    # more than mellin.MAX_NODES nodes
-    ("density", "gumbel", "--x=1e10:1e10:1"),
-    ("density", "logistic", "--x=-1e15:1e15:3"),
-    ("density", "exponential", "--x=0:1:3", "--abscissa", "-0.999999999999"),
-    # log F(s) with a phase of inf or nan
-    ("moment", "rayleigh", "--s=1,1e306"),
-    ("moment", "logistic", "--s=0.1,1e306"),
-])
-def test_unanswerable_inputs_exit_3(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 3
-    assert len(out.splitlines()) == 1
-    assert "error" in json.loads(out)
-    if argv[1] == "selberg_gamma":  # T is inf, not nan
-        assert "nan" not in json.loads(out)["error"]
-
-
 @pytest.mark.parametrize("name, params", [("selberg_gamma", "n=150,alpha=1"),
                                           ("selberg_normal", "n=1000")])
 def test_overflowing_c1_saturates(capsys, name, params):
@@ -525,7 +508,8 @@ def test_json_writers_spell_inf_as_stdout_does(capsys, tmp_path):
     _, out, _ = run(capsys, "sample", "type2_beta", "--params",
                     "alpha=2,beta=1e-300", "--n", "3", "--seed", "1",
                     "--format", "jsonl")
-    assert {"i": 0, "x": "inf"} in map(_strict_json, out.splitlines())
+    assert list(map(_strict_json, out.splitlines())) == [
+        {"i": i, "x": "inf"} for i in range(3)]
     # the product of two Cauchy variables has an infinite density at 0
     argv = ("density", "cauchy_product", "--params", "k=2", "--x=0:1:2")
     _, out, _ = run(capsys, *argv)
@@ -571,6 +555,23 @@ def test_a_failing_command_keeps_an_existing_output_file(capsys, tmp_path):
 def test_output_to_a_device_is_written_not_truncated(capsys):
     argv = ("sample", "maxwell", "--n", "3", "--output", os.devnull)
     assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    # the buffered rows fail as the file is closed
+    ("sample", "rayleigh", "--n", "5"),
+    ("density", "logistic", "--x=0:1:3"),
+    # a chunk past the buffer fails as it is written
+    ("sample", "rayleigh", "--n", str(stochastics.CHUNK_SIZE)),
+])
+def test_a_failed_output_write_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--output", "/dev/full")
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert json.loads(out)["error"] == f"--output: {full}"
+    assert err == ""
 
 
 def _refuse(*args, **kwargs):
@@ -624,47 +625,26 @@ def test_human_summary_goes_to_stderr(capsys):
     assert "rayleigh" in err
 
 
-def test_import_path_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(gammatype.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, gammatype, gammatype.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+# the commands each rule runs in one process, and the top-level modules
+# they may not load beyond those of a bare interpreter in this environment
+IMPORT_RULES = {
+    # the numpy-free README commands and the algebra commands of every
+    # catalog test case
+    "algebra": (README + list(entry_commands()),
+                {"numpy", "scipy", "dataclasses", "inspect"}),
+    # the README commands that load numpy: verify-mc, sample and density
+    # (concurrent is the package of concurrent.futures)
+    "numpy": ([argv for argv in README_COMMANDS if argv not in README],
+              {"scipy", "concurrent", "logging"}),
+}
 
 
-def test_algebra_commands_load_no_numpy():
+@pytest.mark.parametrize("rule", IMPORT_RULES)
+def test_commands_load_none_of_the_modules_their_rule_names(rule):
+    commands, banned = IMPORT_RULES[rule]
     src = os.path.dirname(os.path.dirname(gammatype.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    commands = [
-        ["list"], ["info", "beta"], ["profile", "rayleigh"],
-        ["moment", "half_cauchy", "--s", "0"],
-        ["strip", "pref_attach", "--params", "alpha=0.5"],
-        ["check-identity", "scale(power(exponential,0.5),1.4142135623730951)",
-         "rayleigh"],
-        ["consistency", "half_cauchy"],
-    ]
     code = ("import contextlib, io, sys, gammatype, gammatype.cli\n"
-            f"for argv in {commands!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert gammatype.cli.main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-
-
-def test_algebra_commands_import_no_dataclasses_inspect_or_numpy():
-    # modules loaded beyond those of a bare interpreter in this environment
-    src = os.path.dirname(os.path.dirname(gammatype.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    commands = [
-        ["list"], ["profile", "rayleigh"],
-        ["check-identity", "scale(power(exponential,0.5),1.4142135623730951)",
-         "rayleigh"],
-    ]
-    code = ("import contextlib, io, sys, gammatype.cli\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert gammatype.cli.main(argv) == 0, argv\n"
@@ -677,7 +657,7 @@ def test_algebra_commands_import_no_dataclasses_inspect_or_numpy():
     bare, loaded = modules.values()
     imported = {name.partition(".")[0] for name in loaded - bare}
     assert "gammatype" in imported
-    assert not imported & {"dataclasses", "inspect", "numpy"}
+    assert not imported & banned
 
 
 def test_sampling_names_resolve_after_bare_import():

@@ -41,15 +41,23 @@ CORPUS = Path(__file__).with_name("cli_corpus.jsonl")
 
 IDENTITY = "scale(power(exponential,0.5),1.4142135623730951)"
 
-# the README commands that load no numpy
-README = [
+# the README's commands, in its order
+README_COMMANDS = [
     ["list"],
     ["profile", "rayleigh"],
     ["moment", "half_cauchy", "--s", "0"],
     ["strip", "pref_attach", "--params", "alpha=0.5"],
     ["check-identity", IDENTITY, "rayleigh"],
+    ["verify-mc", "gamma", "--params", "a=2", "--s-grid", "0.5,1",
+     "--n", "1000000", "--seed", "1"],
+    ["sample", "maxwell", "--n", "1000", "--seed", "7", "--format", "jsonl"],
+    ["density", "logistic", "--x=-4:4:81"],
     ["consistency", "half_cauchy"],
 ]
+
+# those that load no numpy
+README = [argv for argv in README_COMMANDS
+          if argv[0] not in ("verify-mc", "sample", "density")]
 
 HUMAN = [
     ["--human", *argv] for argv in README + [
@@ -82,6 +90,9 @@ ERRORS = [
     ["profile", "stirling_blocks", "--params", "k=2.5"],
     ["profile", "hyperbolic_secant", "--params", "t=-1"],
     ["profile", "selberg_gamma", "--params", "n=6000,alpha=1.5"],
+    # a constant pi^-k that underflows to 0
+    ["profile", "cauchy_product", "--params", "k=1e300"],
+    ["profile", "hyperbolic_secant", "--params", "t=1e300"],
     ["strip", "positive_stable", "--params", "alpha=1e-13"],
     ["moment", "gamma", "--params", "a=-1", "--s=1"],
     ["consistency", "beta", "--params", "a=0,b=1"],
@@ -99,6 +110,7 @@ ERRORS = [
     ["moment", "rayleigh", "--s=1,nan"],
     ["moment", "gumbel", "--s", "1"],
     ["moment", "rayleigh", "--s=1,1e306"],
+    ["moment", "logistic", "--s=0.1,1e306"],
     # identity expressions
     ["check-identity", "product()", "rayleigh"],
     ["check-identity", "recip(rayleigh,gamma:a=2)", "rayleigh"],
@@ -107,6 +119,9 @@ ERRORS = [
     ["check-identity", "power(rayleigh,1e-300)", "rayleigh"],
     ["check-identity", "product(rayleigh,)", "rayleigh"],
     ["check-identity", "scale(rayleigh,1e-3,)", "rayleigh"],
+    ["check-identity", "scale(rayleigh)", "rayleigh"],
+    # nested deeper than the parser's recursion goes
+    ["check-identity", "recip(" * 2000 + "rayleigh" + ")" * 2000, "rayleigh"],
     # density grids, contours and forms
     ["density", "logistic", "--x=1:2"],
     ["density", "logistic", "--x=a:b:c"],
@@ -119,6 +134,13 @@ ERRORS = [
     ["density", "beta", "--params", "a=2,b=3", "--x=0.1:0.9:3"],
     # C1 past the float range: no finite truncation point, T = inf
     ["density", "selberg_gamma", "--params", "n=150,alpha=1", "--x=1:2:2"],
+    ["density", "selberg_gamma", "--params", "n=200,alpha=1", "--x=0.1:1:3"],
+    # the profile saturates that C1 to inf, with exit 0
+    ["profile", "selberg_gamma", "--params", "n=150,alpha=1"],
+    # more nodes than mellin.MAX_NODES
+    ["density", "gumbel", "--x=1e10:1e10:1"],
+    ["density", "logistic", "--x=-1e15:1e15:3"],
+    ["density", "exponential", "--x=0:1:3", "--abscissa", "-0.999999999999"],
     # tables off the hull that the form gives: zeros, exit 0
     ["density", "selberg_beta", "--params", "n=3,alpha=1.5,beta=2.5",
      "--x=0.1:0.5:3"],
@@ -202,7 +224,7 @@ SEEDED = [
 ]
 
 
-def _entry_commands():
+def entry_commands():
     for name, params in CASES.items():
         extra = _params_words(params)
         yield ["info", name]
@@ -214,7 +236,7 @@ def _entry_commands():
 def invocations():
     """(env, argv) of every corpus line, in file order."""
     seen = []
-    for argv in (README + list(_entry_commands()) + HUMAN + ERRORS
+    for argv in (README + list(entry_commands()) + HUMAN + ERRORS
                  + PRECISION):
         if argv not in seen:  # the README repeats two entry commands
             seen.append(argv)
@@ -241,7 +263,9 @@ def _load():
 
 def _case_id(case):
     env = " ".join(f"{k}={v}" for k, v in case["env"].items())
-    return " ".join([env, *case["argv"]]).strip() or "<no arguments>"
+    argv = [word if len(word) <= 200 else f"{word[:20]}...({len(word)} chars)"
+            for word in case["argv"]]
+    return " ".join([env, *argv]).strip() or "<no arguments>"
 
 
 def _is_table(case):

@@ -264,11 +264,19 @@ def test_stable_draws_are_the_published_constructions(draw, reference,
         assert np.allclose(x[finite], ref[finite], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("alpha", [0.99, 0.999, 0.99999])
-def test_one_sided_draws_near_alpha_one_are_positive_and_finite(alpha):
+@pytest.mark.parametrize("name,alpha", [
     # _kanter_reference gives nan, inf or 0 here: its sines, raised to
     # alpha/(1-alpha) and 1/(1-alpha) on their own, underflow or overflow
-    x = sample(rc.positive_stable(alpha), 10 ** 6, seed=1)
+    ("positive_stable", 0.99), ("positive_stable", 0.999),
+    ("positive_stable", 0.99999),
+    # |X|, whose draws at alpha = 0.05 span 1e-23 to 1e120
+    ("symmetric_stable", 0.05), ("symmetric_stable", 1.999),
+])
+def test_stable_draws_at_extreme_alpha_are_positive_and_finite(name, alpha):
+    # the chunks that the sample command prints, one line per value
+    recipe = catalog.build(name, {"alpha": alpha}).recipe
+    x = np.concatenate(list(stochastics.chunks(recipe, 10 ** 6, 1)))
+    assert x.shape == (10 ** 6,)
     assert np.isfinite(x).all() and (x > 0).all()
 
 
