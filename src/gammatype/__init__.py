@@ -20,11 +20,13 @@ from . import recipes
 
 __version__ = "0.1.0"
 
-# the numpy-backed modules and their names load on first access (PEP 562)
+# the modules that may load numpy, and their names, load on first access
+# (PEP 562)
 _LAZY = {
     "stochastics": ("sample", "MCEstimate", "mc_moment",
                     "VerificationReport", "verify_entry", "harmonic_drift"),
-    "mellin": ("density", "density_table", "check_normalization"),
+    "mellin": ("density", "density_rows", "density_table",
+               "check_normalization"),
 }
 
 

@@ -269,26 +269,34 @@ def _cmd_sample(args, entry):
 
 
 def _parse_grid(text):
-    import numpy as np
+    """The x of a:b:steps, equal bit for bit to np.linspace(a, b, steps)."""
     from .mellin import MAX_NODES
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be a:b:steps, got {text!r}")
     lo, hi = _number("--x", parts[0], real), _number("--x", parts[1], real)
     count = _number("--x", parts[2], integer)
-    # a float subtraction: an overflowing span is inf, without a warning
-    if not (math.isfinite(hi - lo) and 1 <= count <= MAX_NODES):
+    span = hi - lo  # an overflowing span is inf
+    if not (math.isfinite(span) and 1 <= count <= MAX_NODES):
         raise ValidationError(f"--x: a grid needs a finite span and 1 to "
                               f"{MAX_NODES} steps, got {text!r}")
-    return np.linspace(lo, hi, count)
+    if count == 1:
+        return [0 * span + lo]
+    div = count - 1
+    step = span / div
+    # numpy's order of operations, and its branch for a step that
+    # underflows to 0
+    xs = ([i * step + lo for i in range(div)] if step else
+          [i / div * span + lo for i in range(div)])
+    return xs + [hi]
 
 
 def _cmd_density(args, entry):
     from . import mellin
     xs = _parse_grid(args.x)
     with _sink(args.output) as write:
-        rows = [{"x": float(x), "density": float(f)}
-                for x, f in mellin.density_table(entry, xs, args.abscissa)]
+        rows = [{"x": x, "density": f}
+                for x, f in mellin.density_rows(entry, xs, args.abscissa)]
         if args.output is None:
             return ({"name": args.name, "table": rows},
                     f"{len(rows)} density points", True)

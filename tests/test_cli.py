@@ -8,15 +8,20 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gammatype
 from gammatype import catalog, forms, mellin, recipes as rc, stochastics
-from gammatype.cli import IDENTITY_GRAMMAR, main, parse_identity_spec
+from gammatype.cli import (IDENTITY_GRAMMAR, _parse_grid, main,
+                           parse_identity_spec)
 from gammatype.forms import moments_equal
 from gammatype.stochastics import sample
 
-from test_cli_corpus import README, README_COMMANDS, entry_commands
+from test_cli_corpus import (DENSITY_ARGV, README, README_COMMANDS,
+                             entry_commands)
+from test_mellin import most_float_points
 
 
 def run(capsys, *argv):
@@ -466,6 +471,34 @@ def test_density_command(capsys):
     assert table[1]["density"] == pytest.approx(0.25, abs=1e-6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(1, 300))
+@example(1.5, 7.0, 1)
+@example(-0.0, -5.0, 1)  # 0 * delta + lo is -0.0
+@example(3.0, -0.0, 1)
+@example(2.5, 2.5, 4)
+@example(0.0, -0.0, 3)
+@example(-0.0, 1.0, 5)
+@example(-1.0, -0.0, 5)
+@example(0.0, 5e-324, 3)  # a step that rounds to 0 takes i / div * delta
+@example(5e-324, 0.0, 4)
+@example(-5e-324, 5e-324, 5)
+@example(-8.9e307, 8.9e307, 7)
+@example(1.7e308, 1.6e308, 3)
+@example(1.7e308, 1.7976931348623157e308, 2)
+@example(-1.7e308, -1e308, 9)
+@example(0.0, 1.7976931348623157e308, 4)  # numpy's 3 * step overflows
+def test_grid_is_numpys_linspace_bit_for_bit(lo, hi, count):
+    assume(math.isfinite(hi - lo))
+    got = _parse_grid(f"{lo!r}:{hi!r}:{count}")
+    # numpy's last point, before hi replaces it, may overflow
+    with np.errstate(over="ignore"):
+        want = np.linspace(lo, hi, count).tolist()
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_sample_output_formats(capsys, tmp_path):
     values = sample(rc.exponential(), 5, seed=1)
     argv = ("sample", "exponential", "--n", "5", "--seed", "1")
@@ -585,13 +618,16 @@ def _refuse(*args, **kwargs):
 def test_unwritable_output_exits_2_before_any_work(capsys, monkeypatch,
                                                    tmp_path, argv):
     monkeypatch.setattr(stochastics, "evaluate_recipe", _refuse)
-    monkeypatch.setattr(mellin, "density_table", _refuse)
+    monkeypatch.setattr(mellin, "density_rows", _refuse)
     code, out, err = run(capsys, *argv, "--output",
                          str(tmp_path / "missing" / "x"))
     assert code == 2
     assert len(out.splitlines()) == 1
     assert "--output" in json.loads(out)["error"]
     assert err == ""
+    # the spies sit where the command's work starts
+    with pytest.raises(AssertionError, match="work started"):
+        main(list(argv))
 
 
 @pytest.mark.parametrize("argv, read", [
@@ -625,16 +661,25 @@ def test_human_summary_goes_to_stderr(capsys):
     assert "rayleigh" in err
 
 
+# the density commands of logistic on [-4, 4] with the most points that
+# run on floats, and with one point more
+FLOAT_GRID, ARRAY_GRID = (
+    ["density", "logistic", f"--x=-4:4:{most_float_points() + more}"]
+    for more in (0, 1))
+
 # the commands each rule runs in one process, and the top-level modules
 # they may not load beyond those of a bare interpreter in this environment
 IMPORT_RULES = {
-    # the numpy-free README commands and the algebra commands of every
-    # catalog test case
-    "algebra": (README + list(entry_commands()),
-                {"numpy", "scipy", "dataclasses", "inspect"}),
-    # the README commands that load numpy: verify-mc, sample and density
-    # (concurrent is the package of concurrent.futures)
-    "numpy": ([argv for argv in README_COMMANDS if argv not in README],
+    # the README commands but verify-mc and sample, the corpus's density
+    # tables (the README's among them), the algebra commands of every
+    # catalog test case, and the largest density grid that runs on floats
+    "numpy-free": (README + [list(argv) for argv in DENSITY_ARGV]
+                   + list(entry_commands()) + [FLOAT_GRID],
+                   {"numpy", "scipy", "dataclasses", "inspect"}),
+    # verify-mc and sample, and the smallest density grid that runs on
+    # arrays (concurrent is the package of concurrent.futures)
+    "numpy": ([argv for argv in README_COMMANDS
+               if argv[0] in ("verify-mc", "sample")] + [ARRAY_GRID],
               {"scipy", "concurrent", "logging"}),
 }
 

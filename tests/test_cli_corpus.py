@@ -2,14 +2,14 @@
 
 Each line of the corpus holds one invocation: its argv, the environment it
 sets (GML_SEED only), its exit code, its stdout and, under --human, its
-stderr.  The invocations are the commands whose output is pure Python
-(the README's numpy-free commands; info, strip, profile, consistency and
-moment of every test_catalog.CASES entry; --human on each of them), the
-error payloads of all ten commands and of argparse and a few answers at
-the precision of a float, compared byte for byte, and a few successful
-density tables, whose values are compared within the rounding bound that
-mellin._invert states.  Every other
-invocation leaves stderr empty.  sample and verify-mc are left out: their
+stderr.  The invocations are commands whose output is pure Python: the
+README's commands but verify-mc, sample and density; info, strip,
+profile, consistency and moment of every test_catalog.CASES entry;
+--human on each of them; the error payloads of all ten commands and of
+argparse and a few answers at the precision of a float, compared byte for
+byte; and a few successful density tables (the README's first), whose
+values are compared within the rounding bound that mellin._invert states.
+Every other invocation leaves stderr empty.  sample and verify-mc are left out: their
 output follows numpy's Generator streams, which numpy does not promise
 across versions.
 
@@ -55,7 +55,8 @@ README_COMMANDS = [
     ["consistency", "half_cauchy"],
 ]
 
-# those that load no numpy
+# those whose stdout the corpus holds byte for byte: verify-mc and sample
+# follow numpy's streams, and the density table is DENSITY's first
 README = [argv for argv in README_COMMANDS
           if argv[0] not in ("verify-mc", "sample", "density")]
 

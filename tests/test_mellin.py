@@ -11,7 +11,8 @@ import pytest
 from gammatype import catalog, forms, mellin
 from gammatype.errors import InversionError, ValidationError
 from gammatype.forms import make_form
-from gammatype.mellin import check_normalization, density, density_table
+from gammatype.mellin import (check_normalization, density, density_rows,
+                              density_table)
 
 HALF = Fraction(1, 2)
 
@@ -154,13 +155,23 @@ def test_abscissa_must_sit_in_strip():
             density(form, "mellin", x, abscissa)
 
 
-@pytest.mark.parametrize("name, params, x", [
-    ("logistic", {}, 1e12),  # e^(-itx) needs a step below 1e-11
-    ("symmetric_stable", {"alpha": 1.5}, math.nan),  # a nan node count
+# the two tables: an ndarray, and a list of float pairs without numpy
+TABLES_BY_PATH = [density_table, density_rows]
+
+
+@pytest.mark.parametrize("table", TABLES_BY_PATH)
+@pytest.mark.parametrize("name, params, xs, nodes", [
+    ("logistic", {}, [1e12], "3.18e+12"),  # e^(-itx) needs a step below 1e-11
+    # a nan x, wherever it sits (Python's max is not numpy's there)
+    ("symmetric_stable", {"alpha": 1.5}, [math.nan, 1.0, math.inf], "nan"),
+    ("symmetric_stable", {"alpha": 1.5}, [1.0, math.inf, math.nan], "nan"),
+    # an infinite |x|, which takes a step of 0
+    ("symmetric_stable", {"alpha": 1.5}, [-math.inf, 1.0], "inf"),
 ])
-def test_node_count_is_bounded(name, params, x):
-    with pytest.raises(InversionError, match="nodes"):
-        density_table(catalog.build(name, params), [x])
+def test_node_count_is_bounded(table, name, params, xs, nodes):
+    with pytest.raises(InversionError) as info:
+        table(catalog.build(name, params), xs)
+    assert f"would need {nodes} nodes" in str(info.value)
 
 
 def test_table_grid_is_real_numbers():
@@ -191,18 +202,21 @@ TABLES = [("logistic", {}, -4.0, 4.0), ("ise_density_zero", {}, 0.05, 3.0),
           ("linnik", {"alpha": 1.5}, -4.0, 4.0), ("rayleigh", {}, 0.05, 3.5)]
 
 
+@pytest.mark.parametrize("table", TABLES_BY_PATH)
 @pytest.mark.parametrize("name, params, xs", [
     pytest.param(name, params, np.linspace(lo, hi, points),
                  id=f"{name}-{points}")
     for name, params, lo, hi in TABLES for points in (1, 81, 1200)
 ] + [pytest.param("logistic", {}, [3e4], id="logistic-3e4")])  # 95 625 nodes
-def test_table_is_the_direct_contour_sum(monkeypatch, name, params, xs):
+def test_table_is_the_direct_contour_sum(monkeypatch, table, name, params,
+                                         xs):
     # Re sum_k F(s_k) w_k(x) h / pi, with w_k = x^(-s_k-1) (Mellin kind) or
     # e^(-s_k x) (MGF kind), as one dense sum per x, within the rounding
-    # bound that _invert states for its Horner sum
+    # bound that _invert states for its Horner sum; density_rows sums
+    # these tables on floats
     entry = catalog.build(name, params)
     calls = _spy_on_evaluate(monkeypatch)
-    table = density_table(entry, xs)
+    table = np.array(table(entry, list(xs)))
     s = np.array([s for s, _ in calls])
     values = np.array([value for _, value in calls])
     h = 2 * s[0].imag
@@ -221,6 +235,34 @@ def test_table_is_the_direct_contour_sum(monkeypatch, name, params, xs):
     bound = ((3 * s.size + 2) * np.finfo(float).eps * np.abs(values).sum()
              * half * scale * h / math.pi)
     assert np.all(np.abs(got - want) <= bound)
+
+
+def most_float_points():
+    """The most x of a logistic table on [-4, 4] whose (x, node) count
+    mellin.SCALAR_WORK lets density_rows sum on floats."""
+    form = catalog.build("logistic", {}).form
+    nodes = len(mellin._contour(form, "mgf", 4.0, None)[2])
+    return mellin.SCALAR_WORK // nodes
+
+
+@pytest.mark.parametrize("more, kinds", [(0, {float}), (1, {np.ndarray})])
+def test_rows_sum_on_floats_up_to_the_scalar_work(monkeypatch, more, kinds):
+    points = most_float_points() + more
+    seen = []
+    contour_sum = mellin._contour_sum
+
+    def spy(x, *args):
+        seen.append(type(x))
+        return contour_sum(x, *args)
+
+    monkeypatch.setattr(mellin, "_contour_sum", spy)
+    entry = catalog.build("logistic", {})
+    xs = np.linspace(-4, 4, points).tolist()
+    rows = density_rows(entry, xs)
+    assert set(seen) == kinds
+    assert [type(f) for _, f in rows] == [float] * points
+    if kinds == {np.ndarray}:  # density_table's sum, bit for bit
+        assert np.array(rows).tobytes() == density_table(entry, xs).tobytes()
 
 
 def test_a_large_table_holds_no_node_by_x_array():
